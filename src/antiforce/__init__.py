@@ -8,7 +8,6 @@ from .antiforcing import (
     af_subset_search,
     af_via_matchings,
     forcing_number,
-    forcing_of_matching,
     is_anti_forcing_set,
 )
 from .budget import Budget, BudgetExceededError

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .budget import Budget, BudgetExceededError
 from .graph import Edge, Graph, edge
@@ -88,73 +88,34 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     raise AssertionError("a graph with a perfect matching has an anti-forcing set")
 
 
-# Exact minimum hitting set over bitmask-encoded sets. Elements are edge
-# ranks in a sorted universe, so ascending bit index is ascending edge
-# order and the lexicographic refinement below is straightforward.
+# Exact minimum hitting set over bitmask-encoded edge sets. Bit i stands
+# for the i-th edge of the graph's sorted edge list, so ascending bit
+# index is ascending edge order and bit lists compare like edge lists.
+#
+# Invariant: every mask list the engine handles is duplicate-free and
+# sorted by size (bit count). Filtering keeps a list sorted, so lists are
+# sorted only where masks are built: by _encode and by the refinement
+# step of _lex_min_cover. masks[0] is then a smallest set, which makes it
+# the branching pivot, and the greedy packing takes sets smallest first.
 
 
-def _drop_dominated(masks: list[int]) -> list[int]:
-    masks = sorted(set(masks), key=lambda s: (s.bit_count(), s))
-    kept: list[int] = []
-    for s in masks:
-        if not any(s & t == t for t in kept):
-            kept.append(s)
-    return kept
+def _edge_bits(g: Graph) -> dict[Edge, int]:
+    return {e: 1 << i for i, e in enumerate(g.sorted_edges)}
+
+
+def _encode(sets: Iterable[frozenset[Edge]], bits: dict[Edge, int]) -> list[int]:
+    return sorted({sum(map(bits.__getitem__, s)) for s in sets}, key=int.bit_count)
 
 
 def _packing_bound(masks: Sequence[int]) -> int:
+    """Size of a greedy packing of pairwise disjoint sets: a lower bound."""
     taken = 0
     count = 0
-    for s in sorted(masks, key=lambda x: x.bit_count()):
+    for s in masks:
         if not s & taken:
             count += 1
             taken |= s
     return count
-
-
-def _greedy_cover_size(masks: Sequence[int], nbits: int) -> int:
-    remaining = list(masks)
-    size = 0
-    while remaining:
-        freq = [0] * nbits
-        for s in remaining:
-            t = s
-            while t:
-                low = t & -t
-                freq[low.bit_length() - 1] += 1
-                t ^= low
-        e = max(range(nbits), key=lambda i: freq[i])
-        remaining = [s for s in remaining if not (s >> e) & 1]
-        size += 1
-    return size
-
-
-def _min_cover_value(masks: Sequence[int], nbits: int, budget: Budget | None) -> int:
-    """Exact minimum hitting set size, branch and bound."""
-    masks = _drop_dominated(list(masks))
-    if not masks:
-        return 0
-    best = _greedy_cover_size(masks, nbits)
-
-    def bb(remaining: list[int], depth: int) -> None:
-        nonlocal best
-        if budget is not None:
-            budget.tick()
-        if not remaining:
-            if depth < best:
-                best = depth
-            return
-        if depth + _packing_bound(remaining) >= best:
-            return
-        pivot = min(remaining, key=lambda s: s.bit_count())
-        t = pivot
-        while t:
-            low = t & -t
-            e = low.bit_length() - 1
-            bb([s for s in remaining if not (s >> e) & 1], depth + 1)
-            t ^= low
-    bb(masks, 0)
-    return best
 
 
 def _exists_cover(masks: list[int], k: int, budget: Budget | None) -> bool:
@@ -166,112 +127,111 @@ def _exists_cover(masks: list[int], k: int, budget: Budget | None) -> bool:
         budget.tick()
     if _packing_bound(masks) > k:
         return False
-    pivot = min(masks, key=lambda s: s.bit_count())
-    t = pivot
+    t = masks[0]
     while t:
         low = t & -t
-        e = low.bit_length() - 1
-        if _exists_cover([s for s in masks if not (s >> e) & 1], k - 1, budget):
+        if _exists_cover([s for s in masks if not s & low], k - 1, budget):
             return True
         t ^= low
     return False
 
 
+def _min_cover_size(
+    masks: list[int], budget: Budget | None, below: int | None = None
+) -> int | None:
+    """Minimum hitting set size, deepening from the packing bound.
+
+    Returns None as soon as the minimum is known to be at least ``below``.
+    """
+    k = _packing_bound(masks)
+    while below is None or k < below:
+        if _exists_cover(masks, k, budget):
+            return k
+        k += 1
+    return None
+
+
 def _lex_min_cover(
-    masks: Sequence[int], value: int, nbits: int, budget: Budget | None
-) -> list[int]:
-    """Lexicographically smallest hitting set of exactly the optimal size."""
-    masks = _drop_dominated(list(masks))
+    masks: list[int], value: int, budget: Budget | None, beat: Sequence[int] | None = None
+) -> list[int] | None:
+    """Lexicographically smallest hitting set of size ``value``, the minimum.
+
+    Returns its bits in ascending order. With ``beat``, a bit list of the
+    same size, gives up (returns None) once the chosen prefix exceeds it.
+    """
     chosen: list[int] = []
-    floor = -1
-    remaining = masks
-    while remaining:
-        found = False
-        for e in range(floor + 1, nbits):
-            rest = [s for s in remaining if not (s >> e) & 1]
-            above = ~((1 << (e + 1)) - 1)
-            filtered = [s & above for s in rest]
-            if any(f == 0 for f in filtered):
-                continue
-            if _exists_cover(filtered, value - len(chosen) - 1, budget):
+    tied = beat is not None
+    while masks:
+        union = 0
+        for s in masks:
+            union |= s
+        while union:
+            low = union & -union
+            e = low.bit_length() - 1
+            if tied and e > beat[len(chosen)]:
+                return None
+            # Later picks lie above e: drop the sets e hits, cut the rest.
+            rest = sorted({s & -(low << 1) for s in masks if not s & low}, key=int.bit_count)
+            if _exists_cover(rest, value - len(chosen) - 1, budget):
+                tied = tied and e == beat[len(chosen)]
                 chosen.append(e)
-                floor = e
-                remaining = rest
-                found = True
+                masks = rest
                 break
-        if not found:
+            union ^= low
+        else:
             raise AssertionError("no completion at the proven optimum")
     if len(chosen) != value:
         raise AssertionError("optimum not attained by lexicographic refinement")
     return chosen
 
 
-def _min_hitting_set(
-    sets: Sequence[frozenset[Edge]], budget: Budget | None
-) -> tuple[int, frozenset[Edge]]:
-    if not sets:
-        return 0, frozenset()
-    universe = sorted(set().union(*sets))
-    rank = {e: i for i, e in enumerate(universe)}
-    masks = [sum(1 << rank[e] for e in s) for s in sets]
-    value = _min_cover_value(masks, len(universe), budget)
-    picks = _lex_min_cover(masks, value, len(universe), budget)
-    return value, frozenset(universe[i] for i in picks)
-
-
-def _hitting_value_only(sets: Sequence[frozenset[Edge]], budget: Budget | None) -> int:
-    if not sets:
-        return 0
-    universe = sorted(set().union(*sets))
-    rank = {e: i for i, e in enumerate(universe)}
-    masks = [sum(1 << rank[e] for e in s) for s in sets]
-    return _min_cover_value(masks, len(universe), budget)
-
-
-def _analyze(g: Graph, m: Matching, budget: Budget | None) -> MatchingAnalysis:
-    cycles = alternating_cycles(g, m, budget)
-    af = _hitting_value_only([c.free for c in cycles], budget)
-    f = _hitting_value_only([c.matched for c in cycles], budget)
-    return MatchingAnalysis(frozenset(m), af, f)
-
-
 def af_of_matching(g: Graph, m: Matching, budget: Budget | None = None) -> MatchingAnalysis:
-    """Fewest non-m edges whose removal leaves m as the unique PM."""
-    return _analyze(g, m, budget)
+    """Anti-forcing and forcing numbers of one perfect matching m.
 
-
-def forcing_of_matching(g: Graph, m: Matching, budget: Budget | None = None) -> MatchingAnalysis:
-    """Smallest subset of m contained in no other perfect matching."""
-    return _analyze(g, m, budget)
+    ``af_of_m`` is the fewest non-m edges whose removal leaves m as the
+    unique PM; ``f_of_m`` the smallest subset of m contained in no other
+    perfect matching.
+    """
+    cycles = alternating_cycles(g, m, budget)
+    bits = _edge_bits(g)
+    af = _min_cover_size(_encode((c.free for c in cycles), bits), budget)
+    f = _min_cover_size(_encode((c.matched for c in cycles), bits), budget)
+    assert af is not None and f is not None
+    return MatchingAnalysis(frozenset(m), af, f)
 
 
 def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResult:
     """Minimum over perfect matchings of the free-edge hitting number.
 
-    The reported witness is the lexicographically smallest one among all
-    optimal matchings, so repeated runs agree byte for byte.
+    One pass over the matchings keeps the best value so far: a matching
+    is dropped as soon as its value is known to exceed it, and refined to
+    a witness only when it ties or beats it. The reported witness is the
+    lexicographically smallest one among all optimal matchings, so
+    repeated runs agree byte for byte. When the budget runs out after
+    some matching was solved, BudgetExceededError carries the best value
+    so far as ``upper``.
     """
     pms = enumerate_perfect_matchings(g, budget=budget)
     if not pms:
         return AntiForcingResult(len(g.edges), frozenset(), "convention_no_pm")
-    values = [
-        _hitting_value_only(
-            [c.free for c in alternating_cycles(g, m, budget)], budget
-        )
-        for m in pms
-    ]
-    best = min(values)
-    witness: tuple[Edge, ...] | None = None
-    for m, value in zip(pms, values):
-        if value != best:
-            continue
-        free_sets = [c.free for c in alternating_cycles(g, m, budget)]
-        _, w = _min_hitting_set(free_sets, budget)
-        key = tuple(sorted(w))
-        if witness is None or key < witness:
-            witness = key
-    assert witness is not None
-    return AntiForcingResult(best, frozenset(witness), "via_matchings")
+    bits = _edge_bits(g)
+    best: int | None = None
+    witness: list[int] = []
+    try:
+        for m in pms:
+            masks = _encode((c.free for c in alternating_cycles(g, m, budget)), bits)
+            value = _min_cover_size(masks, budget, None if best is None else best + 1)
+            if value is None:
+                continue
+            picks = _lex_min_cover(masks, value, budget, witness if value == best else None)
+            if picks is not None:
+                best, witness = value, picks
+    except BudgetExceededError as exc:
+        exc.upper = best
+        raise
+    assert best is not None
+    edges = g.sorted_edges
+    return AntiForcingResult(best, frozenset(edges[i] for i in witness), "via_matchings")
 
 
 def forcing_number(g: Graph, budget: Budget | None = None) -> int:
@@ -279,9 +239,12 @@ def forcing_number(g: Graph, budget: Budget | None = None) -> int:
     pms = enumerate_perfect_matchings(g, budget=budget)
     if not pms:
         raise NoPerfectMatchingError("forcing number needs a perfect matching")
-    return min(
-        _hitting_value_only(
-            [c.matched for c in alternating_cycles(g, m, budget)], budget
-        )
-        for m in pms
-    )
+    bits = _edge_bits(g)
+    best: int | None = None
+    for m in pms:
+        masks = _encode((c.matched for c in alternating_cycles(g, m, budget)), bits)
+        value = _min_cover_size(masks, budget, best)
+        if value is not None:
+            best = value
+    assert best is not None
+    return best

@@ -24,6 +24,10 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Graph:
     n: int
@@ -131,7 +135,7 @@ def power(g: Graph, m: int) -> Graph:
     Unreachable pairs never become edges, so powers of a disconnected
     graph stay disconnected.
     """
-    if not isinstance(m, int) or isinstance(m, bool):
+    if not _is_int(m):
         raise ValueError("power exponent must be an integer")
     if m < 1:
         raise ValueError(f"power exponent must be >= 1, got {m}")
@@ -169,11 +173,24 @@ def to_json(g: Graph) -> str:
 
 
 def from_json(text: str) -> Graph:
+    """Parse the JSON form; malformed input raises ValueError."""
     doc = json.loads(text)
-    n = doc["n"]
-    edges = frozenset(edge(u, v) for u, v in doc.get("edges", []))
+    if not isinstance(doc, dict):
+        raise ValueError("graph JSON must be an object")
+    n = doc.get("n")
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"graph JSON needs 'n', a non-negative integer, got {n!r}")
+    pairs = doc.get("edges", [])
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and _is_int(p[0]) and _is_int(p[1])
+        for p in pairs
+    ):
+        raise ValueError("graph JSON 'edges' must be a list of [u, v] integer pairs")
+    edges = frozenset(edge(u, v) for u, v in pairs)
     labels = None
     if "labels" in doc and doc["labels"] is not None:
+        if not isinstance(doc["labels"], dict):
+            raise ValueError("graph JSON 'labels' must map vertex indices to names")
         raw = {int(k): v for k, v in doc["labels"].items()}
         if sorted(raw) != list(range(n)):
             raise ValueError("labels must cover vertices 0..n-1")

@@ -227,11 +227,9 @@ def alternating_cycles(
 
     def emit() -> None:
         verts = tuple(path)
-        matched = frozenset(edge(verts[i], verts[i + 1]) for i in range(0, len(verts), 2))
-        free = frozenset(
-            edge(verts[i], verts[(i + 1) % len(verts)]) for i in range(1, len(verts), 2)
-        )
-        out.append(AlternatingCycle(verts, matched, free))
+        # Normalized cycle edges in traversal order: matched, free, matched, ...
+        steps = [(u, v) if u < v else (v, u) for u, v in zip(verts, verts[1:] + verts[:1])]
+        out.append(AlternatingCycle(verts, frozenset(steps[::2]), frozenset(steps[1::2])))
 
     def extend(cur: int, start: int) -> None:
         # cur was entered along a matched edge; next edge must be free.

@@ -82,6 +82,7 @@ def test_criterion_01_oracle_cross_equivalence():
         a = af_subset_search(g)
         b = af_via_matchings(g)
         assert a.value == b.value, f"atlas disagreement on n={g.n} {sorted(g.edges)}"
+        assert a.witness == b.witness, f"witnesses differ on n={g.n} {sorted(g.edges)}"
         if has_perfect_matching(g):
             assert is_anti_forcing_set(g, a.witness)
             assert is_anti_forcing_set(g, b.witness)

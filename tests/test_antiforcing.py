@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antiforce import (
     AntiForcingResult,
@@ -14,7 +17,6 @@ from antiforce import (
     cycle,
     enumerate_perfect_matchings,
     forcing_number,
-    forcing_of_matching,
     friendship,
     has_unique_perfect_matching,
     is_anti_forcing_set,
@@ -22,7 +24,7 @@ from antiforce import (
     path,
     power,
 )
-from antiforce.antiforcing import _hitting_value_only, _min_hitting_set
+from antiforce.antiforcing import _encode, _lex_min_cover, _min_cover_size
 from conftest import graphs
 
 
@@ -100,7 +102,6 @@ def test_matching_level_numbers_k4():
         analysis = af_of_matching(g, m)
         assert analysis.af_of_m == 2
         assert analysis.f_of_m == 1
-        assert forcing_of_matching(g, m).f_of_m == 1
 
 
 def test_matching_level_numbers_hexagon():
@@ -128,36 +129,89 @@ def test_subset_search_budget_carries_lower_bound():
 
 
 def test_via_matchings_budget():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as exc:
         af_via_matchings(complete(10), Budget(max_nodes=100, max_seconds=60.0))
+    assert exc.value.upper is None  # no matching was solved
+
+
+def test_via_matchings_budget_carries_upper_bound():
+    g = complete(6)
+    full = Budget(max_seconds=60.0)
+    value = af_via_matchings(g, full).value
+    # One node short: every matching but the last is solved. All perfect
+    # matchings of K_6 are equivalent, so the best so far is the optimum.
+    with pytest.raises(BudgetExceededError) as exc:
+        af_via_matchings(g, Budget(max_nodes=full.nodes - 1, max_seconds=60.0))
+    assert exc.value.upper == value
+    assert exc.value.nodes_used == full.nodes
+
+
+ELEMENTS = 10
+BITS = {x: 1 << x for x in range(ELEMENTS)}
+
+
+def cover(sets):
+    """Value and lexicographically smallest minimum hitting set."""
+    masks = _encode(map(frozenset, sets), BITS)
+    value = _min_cover_size(masks, None)
+    return value, _lex_min_cover(masks, value, None)
 
 
 def test_min_hitting_set_disjoint():
-    sets = [frozenset({(0, 1)}), frozenset({(2, 3)}), frozenset({(4, 5)})]
-    value, picks = _min_hitting_set(sets, None)
-    assert value == 3
-    assert picks == {(0, 1), (2, 3), (4, 5)}
-    assert _hitting_value_only(sets, None) == 3
+    assert cover([{0}, {2}, {4}]) == (3, [0, 2, 4])
 
 
 def test_min_hitting_set_lex():
-    a, b, c = (0, 1), (0, 2), (1, 2)
-    value, picks = _min_hitting_set(
-        [frozenset({a, b}), frozenset({b, c})], None
+    a, b, c = 0, 1, 2
+    assert cover([{a, b}, {b, c}]) == (1, [b])
+    # Two optimal singletons: the smaller element wins.
+    assert cover([{a, c}, {a, b, c}]) == (1, [a])
+    assert cover([]) == (0, [])
+
+
+def test_cover_engine_early_exits():
+    masks = _encode(map(frozenset, [{0, 1}, {2, 3}, {4, 5}]), BITS)
+    assert _min_cover_size(masks, None, below=3) is None
+    assert _min_cover_size(masks, None, below=4) == 3
+    # The smallest cover is [0, 2, 4]: it loses to [0, 2, 3] at its third
+    # pick, and beats [0, 3, 4] at its second.
+    assert _lex_min_cover(masks, 3, None, beat=[0, 2, 3]) is None
+    assert _lex_min_cover(masks, 3, None, beat=[0, 3, 4]) == [0, 2, 4]
+    assert _lex_min_cover(masks, 3, None, beat=[1, 2, 3]) == [0, 2, 4]
+
+
+set_systems = st.lists(
+    st.sets(st.integers(0, ELEMENTS - 1), min_size=1, max_size=ELEMENTS), max_size=8
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(set_systems, st.integers(0, ELEMENTS + 1), st.data())
+def test_cover_engine_matches_brute_force(sets, below, data):
+    # Size by size, combinations come in lexicographic order, so the
+    # first hitting set found is the lexicographically smallest minimum.
+    ref = next(
+        list(c)
+        for k in range(ELEMENTS + 1)
+        for c in combinations(range(ELEMENTS), k)
+        if all(s & set(c) for s in sets)
     )
-    assert value == 1 and picks == {b}
-    # Two optimal singletons: the lexicographically smaller edge wins.
-    value, picks = _min_hitting_set(
-        [frozenset({a, c}), frozenset({a, b, c})], None
-    )
-    assert value == 1 and picks == {a}
-    assert _min_hitting_set([], None) == (0, frozenset())
+    size = len(ref)
+    assert cover(sets) == (size, ref)
+    masks = _encode(map(frozenset, sets), BITS)
+    assert _min_cover_size(masks, None, below) == (size if size < below else None)
+    beat = sorted(data.draw(st.sets(st.integers(0, ELEMENTS - 1), min_size=size, max_size=size)))
+    assert _lex_min_cover(masks, size, None, beat) == (None if ref > beat else ref)
 
 
 @settings(max_examples=40, deadline=None)
 @given(graphs(min_n=2, max_n=6))
 def test_methods_agree(g):
-    assert af_subset_search(g).value == af_via_matchings(g).value
+    a, b = af_subset_search(g), af_via_matchings(g)
+    assert a.value == b.value
+    # S of size af(G) is disjoint from the unique PM of G - S, so the
+    # first subset found is also the smallest witness of the matchings.
+    assert a.witness == b.witness
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from antiforce import to_json
+from antiforce import Budget, af_via_matchings, to_json
 from antiforce.cli import main
 from antiforce.families import complete, cycle, path
 from antiforce.graph import power
@@ -113,6 +113,39 @@ def test_af_budget_exhaustion_exit_2(monkeypatch, capsys):
     )
     assert rc == 2
     assert "budget exhausted" in err and "value >= 1" in err
+
+
+def test_af_budget_exhaustion_reports_upper_bound(monkeypatch, capsys):
+    g = complete(6)
+    full = Budget(max_seconds=60.0)
+    value = af_via_matchings(g, full).value
+    rc, _, err = run_cli(
+        ["af", "--budget", f"{full.nodes - 1}:60"], to_json(g), monkeypatch, capsys
+    )
+    assert rc == 2
+    assert f"value <= {value}" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"edges": []}',
+        '{"n": "3"}',
+        '{"n": 2.5}',
+        '{"n": true}',
+        '{"n": -1}',
+        '{"n": 3, "edges": [[0, "1"]]}',
+        '{"n": 3, "edges": [[0, 1, 2]]}',
+        '{"n": 3, "edges": [[0, true]]}',
+        '{"n": 3, "edges": {"0": 1}}',
+        '{"n": 2, "labels": ["a", "b"]}',
+        '{"n": 3',
+    ],
+)
+def test_af_rejects_malformed_json(text, monkeypatch, capsys):
+    rc, out, err = run_cli(["af"], text, monkeypatch, capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("antiforce: ") and err.count("\n") == 1
 
 
 def test_af_bad_budget(monkeypatch, capsys):
