@@ -74,17 +74,16 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     if g.n % 2 or (g.n > 0 and count_pms_excluding(g, frozenset(), cap=1) == 0):
         return AntiForcingResult(len(g.edges), frozenset(), "convention_no_pm")
     edges = g.sorted_edges
-    for size in range(len(edges) + 1):
-        for subset in combinations(edges, size):
-            if budget is not None:
-                try:
+    try:
+        for size in range(len(edges) + 1):
+            for subset in combinations(edges, size):
+                if budget is not None:
                     budget.tick()
-                except BudgetExceededError as exc:
-                    raise BudgetExceededError(
-                        str(exc), lower=size, nodes_used=budget.nodes
-                    ) from None
-            if count_pms_excluding(g, frozenset(subset), cap=2) == 1:
-                return AntiForcingResult(size, frozenset(subset), "subset_search")
+                if count_pms_excluding(g, frozenset(subset), cap=2) == 1:
+                    return AntiForcingResult(size, frozenset(subset), "subset_search")
+    except BudgetExceededError as exc:
+        exc.lower = size
+        raise
     raise AssertionError("a graph with a perfect matching has an anti-forcing set")
 
 

@@ -6,6 +6,10 @@ import os
 import time
 from dataclasses import dataclass, field
 
+# The default allowance of one exact computation.
+DEFAULT_MAX_NODES = 50_000_000
+DEFAULT_MAX_SECONDS = 10.0
+
 
 class BudgetExceededError(Exception):
     """Raised when an exact search runs out of nodes or wall-clock time.
@@ -37,8 +41,8 @@ class Budget:
     soft deadline checked alongside the node counter.
     """
 
-    max_nodes: int = 50_000_000
-    max_seconds: float = 10.0
+    max_nodes: int = DEFAULT_MAX_NODES
+    max_seconds: float = DEFAULT_MAX_SECONDS
     nodes: int = field(default=0, init=False)
     _deadline: float = field(default=0.0, init=False)
 
@@ -64,12 +68,6 @@ class Budget:
                 f"time budget exhausted ({self.max_seconds}s)", nodes_used=self.nodes
             )
 
-    def check_time(self) -> None:
-        if time.monotonic() > self._deadline:
-            raise BudgetExceededError(
-                f"time budget exhausted ({self.max_seconds}s)", nodes_used=self.nodes
-            )
-
 
 def parse_budget(text: str) -> Budget:
     """Parse ``NODES`` or ``NODES:SECONDS`` into a Budget."""
@@ -77,7 +75,7 @@ def parse_budget(text: str) -> Budget:
     if len(parts) > 2 or not parts[0]:
         raise ValueError(f"bad budget spec {text!r}, expected NODES[:SECONDS]")
     nodes = int(parts[0])
-    seconds = float(parts[1]) if len(parts) == 2 else 10.0
+    seconds = float(parts[1]) if len(parts) == 2 else DEFAULT_MAX_SECONDS
     return Budget(max_nodes=nodes, max_seconds=seconds)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import graph as graphio
 from .antiforcing import af_subset_search, af_via_matchings
@@ -23,14 +24,15 @@ from .harness import (
     COLUMNS,
     DEFAULT_CROSS_CHECK_N_LIMIT,
     DEFAULT_ORACLE_N_LIMIT,
+    STATUSES,
     InternalInvariantError,
-    SweepSpec,
     default_sweep_spec,
     emit_report,
     evaluate_formula,
     format_value,
     parse_range,
     run_sweep,
+    write_report,
 )
 from .matching import enumerate_perfect_matchings, has_unique_perfect_matching
 
@@ -169,22 +171,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
     budget = parse_budget(args.budget) if args.budget else default_budget()
-    if args.k_range is None and args.m_range is None:
-        base = default_sweep_spec(args.family)
-        ks, ms = base.k_values, base.m_values
-    else:
-        default = default_sweep_spec(args.family)
-        ks = parse_range(args.k_range) if args.k_range else default.k_values
-        ms = parse_range(args.m_range) if args.m_range else default.m_values
-    spec = SweepSpec(
-        family=args.family,
-        k_values=ks,
-        m_values=ms,
+    default = default_sweep_spec(args.family)
+    spec = replace(
+        default,
+        k_values=parse_range(args.k_range) if args.k_range else default.k_values,
+        m_values=parse_range(args.m_range) if args.m_range else default.m_values,
         budget_nodes=budget.max_nodes,
         budget_seconds=budget.max_seconds,
         oracle_n_limit=args.oracle_n_limit,
         cross_check_n_limit=args.cross_check_n_limit,
-        output=args.out,
     )
     records = run_sweep(spec, workers=args.workers)
     text = emit_report(records, fmt=args.format, path=args.out)
@@ -195,37 +190,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
-        records = json.loads(sys.stdin.read())
+        docs = json.loads(sys.stdin.read())
     except json.JSONDecodeError as exc:
         raise UsageError(f"stdin is not a JSON record array: {exc}") from None
-    if not isinstance(records, list):
+    if not isinstance(docs, list) or not all(isinstance(d, dict) for d in docs):
         raise UsageError("expected a JSON array of record objects")
-    rows = []
-    for rec in records:
-        missing = [c for c in COLUMNS if c not in rec]
+    for doc in docs:
+        missing = [c for c in COLUMNS if c not in doc]
         if missing:
             raise UsageError(f"record missing keys: {missing}")
-        rows.append([str(rec[c]) for c in COLUMNS])
-    if args.format == "csv":
-        import csv as _csv
-        import io
-
-        buf = io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(COLUMNS)
-        writer.writerows(rows)
-        text = buf.getvalue()
-    else:
-        text = json.dumps(records, indent=2) + "\n"
-    from collections import Counter
-
-    counts = Counter(str(rec["status"]) for rec in records)
-    summary = " ".join(f"{s}={c}" for s, c in sorted(counts.items()))
-    print(f"records={len(records)} {summary}".rstrip(), file=sys.stderr)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+        if doc["status"] not in STATUSES:
+            raise UsageError(f"unknown record status {doc['status']!r}")
+    text = write_report(docs, fmt=args.format, path=args.out)
+    if args.out is None:
         sys.stdout.write(text)
     return 0
 

@@ -191,10 +191,13 @@ def from_json(text: str) -> Graph:
     if "labels" in doc and doc["labels"] is not None:
         if not isinstance(doc["labels"], dict):
             raise ValueError("graph JSON 'labels' must map vertex indices to names")
-        raw = {int(k): v for k, v in doc["labels"].items()}
-        if sorted(raw) != list(range(n)):
-            raise ValueError("labels must cover vertices 0..n-1")
-        labels = tuple(raw[i] for i in range(n))
+        raw = doc["labels"]
+        keys = [str(i) for i in range(n)]
+        if raw.keys() != set(keys):
+            raise ValueError("labels must have one key per vertex, '0' to 'n-1'")
+        if not all(isinstance(v, str) for v in raw.values()):
+            raise ValueError("labels must be strings")
+        labels = tuple(raw[key] for key in keys)
     return Graph(n, edges, labels)
 
 

@@ -20,9 +20,10 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .antiforcing import af_subset_search, af_via_matchings, is_anti_forcing_set
-from .budget import Budget, BudgetExceededError
+from .budget import DEFAULT_MAX_NODES, DEFAULT_MAX_SECONDS, Budget, BudgetExceededError
 from .families import build
 from .formulas import (
     IN_RANGE,
@@ -176,17 +177,19 @@ class SweepSpec:
     family: str
     k_values: tuple[int, ...]
     m_values: tuple[int, ...]
-    budget_nodes: int = 50_000_000
-    budget_seconds: float = 10.0
+    budget_nodes: int = DEFAULT_MAX_NODES
+    budget_seconds: float = DEFAULT_MAX_SECONDS
     oracle_n_limit: int = DEFAULT_ORACLE_N_LIMIT
     cross_check_n_limit: int = DEFAULT_CROSS_CHECK_N_LIMIT
-    output: str | None = None
 
     def __post_init__(self) -> None:
         if not self.k_values or not self.m_values:
             raise ValueError("sweep ranges must be non-empty")
-        if self.budget_nodes <= 0 or self.budget_seconds <= 0:
-            raise ValueError("budget caps must be positive")
+        self.budget()  # Budget rejects caps that are not positive
+
+    def budget(self) -> Budget:
+        """A fresh allowance for one oracle call."""
+        return Budget(max_nodes=self.budget_nodes, max_seconds=self.budget_seconds)
 
     def points(self) -> list[tuple[int, int]]:
         ks = [
@@ -213,29 +216,9 @@ def parse_range(text: str) -> tuple[int, ...]:
     return tuple(range(nums[0], nums[1] + 1, step))
 
 
-def _oracle_af(g: Graph, nodes: int, seconds: float, n_limit: int):
-    """Exact anti-forcing result, or None when the budget rules it out.
-
-    Odd-order graphs bypass the size limit: the no-PM convention value
-    is an edge count, there is nothing to search.
-    """
-    if g.n % 2 == 0 and g.n > n_limit:
-        return None
-    try:
-        return af_via_matchings(g, Budget(max_nodes=nodes, max_seconds=seconds))
-    except BudgetExceededError:
-        return None
-
-
-def sweep_point(
-    family: str,
-    k: int,
-    m: int,
-    budget_nodes: int,
-    budget_seconds: float,
-    oracle_n_limit: int,
-    cross_check_n_limit: int,
-) -> VerificationRecord:
+def sweep_point(spec: SweepSpec, k: int, m: int) -> VerificationRecord:
+    """Grade the formula for spec.family at (k, m) against the oracle."""
+    family = spec.family
     base = build(family, k)
     g = power(base, m)
     res = evaluate_formula(family, k, m)
@@ -255,14 +238,19 @@ def sweep_point(
         case = "n/a"
         applicability = OUT_OF_RANGE
 
-    result = _oracle_af(g, budget_nodes, budget_seconds, oracle_n_limit)
+    # Odd-order graphs bypass the size limit: the no-PM convention value
+    # is an edge count, there is nothing to search.
+    result = None
+    if g.n % 2 or g.n <= spec.oracle_n_limit:
+        try:
+            result = af_via_matchings(g, spec.budget())
+        except BudgetExceededError:
+            pass
     oracle = None if result is None else result.value
 
-    if oracle is not None and g.n <= cross_check_n_limit:
+    if oracle is not None and g.n <= spec.cross_check_n_limit:
         try:
-            check = af_subset_search(
-                g, Budget(max_nodes=budget_nodes, max_seconds=budget_seconds)
-            )
+            check = af_subset_search(g, spec.budget())
         except BudgetExceededError:
             check = None
         if check is not None and check.value != oracle:
@@ -302,35 +290,21 @@ def sweep_point(
     )
 
 
-def _sweep_point_args(args: tuple) -> VerificationRecord:
-    return sweep_point(*args)
-
-
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[VerificationRecord]:
     """One record per sweep point, in (k, m) iteration order."""
-    argses = [
-        (
-            spec.family,
-            k,
-            m,
-            spec.budget_nodes,
-            spec.budget_seconds,
-            spec.oracle_n_limit,
-            spec.cross_check_n_limit,
-        )
-        for k, m in spec.points()
-    ]
+    point = partial(sweep_point, spec)
+    points = spec.points()
     if workers <= 1:
-        return [sweep_point(*a) for a in argses]
+        return [point(k, m) for k, m in points]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_point_args, argses))
+        return list(pool.map(point, *zip(*points)))
 
 
 def run_monotonicity_check(
     g: Graph,
     m_max: int,
-    budget_nodes: int = 50_000_000,
-    budget_seconds: float = 10.0,
+    budget_nodes: int = DEFAULT_MAX_NODES,
+    budget_seconds: float = DEFAULT_MAX_SECONDS,
     name: str = "graph",
 ) -> list[VerificationRecord]:
     """Check af(g^m) is non-decreasing in m, via the oracle alone.
@@ -449,20 +423,32 @@ def emit_report(
     path: str | None = None,
 ) -> str:
     """Serialize records; per-status counts go to stderr."""
+    return write_report([rec.as_json() for rec in records], fmt, path)
+
+
+def write_report(
+    docs: list[dict[str, object]],
+    fmt: str = "csv",
+    path: str | None = None,
+) -> str:
+    """Serialize record documents (``as_json`` form) as CSV or JSON.
+
+    Per-status counts go to stderr in ``STATUSES`` order; the text is
+    written to ``path`` when given and returned either way.
+    """
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(COLUMNS)
-        for rec in records:
-            writer.writerow(rec.as_row())
+        writer.writerows([str(doc[c]) for c in COLUMNS] for doc in docs)
         text = buf.getvalue()
     elif fmt == "json":
-        text = json.dumps([rec.as_json() for rec in records], indent=2) + "\n"
+        text = json.dumps(docs, indent=2) + "\n"
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    counts = Counter(rec.status for rec in records)
+    counts = Counter(doc["status"] for doc in docs)
     summary = " ".join(f"{s}={counts[s]}" for s in STATUSES if counts[s])
-    print(f"records={len(records)} {summary}".rstrip(), file=sys.stderr)
+    print(f"records={len(docs)} {summary}".rstrip(), file=sys.stderr)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

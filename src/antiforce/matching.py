@@ -30,13 +30,6 @@ def is_matching(edges: Matching) -> bool:
     return True
 
 
-def matched_vertices(m: Matching) -> set[int]:
-    verts: set[int] = set()
-    for u, v in m:
-        verts.update((u, v))
-    return verts
-
-
 def is_perfect_matching(g: Graph, m: Matching) -> bool:
     if not m <= g.edges:
         return False

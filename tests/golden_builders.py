@@ -2,9 +2,11 @@
 
 Each builder returns the exact CSV text the harness emits today; the
 acceptance test compares these against the committed files byte for
-byte.  Run this module directly to rewrite the files after a
-deliberate report-format change:
+byte.  Run this module directly to check the files (exit code 1 when
+any is stale), or to rewrite them after a deliberate report-format
+change:
 
+    python tests/golden_builders.py
     python tests/golden_builders.py --write
 """
 
@@ -81,6 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--write", action="store_true", help="rewrite the golden files")
     args = parser.parse_args(argv)
+    stale = False
     for name, builder in BUILDERS.items():
         text = builder()
         target = GOLDEN_DIR / name
@@ -89,9 +92,10 @@ def main(argv: list[str] | None = None) -> int:
             target.write_text(text)
             print(f"wrote {target} ({len(text.splitlines()) - 1} rows)")
         else:
-            state = "ok" if target.exists() and target.read_text() == text else "STALE"
-            print(f"{name}: {state}")
-    return 0
+            ok = target.exists() and target.read_text() == text
+            stale = stale or not ok
+            print(f"{name}: {'ok' if ok else 'STALE'}")
+    return 1 if stale else 0
 
 
 if __name__ == "__main__":

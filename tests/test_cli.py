@@ -9,7 +9,7 @@ from antiforce import Budget, af_via_matchings, to_json
 from antiforce.cli import main
 from antiforce.families import complete, cycle, path
 from antiforce.graph import power
-from antiforce.harness import InternalInvariantError
+from antiforce.harness import COLUMNS, InternalInvariantError
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -139,6 +139,9 @@ def test_af_budget_exhaustion_reports_upper_bound(monkeypatch, capsys):
         '{"n": 3, "edges": [[0, true]]}',
         '{"n": 3, "edges": {"0": 1}}',
         '{"n": 2, "labels": ["a", "b"]}',
+        '{"n": 2, "edges": [[0, 1]], "labels": {"0": [1], "1": "b"}}',
+        '{"n": 1, "labels": {"0": "a", "00": "b"}}',
+        '{"n": 1, "labels": {"0": 5}}',
         '{"n": 3',
     ],
 )
@@ -248,9 +251,9 @@ def test_report_roundtrip(monkeypatch, capsys):
     csv_text, err = capsys.readouterr()
     assert rc == 0
     rc = main(["verify", "path", "--k-range", "2:4", "--m-range", "2"])
-    direct_csv, _ = capsys.readouterr()
+    direct_csv, direct_err = capsys.readouterr()
     assert csv_text == direct_csv
-    assert "records=3" in err
+    assert err == direct_err and "records=3" in err
 
 
 def test_report_rejects_bad_stdin(monkeypatch, capsys):
@@ -260,6 +263,11 @@ def test_report_rejects_bad_stdin(monkeypatch, capsys):
     assert rc == 1 and "array" in err
     rc, _, err = run_cli(["report", "--format", "csv"], '[{"a": 1}]', monkeypatch, capsys)
     assert rc == 1 and "missing" in err
+    rc, out, err = run_cli(["report", "--format", "csv"], "[1]", monkeypatch, capsys)
+    assert rc == 1 and out == "" and "array" in err and err.count("\n") == 1
+    bogus = json.dumps([dict.fromkeys(COLUMNS, "x") | {"status": "BOGUS"}])
+    rc, out, err = run_cli(["report", "--format", "csv"], bogus, monkeypatch, capsys)
+    assert rc == 1 and out == "" and "BOGUS" in err and err.count("\n") == 1
 
 
 def test_no_command_prints_help(capsys):

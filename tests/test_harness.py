@@ -155,14 +155,8 @@ def test_sweep_spec_points_filters_odd_k():
 
 
 def _point(family, k, m, **overrides):
-    kwargs = dict(
-        budget_nodes=50_000_000,
-        budget_seconds=10.0,
-        oracle_n_limit=14,
-        cross_check_n_limit=8,
-    )
-    kwargs.update(overrides)
-    return sweep_point(family, k, m, **kwargs)
+    spec = SweepSpec(family=family, k_values=(k,), m_values=(m,), **overrides)
+    return sweep_point(spec, k, m)
 
 
 def test_sweep_point_path_mismatch():
@@ -304,6 +298,19 @@ def test_emit_report_json(tmp_path):
     assert out.read_text() == text
     with pytest.raises(ValueError):
         emit_report(records, fmt="yaml")
+
+
+def test_golden_check_exits_1_when_stale(tmp_path, monkeypatch, capsys):
+    import golden_builders
+
+    monkeypatch.setattr(golden_builders, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(golden_builders, "BUILDERS", {"r.csv": lambda: "a\n"})
+    assert golden_builders.main([]) == 1
+    assert golden_builders.main(["--write"]) == 0
+    assert golden_builders.main([]) == 0
+    (tmp_path / "r.csv").write_text("b\n")
+    assert golden_builders.main([]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "r.csv: STALE"
 
 
 def test_default_sweep_specs():

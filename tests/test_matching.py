@@ -22,7 +22,7 @@ from antiforce import (
     path,
     symmetric_difference_cycles,
 )
-from antiforce.matching import count_pms_excluding, matched_vertices
+from antiforce.matching import count_pms_excluding
 from conftest import graphs, random_connected_graph
 
 
@@ -41,10 +41,6 @@ def test_is_matching():
     assert is_matching(frozenset({(0, 1), (2, 3)}))
     assert not is_matching(frozenset({(0, 1), (1, 2)}))
     assert is_matching(frozenset())
-
-
-def test_matched_vertices():
-    assert matched_vertices(frozenset({(0, 1), (4, 5)})) == {0, 1, 4, 5}
 
 
 def test_is_perfect_matching():
