@@ -64,7 +64,6 @@ from .harness import (
     run_sweep,
 )
 from .matching import (
-    AlternatingCycle,
     Matching,
     alternating_cycles,
     count_perfect_matchings,

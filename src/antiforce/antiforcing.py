@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 from .budget import Budget, BudgetExceededError
 from .graph import Edge, Graph, edge
@@ -90,20 +90,14 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
 # Exact minimum hitting set over bitmask-encoded edge sets. Bit i stands
 # for the i-th edge of the graph's sorted edge list, so ascending bit
 # index is ascending edge order and bit lists compare like edge lists.
+# alternating_cycles hands out its cycles in this encoding.
 #
 # Invariant: every mask list the engine handles is duplicate-free and
 # sorted by size (bit count). Filtering keeps a list sorted, so lists are
-# sorted only where masks are built: by _encode and by the refinement
-# step of _lex_min_cover. masks[0] is then a smallest set, which makes it
-# the branching pivot, and the greedy packing takes sets smallest first.
-
-
-def _edge_bits(g: Graph) -> dict[Edge, int]:
-    return {e: 1 << i for i, e in enumerate(g.sorted_edges)}
-
-
-def _encode(sets: Iterable[frozenset[Edge]], bits: dict[Edge, int]) -> list[int]:
-    return sorted({sum(map(bits.__getitem__, s)) for s in sets}, key=int.bit_count)
+# sorted only where masks are gathered: from the cycles of a matching,
+# and by the refinement step of _lex_min_cover. masks[0] is then a
+# smallest set, which makes it the branching pivot, and the greedy
+# packing takes sets smallest first.
 
 
 def _packing_bound(masks: Sequence[int]) -> int:
@@ -192,9 +186,8 @@ def af_of_matching(g: Graph, m: Matching, budget: Budget | None = None) -> Match
     perfect matching.
     """
     cycles = alternating_cycles(g, m, budget)
-    bits = _edge_bits(g)
-    af = _min_cover_size(_encode((c.free for c in cycles), bits), budget)
-    f = _min_cover_size(_encode((c.matched for c in cycles), bits), budget)
+    af = _min_cover_size(sorted({f for _, f in cycles}, key=int.bit_count), budget)
+    f = _min_cover_size(sorted({c for c, _ in cycles}, key=int.bit_count), budget)
     assert af is not None and f is not None
     return MatchingAnalysis(frozenset(m), af, f)
 
@@ -213,12 +206,12 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     pms = enumerate_perfect_matchings(g, budget=budget)
     if not pms:
         return AntiForcingResult(len(g.edges), frozenset(), "convention_no_pm")
-    bits = _edge_bits(g)
     best: int | None = None
     witness: list[int] = []
     try:
         for m in pms:
-            masks = _encode((c.free for c in alternating_cycles(g, m, budget)), bits)
+            cycles = alternating_cycles(g, m, budget)
+            masks = sorted({f for _, f in cycles}, key=int.bit_count)
             value = _min_cover_size(masks, budget, None if best is None else best + 1)
             if value is None:
                 continue
@@ -238,10 +231,10 @@ def forcing_number(g: Graph, budget: Budget | None = None) -> int:
     pms = enumerate_perfect_matchings(g, budget=budget)
     if not pms:
         raise NoPerfectMatchingError("forcing number needs a perfect matching")
-    bits = _edge_bits(g)
     best: int | None = None
     for m in pms:
-        masks = _encode((c.matched for c in alternating_cycles(g, m, budget)), bits)
+        cycles = alternating_cycles(g, m, budget)
+        masks = sorted({c for c, _ in cycles}, key=int.bit_count)
         value = _min_cover_size(masks, budget, best)
         if value is not None:
             best = value

@@ -188,6 +188,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+# Value types of a report record's columns, as VerificationRecord.as_json
+# writes them: oracle_value is an int, or the text of a skipped solve.
+_TYPES: dict[str, type | tuple[type, ...]] = dict.fromkeys(COLUMNS, str)
+_TYPES.update(dict.fromkeys(("k", "m", "n"), int), oracle_value=(int, str))
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
         docs = json.loads(sys.stdin.read())
@@ -201,6 +207,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
             raise UsageError(f"record missing keys: {missing}")
         if doc["status"] not in STATUSES:
             raise UsageError(f"unknown record status {doc['status']!r}")
+        bad = [c for c in COLUMNS if type(doc[c]) is bool or not isinstance(doc[c], _TYPES[c])]
+        if bad:
+            raise UsageError(f"record column {bad[0]!r} has a bad value: {doc[bad[0]]!r}")
     text = write_report(docs, fmt=args.format, path=args.out)
     if args.out is None:
         sys.stdout.write(text)

@@ -214,7 +214,7 @@ def from_edgelist(text: str) -> Graph:
     n, m = int(tokens[0]), int(tokens[1])
     flat = tokens[2:]
     if len(flat) != 2 * m:
-        raise ValueError(f"expected {m} edges, found {len(flat) // 2}")
+        raise ValueError(f"expected {m} edges as {2 * m} endpoint tokens, found {len(flat)}")
     edges = frozenset(
         edge(int(flat[2 * i]), int(flat[2 * i + 1])) for i in range(m)
     )

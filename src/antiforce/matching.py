@@ -10,8 +10,7 @@ implementation handles odd cycles correctly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import networkx as nx
 
@@ -179,78 +178,69 @@ def count_pms_excluding(
     return count
 
 
-@dataclass(frozen=True)
-class AlternatingCycle:
-    """Even cycle alternating between matched and free edges.
+def _no_tick() -> None:
+    pass
 
-    ``vertices`` is the canonical traversal: starts at the cycle's
-    minimum vertex, first step along its matched edge.
-    """
 
-    vertices: tuple[int, ...]
-    matched: frozenset[Edge]
-    free: frozenset[Edge]
-
-    def __post_init__(self) -> None:
-        if len(self.vertices) < 4 or len(self.vertices) % 2:
-            raise ValueError("alternating cycles have even length >= 4")
-        if len(self.matched) != len(self.free):
-            raise ValueError("matched and free edge counts must agree")
+def _extend(
+    cur: int,
+    start: int,
+    matched: int,
+    free: int,
+    steps: Sequence[Sequence[tuple[int, int, int, int]]],
+    blocked: list[bool],
+    tick: Callable[[], None],
+    out: list[tuple[int, int]],
+) -> None:
+    # cur was entered along a matched edge; the next edge is free. This is
+    # a module-level function, not a closure: a closure that calls itself
+    # is a reference cycle, which keeps each call's result list alive
+    # until a full garbage collection.
+    tick()
+    for w, mw, free_bit, matched_bit in steps[cur]:
+        if w == start:
+            out.append((matched, free | free_bit))
+        elif not blocked[w]:
+            blocked[w] = blocked[mw] = True
+            _extend(
+                mw, start, matched | matched_bit, free | free_bit, steps, blocked, tick, out
+            )
+            blocked[w] = blocked[mw] = False
 
 
 def alternating_cycles(
     g: Graph, m: Matching, budget: Budget | None = None
-) -> list[AlternatingCycle]:
-    """All simple m-alternating cycles, one canonical copy each.
+) -> list[tuple[int, int]]:
+    """All simple m-alternating cycles, one copy each, as edge bitmasks.
 
-    Each cycle is reported once: traversal starts at its minimum vertex
-    and leaves along the matched edge, which fixes both rotation and
-    reflection.
+    A cycle is a ``(matched, free)`` pair of masks in which bit i stands
+    for ``g.sorted_edges[i]``. Each cycle is found once: traversal starts
+    at its minimum vertex and leaves along the matched edge, which fixes
+    both rotation and reflection.
     """
     if not is_perfect_matching(g, m):
         raise ValueError("alternating_cycles requires a perfect matching of g")
+    bit = {e: 1 << i for i, e in enumerate(g.sorted_edges)}
     mate = [-1] * g.n
     for u, v in m:
         mate[u] = v
         mate[v] = u
-    adj = g.adjacency
-    out: list[AlternatingCycle] = []
-    path: list[int] = []
-    on_path = [False] * g.n
-
-    def emit() -> None:
-        verts = tuple(path)
-        # Normalized cycle edges in traversal order: matched, free, matched, ...
-        steps = [(u, v) if u < v else (v, u) for u, v in zip(verts, verts[1:] + verts[:1])]
-        out.append(AlternatingCycle(verts, frozenset(steps[::2]), frozenset(steps[1::2])))
-
-    def extend(cur: int, start: int) -> None:
-        # cur was entered along a matched edge; next edge must be free.
-        if budget is not None:
-            budget.tick()
-        for w in adj[cur]:
-            if mate[cur] == w:
-                continue
-            if w == start:
-                if len(path) >= 4:
-                    emit()
-                continue
-            if w < start or on_path[w] or on_path[mate[w]] or mate[w] < start:
-                continue
-            path.append(w)
-            path.append(mate[w])
-            on_path[w] = on_path[mate[w]] = True
-            extend(mate[w], start)
-            on_path[w] = on_path[mate[w]] = False
-            path.pop()
-            path.pop()
-
+    # steps[u]: each free edge u-w, with w's mate and the bits of u-w and
+    # w-mate[w]. Matched edges are left out, so a path that gets back to
+    # its start has closed a cycle of length >= 4.
+    steps = [
+        [(w, mate[w], bit[edge(u, w)], bit[edge(w, mate[w])]) for w in nbrs if w != mate[u]]
+        for u, nbrs in enumerate(g.adjacency)
+    ]
+    # blocked[v]: v is on the path, or v's matched edge was an earlier
+    # start, all of whose cycles (those through a smaller vertex) are found.
+    blocked = [False] * g.n
+    tick = budget.tick if budget is not None else _no_tick
+    out: list[tuple[int, int]] = []
     for s in range(g.n):
         if mate[s] > s:
-            path = [s, mate[s]]
-            on_path[s] = on_path[mate[s]] = True
-            extend(mate[s], s)
-            on_path[s] = on_path[mate[s]] = False
+            blocked[s] = blocked[mate[s]] = True
+            _extend(mate[s], s, bit[(s, mate[s])], 0, steps, blocked, tick, out)
     return out
 
 

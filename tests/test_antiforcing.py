@@ -24,7 +24,7 @@ from antiforce import (
     path,
     power,
 )
-from antiforce.antiforcing import _encode, _lex_min_cover, _min_cover_size
+from antiforce.antiforcing import _lex_min_cover, _min_cover_size
 from conftest import graphs
 
 
@@ -147,12 +147,16 @@ def test_via_matchings_budget_carries_upper_bound():
 
 
 ELEMENTS = 10
-BITS = {x: 1 << x for x in range(ELEMENTS)}
+
+
+def encode(sets):
+    """Distinct bitmasks of the sets, sorted by size as the engine expects."""
+    return sorted({sum(1 << x for x in s) for s in sets}, key=int.bit_count)
 
 
 def cover(sets):
     """Value and lexicographically smallest minimum hitting set."""
-    masks = _encode(map(frozenset, sets), BITS)
+    masks = encode(sets)
     value = _min_cover_size(masks, None)
     return value, _lex_min_cover(masks, value, None)
 
@@ -170,7 +174,7 @@ def test_min_hitting_set_lex():
 
 
 def test_cover_engine_early_exits():
-    masks = _encode(map(frozenset, [{0, 1}, {2, 3}, {4, 5}]), BITS)
+    masks = encode([{0, 1}, {2, 3}, {4, 5}])
     assert _min_cover_size(masks, None, below=3) is None
     assert _min_cover_size(masks, None, below=4) == 3
     # The smallest cover is [0, 2, 4]: it loses to [0, 2, 3] at its third
@@ -198,7 +202,7 @@ def test_cover_engine_matches_brute_force(sets, below, data):
     )
     size = len(ref)
     assert cover(sets) == (size, ref)
-    masks = _encode(map(frozenset, sets), BITS)
+    masks = encode(sets)
     assert _min_cover_size(masks, None, below) == (size if size < below else None)
     beat = sorted(data.draw(st.sets(st.integers(0, ELEMENTS - 1), min_size=size, max_size=size)))
     assert _lex_min_cover(masks, size, None, beat) == (None if ref > beat else ref)

@@ -268,6 +268,14 @@ def test_report_rejects_bad_stdin(monkeypatch, capsys):
     bogus = json.dumps([dict.fromkeys(COLUMNS, "x") | {"status": "BOGUS"}])
     rc, out, err = run_cli(["report", "--format", "csv"], bogus, monkeypatch, capsys)
     assert rc == 1 and out == "" and "BOGUS" in err and err.count("\n") == 1
+    record = dict.fromkeys(COLUMNS, "x") | {"k": 1, "m": 1, "n": 2, "status": "MATCH"}
+    for bad in ({"family": None}, {"k": [1]}, {"n": True}, {"oracle_value": 1.5}):
+        doc = json.dumps([record | bad])
+        rc, out, err = run_cli(["report", "--format", "csv"], doc, monkeypatch, capsys)
+        assert rc == 1 and out == "" and next(iter(bad)) in err and err.count("\n") == 1
+    doc = json.dumps([record])
+    rc, out, _ = run_cli(["report", "--format", "csv"], doc, monkeypatch, capsys)
+    assert rc == 0 and out.splitlines()[1] == "x,1,1,2,x,x,x,x,x,x,MATCH"
 
 
 def test_no_command_prints_help(capsys):

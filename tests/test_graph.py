@@ -176,6 +176,8 @@ def test_edgelist_rejects_bad_input():
         from_edgelist("3 2\n0 1\n")
     with pytest.raises(ValueError):
         from_edgelist("3 2\n0 1\n1 0\n")
+    with pytest.raises(ValueError, match="2 endpoint tokens, found 3"):
+        from_edgelist("2 1\n0 1 extra\n")
 
 
 def test_loads_sniffs_format():

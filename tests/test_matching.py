@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import permutations
 
@@ -138,25 +139,53 @@ def test_count_agrees_with_enumeration(g):
         assert is_perfect_matching(g, m)
 
 
+def decode(g, mask):
+    return {e for i, e in enumerate(g.sorted_edges) if mask >> i & 1}
+
+
 def test_alternating_cycles_hexagon():
     g = cycle(6)
     m = frozenset({(0, 1), (2, 3), (4, 5)})
     cycles = alternating_cycles(g, m)
     assert len(cycles) == 1
-    c = cycles[0]
-    assert c.vertices == (0, 1, 2, 3, 4, 5)
-    assert c.matched == m
-    assert c.free == {(1, 2), (3, 4), (0, 5)}
+    matched, free = cycles[0]
+    assert decode(g, matched) == m
+    assert decode(g, free) == {(1, 2), (3, 4), (0, 5)}
 
 
 def test_alternating_cycles_k4():
     g = complete(4)
     m = frozenset({(0, 1), (2, 3)})
     cycles = alternating_cycles(g, m)
-    assert len(cycles) == 2
-    for c in cycles:
-        assert c.vertices[0] == 0 and c.vertices[1] == 1  # canonical start
-        assert len(c.matched) == len(c.free) == 2
+    assert [(decode(g, a), decode(g, b)) for a, b in cycles] == [
+        (m, {(1, 2), (0, 3)}),
+        (m, {(1, 3), (0, 2)}),
+    ]
+
+
+def test_alternating_cycles_leave_no_cyclic_garbage():
+    g = complete(8)
+    m = enumerate_perfect_matchings(g)[0]
+    gc.collect()
+    alternating_cycles(g, m)
+    assert gc.collect() == 0
+
+
+def test_alternating_cycles_are_single_cycle_differences_on_atlas(atlas):
+    # Every m-alternating cycle is m xor m2 for a perfect matching m2 whose
+    # difference from m is that one cycle, and each such m2 gives a cycle.
+    for g in atlas:
+        pms = enumerate_perfect_matchings(g) if g.n % 2 == 0 else []
+        bit = {e: 1 << i for i, e in enumerate(g.sorted_edges)}
+        for m in pms:
+            expected = {
+                (sum(bit[e] for e in m - m2), sum(bit[e] for e in m2 - m))
+                for m2 in pms
+                if m2 != m and len(symmetric_difference_cycles(m, m2)) == 1
+            }
+            cycles = alternating_cycles(g, m)
+            assert set(cycles) == expected
+            assert len({free for _, free in cycles}) == len(cycles)
 
 
 def test_alternating_cycles_requires_pm():
