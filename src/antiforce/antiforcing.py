@@ -1,11 +1,12 @@
 """Anti-forcing and forcing numbers via two independent exact routes.
 
 Route one (af_subset_search) is the definition itself: iterative
-deepening over edge subsets, testing whether deletion leaves a unique
-perfect matching. Route two (af_via_matchings) minimizes, over perfect
-matchings M, the smallest set of non-M edges meeting every M-alternating
-cycle; forcing numbers use the matched-edge side of the same cycles.
-The two routes share no search code, so their agreement is a meaningful
+deepening over edge subsets S, where S is anti-forcing exactly when one
+perfect matching is disjoint from it. Route two (af_via_matchings)
+minimizes, over perfect matchings M, the smallest set of non-M edges
+meeting every M-alternating cycle; forcing numbers use the matched-edge
+side of the same cycles. The two routes share nothing past the
+enumeration of perfect matchings, so their agreement is a meaningful
 cross-check.
 
 Convention: a graph with no perfect matching gets af = |E| with an empty
@@ -15,13 +16,13 @@ witness, tagged method "convention_no_pm".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 from .budget import Budget, BudgetExceededError
 from .graph import Edge, Graph, edge
 from .matching import (
     Matching,
+    _no_tick,
     alternating_cycles,
     count_pms_excluding,
     enumerate_perfect_matchings,
@@ -63,28 +64,71 @@ def is_anti_forcing_set(g: Graph, s: frozenset[Edge] | set[Edge]) -> bool:
     return count_pms_excluding(g, norm, cap=2) == 1
 
 
-def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResult:
-    """Ground-truth oracle: deepen over subset sizes 0, 1, 2, ...
+def _anti_forcing_sets(
+    pms: list[int],
+    removed: int,
+    forbidden: int,
+    left: int,
+    tick: Callable[[], None],
+    found: list[int],
+) -> None:
+    # pms: the perfect matchings disjoint from removed, at least one.
+    # Module-level, not a closure: a closure that calls itself is a
+    # reference cycle, left behind for the cyclic collector.
+    tick()
+    if len(pms) == 1:
+        found.append(removed)
+        return
+    if not left:
+        return
+    # An anti-forcing set containing removed must hit pms[0] or pms[1];
+    # branching on its smallest edge there, the edges tried before it are
+    # forbidden below, so each set is reached once.
+    branch = (pms[0] | pms[1]) & ~forbidden
+    while branch:
+        low = branch & -branch
+        rest = [p for p in pms if not p & low]
+        if rest:
+            _anti_forcing_sets(rest, removed | low, forbidden, left - 1, tick, found)
+        forbidden |= low
+        branch ^= low
 
-    Subsets of each size are scanned in lexicographic order over the
-    sorted edge list, so the first witness found is the smallest one.
-    Raises BudgetExceededError carrying the verified lower bound when
-    the scan cannot finish.
+
+def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResult:
+    """Ground-truth oracle: the fewest edges disjoint from exactly one PM.
+
+    A set S is anti-forcing exactly when one perfect matching of g avoids
+    it. The matchings are enumerated once, as edge bitmasks, and the
+    search deepens over sizes 0, 1, 2, ..., reaching every set of at most
+    that size that leaves one matching. The witness is the smallest
+    sorted edge list among those of the first size that has any. Raises
+    BudgetExceededError carrying the verified lower bound (0 if the
+    budget runs out while enumerating) when the search cannot finish.
     """
-    if g.n % 2 or (g.n > 0 and count_pms_excluding(g, frozenset(), cap=1) == 0):
+    try:
+        pms = enumerate_perfect_matchings(g, budget=budget)
+    except BudgetExceededError as exc:
+        exc.lower = 0
+        raise
+    if not pms:
         return AntiForcingResult(len(g.edges), frozenset(), "convention_no_pm")
     edges = g.sorted_edges
+    bit = {e: 1 << i for i, e in enumerate(edges)}
+    masks = [sum(bit[e] for e in m) for m in pms]
+    tick = budget.tick if budget is not None else _no_tick
+    found: list[int] = []
     try:
         for size in range(len(edges) + 1):
-            for subset in combinations(edges, size):
-                if budget is not None:
-                    budget.tick()
-                if count_pms_excluding(g, frozenset(subset), cap=2) == 1:
-                    return AntiForcingResult(size, frozenset(subset), "subset_search")
+            _anti_forcing_sets(masks, 0, 0, size, tick, found)
+            if found:
+                break
+        else:
+            raise AssertionError("a graph with a perfect matching has an anti-forcing set")
     except BudgetExceededError as exc:
         exc.lower = size
         raise
-    raise AssertionError("a graph with a perfect matching has an anti-forcing set")
+    picks = min([i for i in range(len(edges)) if s >> i & 1] for s in found)
+    return AntiForcingResult(size, frozenset(edges[i] for i in picks), "subset_search")
 
 
 # Exact minimum hitting set over bitmask-encoded edge sets. Bit i stands

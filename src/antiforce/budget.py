@@ -36,9 +36,10 @@ class BudgetExceededError(Exception):
 class Budget:
     """Node-count plus wall-clock cap for one exact computation.
 
-    ``max_nodes`` counts search steps (subsets tested, branch nodes, or
-    enumerated matchings depending on the solver). ``max_seconds`` is a
-    soft deadline checked alongside the node counter.
+    ``max_nodes`` counts search-tree nodes, of whichever searches the
+    solver runs: perfect-matching enumeration, alternating cycles, the
+    hitting set, the subset search. ``max_seconds`` is a soft deadline
+    checked alongside the node counter.
     """
 
     max_nodes: int = DEFAULT_MAX_NODES

@@ -268,8 +268,7 @@ def sweep_point(spec: SweepSpec, k: int, m: int) -> VerificationRecord:
     )
 
     if (
-        status == "MISMATCH"
-        and result is not None
+        result is not None
         and result.method == "via_matchings"
         and not is_anti_forcing_set(g, result.witness)
     ):

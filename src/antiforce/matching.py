@@ -75,41 +75,51 @@ def _components_all_even(n: int, adj: Sequence[Sequence[int]], used: list[bool])
     return True
 
 
+def _no_tick() -> None:
+    pass
+
+
+def _pms_from(
+    lowest: int,
+    n: int,
+    adj: Sequence[Sequence[int]],
+    used: list[bool],
+    chosen: list[Edge],
+    tick: Callable[[], None],
+) -> Iterator[Matching]:
+    # Module-level, not a closure: a generator that calls itself through
+    # a closure is a reference cycle, left behind for the cyclic collector.
+    tick()
+    u = lowest
+    while u < n and used[u]:
+        u += 1
+    if u == n:
+        yield frozenset(chosen)
+        return
+    if not _components_all_even(n, adj, used):
+        return
+    used[u] = True
+    for w in adj[u]:
+        if used[w]:
+            continue
+        used[w] = True
+        chosen.append((u, w) if u < w else (w, u))
+        yield from _pms_from(u + 1, n, adj, used, chosen, tick)
+        chosen.pop()
+        used[w] = False
+    used[u] = False
+
+
 def _iter_pms(
     n: int, adj: Sequence[Sequence[int]], budget: Budget | None
 ) -> Iterator[Matching]:
     """Yield perfect matchings of the graph given by adjacency lists."""
     if n % 2:
-        return
+        return iter(())
     if n == 0:
-        yield frozenset()
-        return
-    used = [False] * n
-    chosen: list[Edge] = []
-
-    def rec(lowest: int) -> Iterator[Matching]:
-        if budget is not None:
-            budget.tick()
-        u = lowest
-        while u < n and used[u]:
-            u += 1
-        if u == n:
-            yield frozenset(chosen)
-            return
-        if not _components_all_even(n, adj, used):
-            return
-        used[u] = True
-        for w in adj[u]:
-            if used[w]:
-                continue
-            used[w] = True
-            chosen.append((u, w) if u < w else (w, u))
-            yield from rec(u + 1)
-            chosen.pop()
-            used[w] = False
-        used[u] = False
-
-    yield from rec(0)
+        return iter((frozenset(),))
+    tick = budget.tick if budget is not None else _no_tick
+    return _pms_from(0, n, adj, [False] * n, [], tick)
 
 
 def _adjacency_without(g: Graph, removed: frozenset[Edge]) -> list[tuple[int, ...]]:
@@ -166,8 +176,8 @@ def count_pms_excluding(
 ) -> int:
     """Count perfect matchings of g minus the given edges, up to cap.
 
-    Avoids constructing the subgraph; used by the subset-search oracle
-    where the same graph is probed many times.
+    Avoids constructing the subgraph. With cap=2 it is the uniqueness
+    probe behind ``is_anti_forcing_set``, which re-verifies witnesses.
     """
     adj = _adjacency_without(g, removed)
     count = 0
@@ -176,10 +186,6 @@ def count_pms_excluding(
         if count >= cap:
             break
     return count
-
-
-def _no_tick() -> None:
-    pass
 
 
 def _extend(

@@ -109,7 +109,7 @@ def test_criterion_01_oracle_cross_equivalence():
 
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
-    assert solved >= 90 and crossed >= 40
+    assert solved >= 90 and cross_skipped == 0
     print(
         f"criterion 1: atlas=996 instances={len(instances)} solved={solved} "
         f"skipped(budget)={skipped} cross_checked={crossed} "

@@ -1,7 +1,8 @@
+import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from antiforce import (
@@ -24,8 +25,9 @@ from antiforce import (
     path,
     power,
 )
-from antiforce.antiforcing import _lex_min_cover, _min_cover_size
-from conftest import graphs
+from antiforce.antiforcing import _anti_forcing_sets, _lex_min_cover, _min_cover_size
+from antiforce.matching import count_pms_excluding
+from conftest import graphs, random_connected_graph
 
 
 def test_result_validation():
@@ -123,9 +125,87 @@ def test_forcing_number():
 
 
 def test_subset_search_budget_carries_lower_bound():
+    g = complete(8)
+    full = Budget(max_seconds=60.0)
+    assert af_subset_search(g, full).value == 12
+    # One node short: every size below 12 was exhausted.
     with pytest.raises(BudgetExceededError) as exc:
-        af_subset_search(complete(8), Budget(max_nodes=100, max_seconds=60.0))
-    assert exc.value.lower == 2  # sizes 0 and 1 were exhausted
+        af_subset_search(g, Budget(max_nodes=full.nodes - 1, max_seconds=60.0))
+    assert exc.value.lower == 12
+    # 100 nodes run out while the 105 perfect matchings are enumerated.
+    with pytest.raises(BudgetExceededError) as exc:
+        af_subset_search(g, Budget(max_nodes=100, max_seconds=60.0))
+    assert exc.value.lower == 0
+
+
+def subset_scan(g, budget=None):
+    """The definition scanned literally: every edge subset, size by size.
+
+    Subsets of one size come in lexicographic order over the sorted edge
+    list, so the first anti-forcing set found is the smallest witness.
+    """
+    if g.n % 2 or (g.n > 0 and count_pms_excluding(g, frozenset(), cap=1) == 0):
+        return AntiForcingResult(len(g.edges), frozenset(), "convention_no_pm")
+    try:
+        for size in range(len(g.edges) + 1):
+            for subset in combinations(g.sorted_edges, size):
+                if budget is not None:
+                    budget.tick()
+                if count_pms_excluding(g, frozenset(subset), cap=2) == 1:
+                    return AntiForcingResult(size, frozenset(subset), "subset_search")
+    except BudgetExceededError as exc:
+        exc.lower = size
+        raise
+    raise AssertionError("a graph with a perfect matching has an anti-forcing set")
+
+
+def test_subset_search_equals_scan_on_atlas(atlas):
+    for g in atlas:
+        assert af_subset_search(g) == subset_scan(g), sorted(g.edges)
+
+
+def test_subset_search_reaches_each_minimum_set_once(atlas):
+    for g in atlas:
+        edges = g.sorted_edges
+        pms = [sum(1 << edges.index(e) for e in m) for m in enumerate_perfect_matchings(g)]
+        if not pms:
+            continue
+        value = af_subset_search(g).value
+        found = []
+        _anti_forcing_sets(pms, 0, 0, value, lambda: None, found)
+        want = [
+            sum(1 << edges.index(e) for e in s)
+            for s in combinations(edges, value)
+            if is_anti_forcing_set(g, set(s))
+        ]
+        assert sorted(found) == sorted(want), sorted(g.edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(min_n=0, max_n=8))
+def test_subset_search_equals_scan_sampled_n8(g):
+    # Dense graphs are out of the scan's reach; the next test covers them.
+    try:
+        ref = subset_scan(g, Budget(max_nodes=2_000, max_seconds=60.0))
+    except BudgetExceededError:
+        assume(False)
+    assert af_subset_search(g) == ref
+
+
+def test_subset_search_agrees_with_matchings_sampled_n8():
+    # Dense n = 8 graphs, where the scan above cannot finish.
+    rng = random.Random(880816)
+    for _ in range(30):
+        g = random_connected_graph(rng, 8)
+        a, b = af_subset_search(g), af_via_matchings(g)
+        assert (a.value, a.witness) == (b.value, b.witness), sorted(g.edges)
+
+
+@pytest.mark.parametrize("g,value", [(power(cycle(8), 3), 9), (complete(8), 12)])
+def test_subset_search_finishes_dense_n8(g, value):
+    a = af_subset_search(g, Budget())
+    assert a.value == value
+    assert a.witness == af_via_matchings(g).witness
 
 
 def test_via_matchings_budget():

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from antiforce import Budget, af_via_matchings, to_json
+from antiforce import Budget, af_subset_search, af_via_matchings, to_json
 from antiforce.cli import main
 from antiforce.families import complete, cycle, path
 from antiforce.graph import power
@@ -105,14 +105,17 @@ def test_af_convention(monkeypatch, capsys):
 
 
 def test_af_budget_exhaustion_exit_2(monkeypatch, capsys):
+    g = complete(8)
+    full = Budget(max_seconds=60.0)
+    af_subset_search(g, full)
     rc, _, err = run_cli(
-        ["af", "--method", "subset", "--budget", "5:60"],
-        to_json(complete(8)),
+        ["af", "--method", "subset", "--budget", f"{full.nodes - 1}:60"],
+        to_json(g),
         monkeypatch,
         capsys,
     )
     assert rc == 2
-    assert "budget exhausted" in err and "value >= 1" in err
+    assert "budget exhausted" in err and "value >= 12" in err
 
 
 def test_af_budget_exhaustion_reports_upper_bound(monkeypatch, capsys):

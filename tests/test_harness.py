@@ -222,6 +222,14 @@ def test_unverifiable_witness_raises(monkeypatch):
         _point("path", 4, 2)
 
 
+def test_unverifiable_witness_raises_on_every_solved_row(monkeypatch):
+    monkeypatch.setattr(
+        "antiforce.harness.is_anti_forcing_set", lambda g, s: False
+    )
+    with pytest.raises(InternalInvariantError):
+        _point("cycle", 6, 2)  # WITHIN_BOUNDS, not a MISMATCH
+
+
 def test_run_sweep_workers_agree():
     spec = SweepSpec(family="path", k_values=(2, 3, 4), m_values=(2, 3))
     assert run_sweep(spec, workers=1) == run_sweep(spec, workers=2)

@@ -21,6 +21,7 @@ from antiforce import (
     is_perfect_matching,
     maximum_matching,
     path,
+    power,
     symmetric_difference_cycles,
 )
 from antiforce.matching import count_pms_excluding
@@ -168,6 +169,18 @@ def test_alternating_cycles_leave_no_cyclic_garbage():
     m = enumerate_perfect_matchings(g)[0]
     gc.collect()
     alternating_cycles(g, m)
+    assert gc.collect() == 0
+
+
+def test_pm_enumeration_leaves_no_cyclic_garbage(monkeypatch):
+    # The blossom gate is networkx's, whose matching code leaves cycles of
+    # its own behind; the enumeration must leave none.
+    monkeypatch.setattr("antiforce.matching.has_perfect_matching", lambda g: True)
+    g = power(cycle(8), 3)
+    gc.collect()
+    enumerate_perfect_matchings(g)
+    for _ in range(100):
+        count_pms_excluding(g, frozenset(), cap=2)
     assert gc.collect() == 0
 
 
