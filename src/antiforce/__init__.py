@@ -72,8 +72,6 @@ from .matching import (
     has_unique_perfect_matching,
     is_matching,
     is_perfect_matching,
-    maximum_matching,
-    symmetric_difference_cycles,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -34,7 +34,11 @@ from .harness import (
     run_sweep,
     write_report,
 )
-from .matching import enumerate_perfect_matchings, has_unique_perfect_matching
+from .matching import (
+    count_perfect_matchings,
+    enumerate_perfect_matchings,
+    has_unique_perfect_matching,
+)
 
 
 class UsageError(Exception):
@@ -110,17 +114,18 @@ def _cmd_power(args: argparse.Namespace) -> int:
 
 
 def _cmd_pm(args: argparse.Namespace) -> int:
+    if args.cap is not None and (args.count or args.unique):
+        raise UsageError("--cap applies only to the matching list; drop it")
     g = _read_graph()
+    budget = default_budget()
     if args.unique:
-        print(json.dumps({"unique": has_unique_perfect_matching(g)}))
-        return 0
-    matchings = enumerate_perfect_matchings(g, cap=args.cap)
-    if args.count:
-        if args.cap is not None:
-            raise UsageError("--count ignores --cap; drop one of them")
-        print(json.dumps({"count": len(matchings)}))
-        return 0
-    print(json.dumps({"matchings": [[list(e) for e in sorted(m)] for m in matchings]}))
+        doc = {"unique": has_unique_perfect_matching(g, budget)}
+    elif args.count:
+        doc = {"count": count_perfect_matchings(g, budget)}
+    else:
+        matchings = enumerate_perfect_matchings(g, cap=args.cap, budget=budget)
+        doc = {"matchings": [[list(e) for e in sorted(m)] for m in matchings]}
+    print(json.dumps(doc))
     return 0
 
 

@@ -3,16 +3,13 @@
 Desk-scale exact code: enumeration branches on the lowest-indexed
 unsaturated vertex, which yields matchings in lexicographic order of
 their sorted edge lists, so uniqueness checks and witness selection are
-deterministic. Maximum-cardinality matching (used as a feasibility
-gate and for no-PM detection) is delegated to networkx, whose
-implementation handles odd cycles correctly.
+deterministic. Every perfect-matching question, existence included, is
+answered by this one enumerator, charged to the caller's budget.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator, Sequence
-
-import networkx as nx
 
 from .budget import Budget
 from .graph import Edge, Graph, edge
@@ -35,23 +32,6 @@ def is_perfect_matching(g: Graph, m: Matching) -> bool:
     if not is_matching(m):
         return False
     return len(m) * 2 == g.n
-
-
-def maximum_matching(g: Graph) -> Matching:
-    """A maximum-cardinality matching (not necessarily unique)."""
-    if g.n == 0 or not g.edges:
-        return frozenset()
-    ng = nx.Graph()
-    ng.add_nodes_from(range(g.n))
-    ng.add_edges_from(g.sorted_edges)
-    mm = nx.max_weight_matching(ng, maxcardinality=True)
-    return frozenset(edge(u, v) for u, v in mm)
-
-
-def has_perfect_matching(g: Graph) -> bool:
-    if g.n % 2:
-        return False
-    return 2 * len(maximum_matching(g)) == g.n
 
 
 def _components_all_even(n: int, adj: Sequence[Sequence[int]], used: list[bool]) -> bool:
@@ -131,6 +111,18 @@ def _adjacency_without(g: Graph, removed: frozenset[Edge]) -> list[tuple[int, ..
     ]
 
 
+def has_perfect_matching(g: Graph, budget: Budget | None = None) -> bool:
+    """Whether g has a perfect matching: the enumerator yields a first one.
+
+    Exponential in the worst case: a graph without one whose odd
+    components appear only deep in the search (K_2k joined to a star
+    K_1,3 by one edge, say) is searched in full before the answer is
+    no. Every search node is charged to ``budget``, so under one the
+    question never runs unbounded.
+    """
+    return next(_iter_pms(g.n, g.adjacency, budget), None) is not None
+
+
 def enumerate_perfect_matchings(
     g: Graph, cap: int | None = None, budget: Budget | None = None
 ) -> list[Matching]:
@@ -142,9 +134,7 @@ def enumerate_perfect_matchings(
     if cap is not None and cap < 1:
         raise ValueError("cap must be a positive integer or None")
     out: list[Matching] = []
-    if g.n % 2:
-        return out
-    if g.n > 0 and not has_perfect_matching(g):
+    if not has_perfect_matching(g, budget):
         return out
     for m in _iter_pms(g.n, g.adjacency, budget):
         out.append(m)
@@ -154,21 +144,12 @@ def enumerate_perfect_matchings(
 
 
 def count_perfect_matchings(g: Graph, budget: Budget | None = None) -> int:
-    if g.n % 2:
-        return 0
-    if g.n > 0 and not has_perfect_matching(g):
-        return 0
     return sum(1 for _ in _iter_pms(g.n, g.adjacency, budget))
 
 
 def has_unique_perfect_matching(g: Graph, budget: Budget | None = None) -> bool:
     """Short-circuits at the second matching."""
-    count = 0
-    for _ in _iter_pms(g.n, g.adjacency, budget):
-        count += 1
-        if count > 1:
-            return False
-    return count == 1
+    return count_pms_excluding(g, frozenset(), 2, budget) == 1
 
 
 def count_pms_excluding(
@@ -248,29 +229,3 @@ def alternating_cycles(
             blocked[s] = blocked[mate[s]] = True
             _extend(mate[s], s, bit[(s, mate[s])], 0, steps, blocked, tick, out)
     return out
-
-
-def symmetric_difference_cycles(m1: Matching, m2: Matching) -> list[set[int]]:
-    """Vertex sets of the cycles formed by two distinct perfect matchings."""
-    diff = (m1 - m2) | (m2 - m1)
-    nbrs: dict[int, list[int]] = {}
-    for u, v in diff:
-        nbrs.setdefault(u, []).append(v)
-        nbrs.setdefault(v, []).append(u)
-    comps: list[set[int]] = []
-    seen: set[int] = set()
-    for s in nbrs:
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        seen.add(s)
-        while stack:
-            u = stack.pop()
-            for w in nbrs[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(comp)
-    return comps

@@ -53,6 +53,17 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
     return Graph(n, frozenset(edges))
 
 
+def complete_joined_to_star(n: int) -> Graph:
+    """K_n joined by one edge to the centre of a star K_1,3.
+
+    It has no perfect matching, and the enumerator only finds that out
+    after a search exponential in n.
+    """
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n)}
+    edges |= {(n - 1, n), (n, n + 1), (n, n + 2), (n, n + 3)}
+    return Graph(n + 4, frozenset(edges))
+
+
 @st.composite
 def graphs(draw, min_n: int = 0, max_n: int = 7):
     """Arbitrary simple graph on 0..max_n vertices."""

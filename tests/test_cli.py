@@ -10,6 +10,7 @@ from antiforce.cli import main
 from antiforce.families import complete, cycle, path
 from antiforce.graph import power
 from antiforce.harness import COLUMNS, InternalInvariantError
+from conftest import complete_joined_to_star
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -74,6 +75,38 @@ def test_pm_count_unique_cap(monkeypatch, capsys):
         ["pm", "--count", "--cap", "1"], to_json(cycle(6)), monkeypatch, capsys
     )
     assert rc == 1 and "cap" in err
+
+
+def test_pm_count_does_not_list_matchings(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise AssertionError("pm --count built the matching list")
+
+    monkeypatch.setattr("antiforce.cli.enumerate_perfect_matchings", boom)
+    rc, out, _ = run_cli(["pm", "--count"], to_json(complete(8)), monkeypatch, capsys)
+    assert rc == 0 and json.loads(out) == {"count": 105}
+
+
+@pytest.mark.parametrize("mode", ["--count", "--unique"])
+def test_pm_cap_rejected_with_count_or_unique(mode, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise AssertionError("pm enumerated before rejecting --cap")
+
+    monkeypatch.setattr("antiforce.cli.enumerate_perfect_matchings", boom)
+    monkeypatch.setattr("antiforce.cli.count_perfect_matchings", boom)
+    monkeypatch.setattr("antiforce.cli.has_unique_perfect_matching", boom)
+    rc, out, err = run_cli(
+        ["pm", mode, "--cap", "1"], to_json(complete(8)), monkeypatch, capsys
+    )
+    assert rc == 1 and out == "" and "cap" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--count"], ["--unique"], ["--cap", "2"]])
+def test_pm_budget_exhaustion_exit_2(flags, monkeypatch, capsys):
+    g = complete_joined_to_star(10)
+    monkeypatch.setenv("ANTIFORCE_BUDGET", "100")
+    rc, out, err = run_cli(["pm", *flags], to_json(g), monkeypatch, capsys)
+    assert rc == 2 and out == ""
+    assert err == "antiforce: budget exhausted\n"
 
 
 def test_pm_mutually_exclusive_flags(monkeypatch, capsys):

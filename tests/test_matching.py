@@ -1,7 +1,10 @@
 import gc
 import random
+import subprocess
+import sys
 from itertools import permutations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
@@ -9,6 +12,7 @@ from antiforce import (
     Budget,
     BudgetExceededError,
     Graph,
+    af_via_matchings,
     alternating_cycles,
     complete,
     count_perfect_matchings,
@@ -19,13 +23,11 @@ from antiforce import (
     has_unique_perfect_matching,
     is_matching,
     is_perfect_matching,
-    maximum_matching,
     path,
     power,
-    symmetric_difference_cycles,
 )
-from antiforce.matching import count_pms_excluding
-from conftest import graphs, random_connected_graph
+from antiforce.matching import Matching, count_pms_excluding
+from conftest import complete_joined_to_star, graph_to_nx, graphs, random_connected_graph
 
 
 def bipartite_pm_count(left: int, right: int, edges: set[tuple[int, int]]) -> int:
@@ -53,12 +55,35 @@ def test_is_perfect_matching():
     assert is_perfect_matching(Graph(0), frozenset())
 
 
-def test_maximum_matching_sizes():
-    assert len(maximum_matching(complete(4))) == 2
-    assert len(maximum_matching(cycle(5))) == 2
-    star = Graph(4, frozenset({(0, 1), (0, 2), (0, 3)}))
-    assert len(maximum_matching(star)) == 1
-    assert maximum_matching(Graph(0)) == frozenset()
+def symmetric_difference_cycles(m1: Matching, m2: Matching) -> list[set[int]]:
+    """Vertex sets of the cycles formed by two distinct perfect matchings."""
+    diff = (m1 - m2) | (m2 - m1)
+    nbrs: dict[int, list[int]] = {}
+    for u, v in diff:
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    comps: list[set[int]] = []
+    seen: set[int] = set()
+    for s in nbrs:
+        if s in seen:
+            continue
+        comp = {s}
+        stack = [s]
+        seen.add(s)
+        while stack:
+            u = stack.pop()
+            for w in nbrs[u]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    stack.append(w)
+        comps.append(comp)
+    return comps
+
+
+def blossom_has_pm(g: Graph) -> bool:
+    """Reference: networkx's maximum-cardinality matching covers every vertex."""
+    return 2 * len(nx.max_weight_matching(graph_to_nx(g), maxcardinality=True)) == g.n
 
 
 def test_has_perfect_matching():
@@ -66,6 +91,39 @@ def test_has_perfect_matching():
     assert not has_perfect_matching(path(5))
     assert not has_perfect_matching(friendship(2))
     assert has_perfect_matching(Graph(0))
+
+
+def test_has_perfect_matching_matches_blossom_on_atlas(atlas):
+    assert all(has_perfect_matching(g) == blossom_has_pm(g) for g in atlas)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=10))
+def test_has_perfect_matching_matches_blossom(g):
+    assert has_perfect_matching(g) == blossom_has_pm(g)
+
+
+def test_no_pm_behind_a_star():
+    g = complete_joined_to_star(10)
+    assert not has_perfect_matching(g)
+    res = af_via_matchings(g)
+    assert res.method == "convention_no_pm" and res.value == len(g.edges)
+
+
+def test_no_pm_search_is_charged_to_budget():
+    with pytest.raises(BudgetExceededError):
+        enumerate_perfect_matchings(
+            complete_joined_to_star(10), budget=Budget(max_nodes=100)
+        )
+
+
+def test_import_leaves_networkx_out():
+    code = "import sys, antiforce; print('networkx' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_enumeration_known_counts():
@@ -172,12 +230,10 @@ def test_alternating_cycles_leave_no_cyclic_garbage():
     assert gc.collect() == 0
 
 
-def test_pm_enumeration_leaves_no_cyclic_garbage(monkeypatch):
-    # The blossom gate is networkx's, whose matching code leaves cycles of
-    # its own behind; the enumeration must leave none.
-    monkeypatch.setattr("antiforce.matching.has_perfect_matching", lambda g: True)
+def test_pm_enumeration_leaves_no_cyclic_garbage():
     g = power(cycle(8), 3)
     gc.collect()
+    has_perfect_matching(g)
     enumerate_perfect_matchings(g)
     for _ in range(100):
         count_pms_excluding(g, frozenset(), cap=2)
