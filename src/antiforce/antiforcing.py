@@ -134,7 +134,10 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
 # Exact minimum hitting set over bitmask-encoded edge sets. Bit i stands
 # for the i-th edge of the graph's sorted edge list, so ascending bit
 # index is ascending edge order and bit lists compare like edge lists.
-# alternating_cycles hands out its cycles in this encoding.
+# alternating_cycles hands out its cycles in this encoding. A cover is
+# returned as a bitmask too, so the search that proves a size also hands
+# over a hitting set of that size, and the lexicographic refinement
+# starts from it.
 #
 # Invariant: every mask list the engine handles is duplicate-free and
 # sorted by size (bit count). Filtering keeps a list sorted, so lists are
@@ -155,46 +158,64 @@ def _packing_bound(masks: Sequence[int]) -> int:
     return count
 
 
-def _exists_cover(masks: list[int], k: int, budget: Budget | None) -> bool:
+def _exists_cover(masks: list[int], k: int, budget: Budget | None) -> int | None:
+    """A hitting set of at most k elements as a bitmask, or None if none exists.
+
+    No sets give the empty cover 0, so test the result with ``is None``.
+    """
     if not masks:
-        return True
+        return 0
     if k <= 0:
-        return False
+        return None
     if budget is not None:
         budget.tick()
     if _packing_bound(masks) > k:
-        return False
+        return None
     t = masks[0]
     while t:
         low = t & -t
-        if _exists_cover([s for s in masks if not s & low], k - 1, budget):
-            return True
+        cover = _exists_cover([s for s in masks if not s & low], k - 1, budget)
+        if cover is not None:
+            return cover | low
         t ^= low
-    return False
+    return None
 
 
 def _min_cover_size(
     masks: list[int], budget: Budget | None, below: int | None = None
-) -> int | None:
-    """Minimum hitting set size, deepening from the packing bound.
+) -> tuple[int, int] | None:
+    """Minimum hitting set size and a cover of that size, as a bitmask.
 
-    Returns None as soon as the minimum is known to be at least ``below``.
+    Deepens from the packing bound. Returns None as soon as the minimum
+    is known to be at least ``below``.
     """
     k = _packing_bound(masks)
     while below is None or k < below:
-        if _exists_cover(masks, k, budget):
-            return k
+        cover = _exists_cover(masks, k, budget)
+        if cover is not None:
+            return k, cover
         k += 1
     return None
 
 
 def _lex_min_cover(
-    masks: list[int], value: int, budget: Budget | None, beat: Sequence[int] | None = None
+    masks: list[int],
+    value: int,
+    cover: int,
+    budget: Budget | None,
+    beat: Sequence[int] | None = None,
 ) -> list[int] | None:
     """Lexicographically smallest hitting set of size ``value``, the minimum.
 
-    Returns its bits in ascending order. With ``beat``, a bit list of the
-    same size, gives up (returns None) once the chosen prefix exceeds it.
+    ``cover`` is some hitting set of that size, as a bitmask. Returns the
+    bits in ascending order. With ``beat``, a bit list of the same size,
+    gives up (returns None) once the chosen prefix exceeds it.
+
+    The refinement keeps a cover that extends the chosen prefix. A
+    candidate that is its lowest bit is taken without a search: the
+    other bits lie above it, so they survive the cut and hit every set
+    it misses. A candidate below that bit needs a search, and a found
+    completion becomes the new cover.
     """
     chosen: list[int] = []
     tied = beat is not None
@@ -209,10 +230,14 @@ def _lex_min_cover(
                 return None
             # Later picks lie above e: drop the sets e hits, cut the rest.
             rest = sorted({s & -(low << 1) for s in masks if not s & low}, key=int.bit_count)
-            if _exists_cover(rest, value - len(chosen) - 1, budget):
+            if cover & -cover == low:
+                found: int | None = cover ^ low
+            else:
+                found = _exists_cover(rest, value - len(chosen) - 1, budget)
+            if found is not None:
                 tied = tied and e == beat[len(chosen)]
                 chosen.append(e)
-                masks = rest
+                masks, cover = rest, found
                 break
             union ^= low
         else:
@@ -233,7 +258,7 @@ def af_of_matching(g: Graph, m: Matching, budget: Budget | None = None) -> Match
     af = _min_cover_size(sorted({f for _, f in cycles}, key=int.bit_count), budget)
     f = _min_cover_size(sorted({c for c, _ in cycles}, key=int.bit_count), budget)
     assert af is not None and f is not None
-    return MatchingAnalysis(frozenset(m), af, f)
+    return MatchingAnalysis(frozenset(m), af[0], f[0])
 
 
 def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResult:
@@ -256,10 +281,11 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
         for m in pms:
             cycles = alternating_cycles(g, m, budget)
             masks = sorted({f for _, f in cycles}, key=int.bit_count)
-            value = _min_cover_size(masks, budget, None if best is None else best + 1)
-            if value is None:
+            found = _min_cover_size(masks, budget, None if best is None else best + 1)
+            if found is None:
                 continue
-            picks = _lex_min_cover(masks, value, budget, witness if value == best else None)
+            value, cover = found
+            picks = _lex_min_cover(masks, value, cover, budget, witness if value == best else None)
             if picks is not None:
                 best, witness = value, picks
     except BudgetExceededError as exc:
@@ -279,8 +305,8 @@ def forcing_number(g: Graph, budget: Budget | None = None) -> int:
     for m in pms:
         cycles = alternating_cycles(g, m, budget)
         masks = sorted({c for c, _ in cycles}, key=int.bit_count)
-        value = _min_cover_size(masks, budget, best)
-        if value is not None:
-            best = value
+        found = _min_cover_size(masks, budget, best)
+        if found is not None:
+            best = found[0]
     assert best is not None
     return best

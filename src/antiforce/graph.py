@@ -187,6 +187,8 @@ def from_json(text: str) -> Graph:
     ):
         raise ValueError("graph JSON 'edges' must be a list of [u, v] integer pairs")
     edges = frozenset(edge(u, v) for u, v in pairs)
+    if len(edges) != len(pairs):
+        raise ValueError("duplicate edges in graph JSON 'edges'")
     labels = None
     if "labels" in doc and doc["labels"] is not None:
         if not isinstance(doc["labels"], dict):

@@ -9,7 +9,7 @@ import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
-from antiforce import Graph, edge
+from antiforce import Budget, Graph, af_subset_search, complete, edge
 
 
 def nx_to_graph(ng: nx.Graph) -> Graph:
@@ -93,3 +93,11 @@ def connected_graphs(draw, min_n: int = 1, max_n: int = 7):
 @pytest.fixture(scope="session")
 def atlas() -> tuple[Graph, ...]:
     return connected_atlas()
+
+
+@pytest.fixture(scope="session")
+def k8_subset_search() -> tuple[int, int]:
+    """af_subset_search on K_8, once: its value and the budget nodes it used."""
+    full = Budget(max_seconds=60.0)
+    value = af_subset_search(complete(8), full).value
+    return value, full.nodes

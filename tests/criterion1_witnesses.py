@@ -1,0 +1,101 @@
+"""The criterion-1 family instances and their pinned witnesses.
+
+tests/goldens/criterion1_witnesses.json maps each instance that
+af_via_matchings solves within its budget to ``[value, sorted witness]``.
+The acceptance test compares every instance it solves against the pin,
+so a change of the reported lexicographically smallest witness fails
+tier-1. Run this module directly to check the pin (exit code 1 when an
+instance solved here differs from it), or to rewrite it after a
+deliberate change:
+
+    python tests/criterion1_witnesses.py
+    python tests/criterion1_witnesses.py --write
+
+Both solve all 99 instances, which takes about half a minute.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+from antiforce import Budget, BudgetExceededError, af_via_matchings, build, power
+
+PIN = Path(__file__).parent / "goldens" / "criterion1_witnesses.json"
+
+
+def instance_budget() -> Budget:
+    # The deadline starts at construction, so every solve gets its own.
+    return Budget(max_nodes=50_000_000, max_seconds=10.0)
+
+
+def family_instances() -> list[tuple[str, int, int, object]]:
+    """Every family instance with n <= 12, m <= 4, deduplicated by power graph."""
+    specs = []
+    specs += [("path", k) for k in range(2, 13)]
+    specs += [("cycle", k) for k in range(3, 13)]
+    specs += [("complete", k) for k in range(2, 13)]
+    specs += [("friendship", k) for k in range(1, 6)]
+    specs += [("tri-chain", k) for k in range(1, 6)]
+    specs += [("ortho-chain", k) for k in range(1, 4)]
+    specs += [("para-chain", k) for k in range(1, 4)]
+    seen = {}
+    for fam, k in specs:
+        base = build(fam, k)
+        assert base.n <= 12
+        for m in range(1, 5):
+            g = power(base, m)
+            seen.setdefault((g.n, g.edges), (fam, k, m, g))
+    return list(seen.values())
+
+
+def instance_name(fam: str, k: int, m: int) -> str:
+    return f"{fam}({k})^{m}"
+
+
+def pin_entry(value: int, witness) -> list:
+    return [value, [list(e) for e in sorted(witness)]]
+
+
+def load_pin() -> dict[str, list]:
+    return json.loads(PIN.read_text())
+
+
+def solve_all() -> dict[str, list]:
+    """Pin entries of every instance solved within its budget."""
+    out = {}
+    for fam, k, m, g in family_instances():
+        try:
+            r = af_via_matchings(g, instance_budget())
+        except BudgetExceededError:
+            continue
+        out[instance_name(fam, k, m)] = pin_entry(r.value, r.witness)
+    return out
+
+
+def dump(entries: dict[str, list]) -> str:
+    lines = [f"  {json.dumps(name)}: {json.dumps(entry)}" for name, entry in entries.items()]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def main(argv: list[str] | None = None) -> int:
+    import argparse
+
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--write", action="store_true", help="rewrite the pin")
+    args = parser.parse_args(argv)
+    entries = solve_all()
+    if args.write:
+        PIN.write_text(dump(entries))
+        print(f"wrote {PIN} ({len(entries)} instances)")
+        return 0
+    pin = load_pin()
+    stale = [name for name, entry in entries.items() if pin.get(name) != entry]
+    for name in stale:
+        print(f"{name}: STALE")
+    print(f"{len(entries)} solved, {len(stale)} differ from the pin")
+    return 1 if stale else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, takewhile
 
 import pytest
 from hypothesis import assume, given, settings
@@ -124,13 +124,13 @@ def test_forcing_number():
         forcing_number(friendship(1))
 
 
-def test_subset_search_budget_carries_lower_bound():
+def test_subset_search_budget_carries_lower_bound(k8_subset_search):
     g = complete(8)
-    full = Budget(max_seconds=60.0)
-    assert af_subset_search(g, full).value == 12
+    value, nodes = k8_subset_search
+    assert value == 12
     # One node short: every size below 12 was exhausted.
     with pytest.raises(BudgetExceededError) as exc:
-        af_subset_search(g, Budget(max_nodes=full.nodes - 1, max_seconds=60.0))
+        af_subset_search(g, Budget(max_nodes=nodes - 1, max_seconds=60.0))
     assert exc.value.lower == 12
     # 100 nodes run out while the 105 perfect matchings are enumerated.
     with pytest.raises(BudgetExceededError) as exc:
@@ -234,11 +234,15 @@ def encode(sets):
     return sorted({sum(1 << x for x in s) for s in sets}, key=int.bit_count)
 
 
+def bits(xs):
+    return sum(1 << x for x in xs)
+
+
 def cover(sets):
     """Value and lexicographically smallest minimum hitting set."""
     masks = encode(sets)
-    value = _min_cover_size(masks, None)
-    return value, _lex_min_cover(masks, value, None)
+    value, found = _min_cover_size(masks, None)
+    return value, _lex_min_cover(masks, value, found, None)
 
 
 def test_min_hitting_set_disjoint():
@@ -256,12 +260,26 @@ def test_min_hitting_set_lex():
 def test_cover_engine_early_exits():
     masks = encode([{0, 1}, {2, 3}, {4, 5}])
     assert _min_cover_size(masks, None, below=3) is None
-    assert _min_cover_size(masks, None, below=4) == 3
+    assert _min_cover_size(masks, None, below=4) == (3, bits([0, 2, 4]))
     # The smallest cover is [0, 2, 4]: it loses to [0, 2, 3] at its third
-    # pick, and beats [0, 3, 4] at its second.
-    assert _lex_min_cover(masks, 3, None, beat=[0, 2, 3]) is None
-    assert _lex_min_cover(masks, 3, None, beat=[0, 3, 4]) == [0, 2, 4]
-    assert _lex_min_cover(masks, 3, None, beat=[1, 2, 3]) == [0, 2, 4]
+    # pick, and beats [0, 3, 4] at its second. Started from [1, 3, 5],
+    # the refinement searches for its first pick.
+    start = bits([1, 3, 5])
+    assert _lex_min_cover(masks, 3, start, None, beat=[0, 2, 3]) is None
+    assert _lex_min_cover(masks, 3, start, None, beat=[0, 3, 4]) == [0, 2, 4]
+    assert _lex_min_cover(masks, 3, start, None, beat=[1, 2, 3]) == [0, 2, 4]
+
+
+def test_lex_refinement_from_smallest_cover_runs_no_search():
+    # Each pick of [0, 2, 4] is the lowest element left, so started from
+    # that cover every pick is the cover's lowest bit and nothing is
+    # searched; started from [1, 3, 5], the first pick, 0, is searched.
+    masks = encode([{0, 1}, {2, 3}, {4, 5}])
+    budget = Budget()
+    assert _lex_min_cover(masks, 3, bits([0, 2, 4]), budget) == [0, 2, 4]
+    assert budget.nodes == 0
+    assert _lex_min_cover(masks, 3, bits([1, 3, 5]), budget) == [0, 2, 4]
+    assert budget.nodes > 0
 
 
 set_systems = st.lists(
@@ -274,18 +292,29 @@ set_systems = st.lists(
 def test_cover_engine_matches_brute_force(sets, below, data):
     # Size by size, combinations come in lexicographic order, so the
     # first hitting set found is the lexicographically smallest minimum.
-    ref = next(
+    covers = (
         list(c)
         for k in range(ELEMENTS + 1)
         for c in combinations(range(ELEMENTS), k)
         if all(s & set(c) for s in sets)
     )
+    ref = next(covers)
     size = len(ref)
     assert cover(sets) == (size, ref)
     masks = encode(sets)
-    assert _min_cover_size(masks, None, below) == (size if size < below else None)
+    value, found = _min_cover_size(masks, None)
+    assert value == size and found.bit_count() == size
+    assert all(s & found for s in masks)
+    assert _min_cover_size(masks, None, below) == (
+        (size, found) if size < below else None
+    )
+    # Whichever minimum cover the refinement starts from, the answer is
+    # the same.
+    minimum = [ref, *takewhile(lambda c: len(c) == size, covers)]
+    start = bits(data.draw(st.sampled_from(minimum)))
+    assert _lex_min_cover(masks, size, start, None) == ref
     beat = sorted(data.draw(st.sets(st.integers(0, ELEMENTS - 1), min_size=size, max_size=size)))
-    assert _lex_min_cover(masks, size, None, beat) == (None if ref > beat else ref)
+    assert _lex_min_cover(masks, size, start, None, beat) == (None if ref > beat else ref)
 
 
 @settings(max_examples=40, deadline=None)

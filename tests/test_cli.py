@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from antiforce import Budget, af_subset_search, af_via_matchings, to_json
+from antiforce import Budget, af_via_matchings, to_json
 from antiforce.cli import main
 from antiforce.families import complete, cycle, path
 from antiforce.graph import power
@@ -137,12 +137,11 @@ def test_af_convention(monkeypatch, capsys):
     assert doc["value"] == 4 and doc["method"] == "convention_no_pm"
 
 
-def test_af_budget_exhaustion_exit_2(monkeypatch, capsys):
+def test_af_budget_exhaustion_exit_2(k8_subset_search, monkeypatch, capsys):
     g = complete(8)
-    full = Budget(max_seconds=60.0)
-    af_subset_search(g, full)
+    _, nodes = k8_subset_search
     rc, _, err = run_cli(
-        ["af", "--method", "subset", "--budget", f"{full.nodes - 1}:60"],
+        ["af", "--method", "subset", "--budget", f"{nodes - 1}:60"],
         to_json(g),
         monkeypatch,
         capsys,
@@ -179,6 +178,8 @@ def test_af_budget_exhaustion_reports_upper_bound(monkeypatch, capsys):
         '{"n": 1, "labels": {"0": "a", "00": "b"}}',
         '{"n": 1, "labels": {"0": 5}}',
         '{"n": 3',
+        '{"n": 2, "edges": [[0, 1], [0, 1]]}',
+        '{"n": 2, "edges": [[0, 1], [1, 0]]}',
     ],
 )
 def test_af_rejects_malformed_json(text, monkeypatch, capsys):
