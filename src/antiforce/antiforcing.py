@@ -9,6 +9,15 @@ side of the same cycles. The two routes share nothing past the
 enumeration of perfect matchings, so their agreement is a meaningful
 cross-check.
 
+Route two runs in two phases. Phase 1 proves the value on one perfect
+matching per automorphism orbit (see ``symmetry``), since af(G, M) is
+the same across an orbit. Phase 2 refines the lexicographically
+smallest witness over the members of the optimal orbits, in order of a
+lower bound on each member's smallest cover, and stops once the bound
+passes the witness in hand. The orbits are only searched for when
+there are more perfect matchings than vertices: the search costs about
+one refinement per vertex, which fewer matchings cannot pay back.
+
 Convention: a graph with no perfect matching gets af = |E| with an empty
 witness, tagged method "convention_no_pm".
 """
@@ -16,6 +25,7 @@ witness, tagged method "convention_no_pm".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Literal, Sequence
 
 from .budget import Budget, BudgetExceededError
@@ -27,6 +37,7 @@ from .matching import (
     count_pms_excluding,
     enumerate_perfect_matchings,
 )
+from .symmetry import pm_orbits
 
 Method = Literal["subset_search", "via_matchings", "convention_no_pm"]
 
@@ -247,6 +258,11 @@ def _lex_min_cover(
     return chosen
 
 
+def _free_masks(g: Graph, m: Matching, budget: Budget | None) -> list[int]:
+    """The free sides of m's alternating cycles, as the engine expects them."""
+    return sorted({f for _, f in alternating_cycles(g, m, budget)}, key=int.bit_count)
+
+
 def af_of_matching(g: Graph, m: Matching, budget: Budget | None = None) -> MatchingAnalysis:
     """Anti-forcing and forcing numbers of one perfect matching m.
 
@@ -261,37 +277,83 @@ def af_of_matching(g: Graph, m: Matching, budget: Budget | None = None) -> Match
     return MatchingAnalysis(frozenset(m), af[0], f[0])
 
 
+def _lowest_outside(g: Graph, m: Matching, size: int) -> list[int]:
+    """The ``size`` smallest edge indices of g outside m."""
+    return list(islice((i for i, e in enumerate(g.sorted_edges) if e not in m), size))
+
+
 def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResult:
     """Minimum over perfect matchings of the free-edge hitting number.
 
-    One pass over the matchings keeps the best value so far: a matching
-    is dropped as soon as its value is known to exceed it, and refined to
-    a witness only when it ties or beats it. The reported witness is the
-    lexicographically smallest one among all optimal matchings, so
-    repeated runs agree byte for byte. When the budget runs out after
-    some matching was solved, BudgetExceededError carries the best value
-    so far as ``upper``.
+    af(G, M) is the same for every PM M in one orbit of Aut(G), so the
+    solve runs in two phases:
+
+    1. The value is the minimum over one representative per orbit, the
+       first PM of each. A pass over them keeps the best value so far,
+       and drops a PM as soon as its value is known to exceed it.
+    2. The reported witness is the lexicographically smallest cover over
+       every optimal PM, so repeated runs agree byte for byte. Only the
+       members of optimal orbits can give it. Let L(M) be the ``value``
+       smallest edge indices not in M. A cover of M is a ``value``-subset
+       of the edges outside M, and the i-th smallest element of a subset
+       is at least the i-th smallest of the whole set, so M's smallest
+       cover is at least L(M). The members are refined in order of
+       L(M), each against the witness so far, and the pass stops at the
+       first one whose L(M) exceeds it. That order is the enumeration
+       order reversed. The PMs come in lexicographic order, so the least
+       edge where a later PM differs from an earlier one is in the
+       earlier one and free in the later one: L of the later PM is no
+       larger.
+
+    The orbits come from the automorphism search in ``symmetry`` only
+    when there are more PMs than vertices. The search costs about one
+    refinement per vertex of its first target cell, so on fewer PMs it
+    cannot pay back; each PM is then its own orbit.
+
+    When the budget runs out, BudgetExceededError carries the best value
+    so far as ``upper``; once phase 2 has begun that value is proven,
+    and ``lower`` carries it too.
     """
     pms = enumerate_perfect_matchings(g, budget=budget)
     if not pms:
         return AntiForcingResult(len(g.edges), frozenset(), "convention_no_pm")
     best: int | None = None
-    witness: list[int] = []
+    solved: dict[int, tuple[list[int], int]] = {}  # optimal representative: masks, cover
     try:
-        for m in pms:
-            cycles = alternating_cycles(g, m, budget)
-            masks = sorted({f for _, f in cycles}, key=int.bit_count)
+        orbit = pm_orbits(g, pms, budget) if len(pms) > g.n else range(len(pms))
+        for i, m in enumerate(pms):
+            if orbit[i] != i:
+                continue
+            masks = _free_masks(g, m, budget)
             found = _min_cover_size(masks, budget, None if best is None else best + 1)
             if found is None:
                 continue
-            value, cover = found
-            picks = _lex_min_cover(masks, value, cover, budget, witness if value == best else None)
-            if picks is not None:
-                best, witness = value, picks
+            if found[0] != best:
+                best, solved = found[0], {}
+            solved[i] = (masks, found[1])
     except BudgetExceededError as exc:
         exc.upper = best
         raise
     assert best is not None
+    witness: list[int] | None = None
+    try:
+        for i in reversed(range(len(pms))):
+            if orbit[i] not in solved:
+                continue
+            if witness is not None and _lowest_outside(g, pms[i], best) > witness:
+                break
+            if i in solved:
+                masks, cover = solved[i]
+            else:
+                masks = _free_masks(g, pms[i], budget)
+                cover = _exists_cover(masks, best, budget)
+            picks = _lex_min_cover(masks, best, cover, budget, witness)
+            if picks is not None:
+                witness = picks
+    except BudgetExceededError as exc:
+        exc.lower = exc.upper = best
+        raise
+    assert witness is not None
     edges = g.sorted_edges
     return AntiForcingResult(best, frozenset(edges[i] for i in witness), "via_matchings")
 

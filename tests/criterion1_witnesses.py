@@ -5,13 +5,13 @@ af_via_matchings solves within its budget to ``[value, sorted witness]``.
 The acceptance test compares every instance it solves against the pin,
 so a change of the reported lexicographically smallest witness fails
 tier-1. Run this module directly to check the pin (exit code 1 when an
-instance solved here differs from it), or to rewrite it after a
-deliberate change:
+instance solved here differs from it or is not pinned), or to rewrite
+it after a deliberate change:
 
     python tests/criterion1_witnesses.py
     python tests/criterion1_witnesses.py --write
 
-Both solve all 99 instances, which takes about half a minute.
+Both solve all 99 instances, which takes about 7 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -90,11 +90,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {PIN} ({len(entries)} instances)")
         return 0
     pin = load_pin()
-    stale = [name for name, entry in entries.items() if pin.get(name) != entry]
-    for name in stale:
-        print(f"{name}: STALE")
-    print(f"{len(entries)} solved, {len(stale)} differ from the pin")
-    return 1 if stale else 0
+    missing = [name for name in entries if name not in pin]
+    differ = [name for name in entries if name in pin and pin[name] != entries[name]]
+    for name in missing:
+        print(f"{name}: not pinned")
+    for name in differ:
+        print(f"{name}: differs")
+    print(
+        f"{len(entries)} solved, {len(differ)} differ from the pin, "
+        f"{len(missing)} not pinned"
+    )
+    return 1 if missing or differ else 0
 
 
 if __name__ == "__main__":

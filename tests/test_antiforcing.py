@@ -218,11 +218,13 @@ def test_via_matchings_budget_carries_upper_bound():
     g = complete(6)
     full = Budget(max_seconds=60.0)
     value = af_via_matchings(g, full).value
-    # One node short: every matching but the last is solved. All perfect
-    # matchings of K_6 are equivalent, so the best so far is the optimum.
+    # One node short: the budget runs out while the witness is refined,
+    # after the value was proven on the one orbit of K_6's matchings, so
+    # both bounds are exact.
     with pytest.raises(BudgetExceededError) as exc:
         af_via_matchings(g, Budget(max_nodes=full.nodes - 1, max_seconds=60.0))
     assert exc.value.upper == value
+    assert exc.value.lower == value
     assert exc.value.nodes_used == full.nodes
 
 

@@ -1,0 +1,227 @@
+"""The automorphism layer, and the orbit-reduced matching route built on it.
+
+Group orders are checked against networkx's VF2 matcher. The reduced
+route is checked against an unreduced reference written here: every
+perfect matching solved, the lexicographically smallest witness taken
+over every optimal one.
+"""
+
+import random
+
+import networkx as nx
+import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
+
+import antiforce.antiforcing
+from antiforce import (
+    Graph,
+    af_of_matching,
+    af_via_matchings,
+    alternating_cycles,
+    complete,
+    cycle,
+    edge,
+    enumerate_perfect_matchings,
+    para_square_chain,
+    path,
+    power,
+)
+from antiforce.antiforcing import _lex_min_cover, _min_cover_size
+from antiforce.symmetry import automorphism_generators, pm_orbits
+from conftest import graph_to_nx, random_connected_graph
+from criterion1_witnesses import family_instances
+
+MAX_ORDER = 10**5
+
+
+def generators(g):
+    return automorphism_generators(g, [0] * g.n)
+
+
+def group_order(gens, n, cap=MAX_ORDER):
+    """Order of the group the permutations generate, or None above cap."""
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        grown = []
+        for p in frontier:
+            for s in gens:
+                q = tuple(s[i] for i in p)
+                if q not in seen:
+                    seen.add(q)
+                    grown.append(q)
+        if len(seen) > cap:
+            return None
+        frontier = grown
+    return len(seen)
+
+
+def vf2_count(g):
+    """|Aut(g)|, every automorphism listed by VF2."""
+    ng = graph_to_nx(g)
+    return sum(1 for _ in GraphMatcher(ng, ng).isomorphisms_iter())
+
+
+def vf2_order(g):
+    """|Aut(g)| as the product of orbit sizes down a stabiliser chain.
+
+    The orbit of vertex i under the automorphisms fixing 0..i-1 holds w
+    when VF2 maps g onto itself with every vertex labelled by its
+    distances to 0..i-1 and to i on one side, to w on the other. The
+    distances keep the search small; every such map preserves them.
+    """
+    ng = graph_to_nx(g)
+    dist = dict(nx.all_pairs_shortest_path_length(ng))
+
+    def labelled(fixed):
+        h = ng.copy()
+        for v in h:
+            h.nodes[v]["d"] = [dist[v].get(f) for f in fixed]
+        return h
+
+    order = 1
+    for i in range(g.n):
+        base = labelled([*range(i), i])
+        orbit = {i}
+        for w in range(i + 1, g.n):
+            if w in orbit:
+                continue
+            gm = GraphMatcher(base, labelled([*range(i), w]), node_match=lambda a, b: a == b)
+            if gm.is_isomorphic():
+                orbit |= {gm.mapping[v] for v in orbit} | {w}
+        order *= len(orbit)
+    return order
+
+
+def assert_automorphisms(g, gens):
+    for perm in gens:
+        assert sorted(perm) == list(range(g.n))
+        assert {edge(perm[u], perm[v]) for u, v in g.edges} == g.edges
+
+
+def test_generators_are_automorphisms(atlas):
+    for g in atlas:
+        assert_automorphisms(g, generators(g))
+    for _, _, _, g in family_instances():
+        assert_automorphisms(g, generators(g))
+
+
+def test_group_order_matches_vf2_on_atlas(atlas):
+    for g in atlas:
+        assert group_order(generators(g), g.n) == vf2_count(g), sorted(g.edges)
+
+
+def test_group_order_matches_vf2_on_criterion1_powers():
+    checked = 0
+    for fam, k, m, g in family_instances():
+        want = vf2_order(g)
+        if want <= MAX_ORDER:
+            assert group_order(generators(g), g.n) == want, (fam, k, m)
+            checked += 1
+    assert checked >= 90
+
+
+def test_trivial_graphs():
+    assert automorphism_generators(Graph(0), []) == []
+    assert automorphism_generators(Graph(1), [0]) == []
+    # The swap of a single edge's ends is an automorphism, but it fixes
+    # the edge, so the one perfect matching is its own orbit.
+    k2 = Graph(2, frozenset({(0, 1)}))
+    assert generators(k2) == [[1, 0]]
+    assert pm_orbits(k2, enumerate_perfect_matchings(k2)) == [0]
+
+
+@pytest.mark.parametrize(
+    "g", [complete(6), power(cycle(8), 2), power(para_square_chain(3), 2)]
+)
+def test_pm_orbit_members_share_their_representatives_value(g):
+    pms = enumerate_perfect_matchings(g)
+    first = pm_orbits(g, pms)
+    assert len(set(first)) < len(pms)
+    for m, rep in zip(pms, first):
+        assert af_of_matching(g, m).af_of_m == af_of_matching(g, pms[rep]).af_of_m
+
+
+def unreduced(g):
+    """Value and witness from every PM: the route with no orbits and no bound."""
+    solved = []
+    for m in enumerate_perfect_matchings(g):
+        masks = sorted({f for _, f in alternating_cycles(g, m)}, key=int.bit_count)
+        value, cover = _min_cover_size(masks, None)
+        solved.append((value, masks, cover))
+    best = min(value for value, _, _ in solved)
+    witness = min(
+        _lex_min_cover(masks, value, cover, None)
+        for value, masks, cover in solved
+        if value == best
+    )
+    return best, frozenset(g.sorted_edges[i] for i in witness)
+
+
+def complete_bipartite(a, b):
+    return Graph(a + b, frozenset((u, a + v) for u in range(a) for v in range(b)))
+
+
+def prism():
+    triangles = {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)}
+    return Graph(6, frozenset(triangles | {(0, 3), (1, 4), (2, 5)}))
+
+
+def cube():
+    return Graph(8, frozenset((u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b))
+
+
+def two_k4():
+    return Graph(8, complete(4).edges | {(u + 4, v + 4) for u, v in complete(4).edges})
+
+
+def random_above_gate():
+    rng = random.Random(8)
+    out = []
+    while len(out) < 12:
+        g = random_connected_graph(rng, rng.randint(8, 10))
+        if g.n % 2 == 0 and g.n < len(enumerate_perfect_matchings(g, cap=301)) <= 300:
+            out.append(g)
+    return out
+
+
+SHAPED = [
+    power(cycle(8), 2),
+    power(cycle(8), 3),
+    power(cycle(10), 2),
+    power(cycle(10), 3),
+    power(path(8), 3),
+    power(path(10), 3),
+    power(path(10), 4),
+    complete_bipartite(3, 3),
+    complete_bipartite(4, 4),
+    prism(),
+    cube(),
+    two_k4(),
+]
+
+
+@pytest.mark.parametrize("g", SHAPED + random_above_gate())
+def test_reduced_route_matches_unreduced(g):
+    r = af_via_matchings(g)
+    assert (r.value, r.witness) == unreduced(g)
+
+
+def test_shaped_graphs_mostly_reach_the_search():
+    # K_3,3 and the prism have no more PMs than vertices; the rest do.
+    above = [g for g in SHAPED if len(enumerate_perfect_matchings(g)) > g.n]
+    assert len(above) == len(SHAPED) - 2
+
+
+def test_orbits_save_cycle_passes(monkeypatch):
+    calls = []
+
+    def counted(g, m, budget=None):
+        calls.append(m)
+        return alternating_cycles(g, m, budget)
+
+    monkeypatch.setattr(antiforce.antiforcing, "alternating_cycles", counted)
+    g = complete(8)
+    assert af_via_matchings(g).value == 12
+    assert 0 < len(calls) < len(enumerate_perfect_matchings(g))
