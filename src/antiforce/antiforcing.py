@@ -13,10 +13,12 @@ Route two runs in two phases. Phase 1 proves the value on one perfect
 matching per automorphism orbit (see ``symmetry``), since af(G, M) is
 the same across an orbit. Phase 2 refines the lexicographically
 smallest witness over the members of the optimal orbits, in order of a
-lower bound on each member's smallest cover, and stops once the bound
-passes the witness in hand. The orbits are only searched for when
-there are more perfect matchings than vertices: the search costs about
-one refinement per vertex, which fewer matchings cannot pay back.
+cheap lower bound on each member's smallest cover, and stops once that
+bound passes the witness in hand. A sharper bound, from the member's
+alternating 4-cycles, skips a member before its cycle pass. The orbits
+are only searched for when there are more perfect matchings than
+vertices: the search costs about one refinement per vertex, which
+fewer matchings cannot pay back.
 
 Convention: a graph with no perfect matching gets af = |E| with an empty
 witness, tagged method "convention_no_pm".
@@ -124,8 +126,8 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     if not pms:
         return AntiForcingResult(len(g.edges), frozenset(), "convention_no_pm")
     edges = g.sorted_edges
-    bit = {e: 1 << i for i, e in enumerate(edges)}
-    masks = [sum(bit[e] for e in m) for m in pms]
+    index = g.edge_index
+    masks = [sum(1 << index[e] for e in m) for m in pms]
     tick = budget.tick if budget is not None else _no_tick
     found: list[int] = []
     try:
@@ -222,33 +224,40 @@ def _lex_min_cover(
     bits in ascending order. With ``beat``, a bit list of the same size,
     gives up (returns None) once the chosen prefix exceeds it.
 
-    The refinement keeps a cover that extends the chosen prefix. A
-    candidate that is its lowest bit is taken without a search: the
-    other bits lie above it, so they survive the cut and hit every set
-    it misses. A candidate below that bit needs a search, and a found
-    completion becomes the new cover.
+    The refinement keeps a cover that extends the chosen prefix, and
+    drops the sets the prefix hits. Candidates lie above the last pick
+    (the floor ``above``). A candidate that is the cover's lowest bit is
+    taken without a search: the other bits lie above it and hit every
+    set it misses. A candidate below that bit needs a search, and a
+    found completion becomes the new cover. Only the search gets the
+    sets cut to the bits above its candidate, deduplicated and re-sorted.
+    The cut changes no result: a minimum cover has no spare element, so
+    a completion using a lower bit outside the prefix would have made
+    that bit an earlier pick. It only keeps the search off such bits.
     """
     chosen: list[int] = []
     tied = beat is not None
+    above = -1
     while masks:
         union = 0
         for s in masks:
             union |= s
+        union &= above
         while union:
             low = union & -union
             e = low.bit_length() - 1
             if tied and e > beat[len(chosen)]:
                 return None
-            # Later picks lie above e: drop the sets e hits, cut the rest.
-            rest = sorted({s & -(low << 1) for s in masks if not s & low}, key=int.bit_count)
+            rest = [s for s in masks if not s & low]
             if cover & -cover == low:
                 found: int | None = cover ^ low
             else:
+                rest = sorted({s & -(low << 1) for s in rest}, key=int.bit_count)
                 found = _exists_cover(rest, value - len(chosen) - 1, budget)
             if found is not None:
                 tied = tied and e == beat[len(chosen)]
                 chosen.append(e)
-                masks, cover = rest, found
+                masks, cover, above = rest, found, -(low << 1)
                 break
             union ^= low
         else:
@@ -282,6 +291,37 @@ def _lowest_outside(g: Graph, m: Matching, size: int) -> list[int]:
     return list(islice((i for i, e in enumerate(g.sorted_edges) if e not in m), size))
 
 
+def _four_cycle_bound(g: Graph, m: Matching, size: int) -> list[int]:
+    """A lower bound on m's lexicographically smallest cover, of ``size`` = af(G, m).
+
+    A free edge uw closes the m-alternating 4-cycle u-w-b-a-u, with a and
+    b the mates of u and w, when ab is an edge. Its free side {uw, ab}
+    is then one of a family of disjoint pairs, and every cover holds an
+    edge of each. The bound is the smaller edge of each pair, together
+    with the ``size`` - #pairs smallest other edges outside m; the proof
+    is in ``af_via_matchings``.
+    """
+    index = g.edge_index
+    mate = [0] * g.n
+    for u, v in m:
+        mate[u] = v
+        mate[v] = u
+    smaller: list[int] = []
+    other: list[int] = []
+    for i, (u, w) in enumerate(g.sorted_edges):
+        a, b = mate[u], mate[w]
+        if a == w:  # uw is in m
+            continue
+        j = index.get((a, b) if a < b else (b, a))
+        if j is not None and j > i:
+            smaller.append(i)
+        else:
+            other.append(i)
+    fill = size - len(smaller)
+    assert fill >= 0, "more disjoint alternating 4-cycles than af(G, m)"
+    return sorted(smaller + other[:fill])
+
+
 def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResult:
     """Minimum over perfect matchings of the free-edge hitting number.
 
@@ -297,13 +337,30 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
        smallest edge indices not in M. A cover of M is a ``value``-subset
        of the edges outside M, and the i-th smallest element of a subset
        is at least the i-th smallest of the whole set, so M's smallest
-       cover is at least L(M). The members are refined in order of
-       L(M), each against the witness so far, and the pass stops at the
-       first one whose L(M) exceeds it. That order is the enumeration
-       order reversed. The PMs come in lexicographic order, so the least
-       edge where a later PM differs from an earlier one is in the
-       earlier one and free in the later one: L of the later PM is no
-       larger.
+       cover is at least L(M), element by element. The members are
+       refined in order of L(M), each against the witness so far, and
+       the pass stops at the first one whose L(M) exceeds it. That order
+       is the enumeration order reversed. The PMs come in lexicographic
+       order, so the least edge where a later PM differs from an earlier
+       one is in the earlier one and free in the later one: L of the
+       later PM is no larger.
+
+       A member whose 4-cycle bound L4(M) exceeds the witness is skipped
+       before its cycle pass. A free edge uw lies on at most one
+       M-alternating 4-cycle, u-w-b-a-u with a and b the mates of u and
+       w, so the free sides {uw, ab} of these cycles are disjoint pairs,
+       and every cover holds an edge of each. Alternating cycles that
+       share no free edge need one cover edge each (Lei, Yeh and Zhang,
+       Discrete Appl. Math. 202, 2016), so there are at most ``value``
+       pairs. L4(M) is the
+       smaller edge of each pair, together with the ``value`` - #pairs
+       smallest other edges outside M. From M's smallest cover C, pick
+       one edge per pair, the smaller one whenever C holds it: each pick
+       is at least its pair's smaller edge, and the rest of C are edges
+       outside M that are no pair's smaller edge, so they are at least
+       the fill. Hence C is at least L4(M) element by element, and L4(M)
+       is at least L(M). L stays the stop: unlike L4, it only falls along
+       the visit order.
 
     The orbits come from the automorphism search in ``symmetry`` only
     when there are more PMs than vertices. The search costs about one
@@ -340,8 +397,11 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
         for i in reversed(range(len(pms))):
             if orbit[i] not in solved:
                 continue
-            if witness is not None and _lowest_outside(g, pms[i], best) > witness:
-                break
+            if witness is not None:
+                if _lowest_outside(g, pms[i], best) > witness:
+                    break
+                if _four_cycle_bound(g, pms[i], best) > witness:
+                    continue
             if i in solved:
                 masks, cover = solved[i]
             else:

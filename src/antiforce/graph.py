@@ -35,8 +35,11 @@ class Graph:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("vertex count must be non-negative")
+        if not _is_int(self.n) or self.n < 0:
+            raise ValueError(f"vertex count must be a non-negative integer, got {self.n!r}")
+        for u, v in self.edges:
+            if not (_is_int(u) and _is_int(v)):
+                raise ValueError(f"edge ({u!r},{v!r}) needs integer endpoints")
         norm = frozenset(edge(u, v) for u, v in self.edges)
         for u, v in norm:
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -62,6 +65,11 @@ class Graph:
     @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges))
+
+    @cached_property
+    def edge_index(self) -> dict[Edge, int]:
+        """Position of each edge in ``sorted_edges``: bit i of an edge mask is edge i."""
+        return {e: i for i, e in enumerate(self.sorted_edges)}
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge(u, v) in self.edges
@@ -214,6 +222,8 @@ def from_edgelist(text: str) -> Graph:
     if len(tokens) < 2:
         raise ValueError("edge list needs a header line 'n m'")
     n, m = int(tokens[0]), int(tokens[1])
+    if m < 0:
+        raise ValueError(f"edge count must be non-negative, got {m}")
     flat = tokens[2:]
     if len(flat) != 2 * m:
         raise ValueError(f"expected {m} edges as {2 * m} endpoint tokens, found {len(flat)}")

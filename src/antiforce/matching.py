@@ -207,7 +207,7 @@ def alternating_cycles(
     """
     if not is_perfect_matching(g, m):
         raise ValueError("alternating_cycles requires a perfect matching of g")
-    bit = {e: 1 << i for i, e in enumerate(g.sorted_edges)}
+    index = g.edge_index
     mate = [-1] * g.n
     for u, v in m:
         mate[u] = v
@@ -216,7 +216,11 @@ def alternating_cycles(
     # w-mate[w]. Matched edges are left out, so a path that gets back to
     # its start has closed a cycle of length >= 4.
     steps = [
-        [(w, mate[w], bit[edge(u, w)], bit[edge(w, mate[w])]) for w in nbrs if w != mate[u]]
+        [
+            (w, mate[w], 1 << index[edge(u, w)], 1 << index[edge(w, mate[w])])
+            for w in nbrs
+            if w != mate[u]
+        ]
         for u, nbrs in enumerate(g.adjacency)
     ]
     # blocked[v]: v is on the path, or v's matched edge was an earlier
@@ -227,5 +231,5 @@ def alternating_cycles(
     for s in range(g.n):
         if mate[s] > s:
             blocked[s] = blocked[mate[s]] = True
-            _extend(mate[s], s, bit[(s, mate[s])], 0, steps, blocked, tick, out)
+            _extend(mate[s], s, 1 << index[(s, mate[s])], 0, steps, blocked, tick, out)
     return out

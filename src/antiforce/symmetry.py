@@ -141,7 +141,7 @@ def pm_orbits(g: Graph, pms: Sequence[Matching], budget: Budget | None = None) -
     the matchings, so they all keep it.
     """
     edges = g.sorted_edges
-    index = {e: i for i, e in enumerate(edges)}
+    index = g.edge_index
     in_pm = [[index[e] for e in m] for m in pms]
     through = Counter(i for m in in_pm for i in m)
     colours = [

@@ -11,7 +11,7 @@ it after a deliberate change:
     python tests/criterion1_witnesses.py
     python tests/criterion1_witnesses.py --write
 
-Both solve all 99 instances, which takes about 7 s on a 2-core Xeon.
+Both solve all 99 instances, which takes about 2 s on a 2-core Xeon.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Run `pytest -v tests/test_acceptance.py` to get a pass/fail line per
 criterion.  Criterion 1 dominates the runtime (both solvers over the
 small-graph atlas plus every family instance with n <= 12, each
 solved witness compared against tests/goldens/criterion1_witnesses.json);
-the whole module finishes in about ten seconds on a 2-core Xeon.
+the whole module finishes in about 3 s on a 2-core Xeon.
 """
 
 import csv

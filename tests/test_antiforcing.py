@@ -25,7 +25,16 @@ from antiforce import (
     path,
     power,
 )
-from antiforce.antiforcing import _anti_forcing_sets, _lex_min_cover, _min_cover_size
+import antiforce.antiforcing
+from antiforce.antiforcing import (
+    _anti_forcing_sets,
+    _exists_cover,
+    _four_cycle_bound,
+    _free_masks,
+    _lex_min_cover,
+    _lowest_outside,
+    _min_cover_size,
+)
 from antiforce.matching import count_pms_excluding
 from conftest import graphs, random_connected_graph
 
@@ -282,6 +291,47 @@ def test_lex_refinement_from_smallest_cover_runs_no_search():
     assert budget.nodes == 0
     assert _lex_min_cover(masks, 3, bits([1, 3, 5]), budget) == [0, 2, 4]
     assert budget.nodes > 0
+
+
+def test_lex_refinement_searches_the_cut_sets(monkeypatch):
+    # Started from [0, 3, 5], the first pick, 0, is the cover's lowest
+    # bit and is taken without a search. The second is searched: 1 has
+    # no completion, and 2 is completed by 3. The sets 2 leaves are
+    # {3, 4} and {1, 3}; its search sees them cut to the bits above 2,
+    # and never branches on 1, which no completion uses.
+    masks = encode([{0, 4}, {2, 5}, {3, 4}, {1, 3}])
+    searched = []
+
+    def recorded(sets, k, budget):
+        searched.append((sorted(sets), k))
+        return _exists_cover(sets, k, budget)
+
+    monkeypatch.setattr(antiforce.antiforcing, "_exists_cover", recorded)
+    assert _lex_min_cover(masks, 3, bits([0, 3, 5]), None) == [0, 2, 3]
+    assert searched == [
+        (sorted([bits([2, 5]), bits([3, 4])]), 1),  # candidate 1
+        (sorted([bits([3]), bits([3, 4])]), 1),  # candidate 2
+        ([], 0),  # the search's own branch on 3
+    ]
+
+
+def test_four_cycle_bound_lies_between_the_cheap_bound_and_the_cover(atlas):
+    # L(M) <= L4(M) <= M's lexicographically smallest cover, elementwise.
+    raised = 0
+    for g in atlas:
+        for m in enumerate_perfect_matchings(g):
+            value = af_of_matching(g, m).af_of_m
+            masks = _free_masks(g, m, None)
+            smallest = _lex_min_cover(masks, value, _min_cover_size(masks, None)[1], None)
+            cheap = _lowest_outside(g, m, value)
+            bound = _four_cycle_bound(g, m, value)
+            assert len(cheap) == len(bound) == len(smallest) == value
+            assert all(a <= b <= c for a, b, c in zip(cheap, bound, smallest)), (
+                sorted(g.edges),
+                sorted(m),
+            )
+            raised += bound != cheap
+    assert raised
 
 
 set_systems = st.lists(

@@ -188,6 +188,12 @@ def test_af_rejects_malformed_json(text, monkeypatch, capsys):
     assert err.startswith("antiforce: ") and err.count("\n") == 1
 
 
+def test_af_rejects_negative_edge_count(monkeypatch, capsys):
+    rc, out, err = run_cli(["af"], "2 -1\n", monkeypatch, capsys)
+    assert rc == 1 and out == ""
+    assert err == "antiforce: edge count must be non-negative, got -1\n"
+
+
 def test_af_bad_budget(monkeypatch, capsys):
     rc, _, _ = run_cli(["af", "--budget", "x"], to_json(path(4)), monkeypatch, capsys)
     assert rc == 1

@@ -42,6 +42,29 @@ def test_graph_rejects_out_of_range():
         Graph(-1)
 
 
+@pytest.mark.parametrize(
+    "n,edges",
+    [
+        (2.0, {(0, 1)}),
+        (True, ()),
+        ("2", ()),
+        (None, ()),
+        (2, {(0.0, 1)}),
+        (2, {(0, True)}),
+        (2, {("0", 1)}),
+    ],
+)
+def test_graph_requires_integers(n, edges):
+    with pytest.raises(ValueError):
+        Graph(n, frozenset(edges))
+
+
+def test_edge_index_numbers_the_sorted_edges():
+    g = Graph(3, frozenset({(2, 0), (1, 2), (0, 1)}))
+    assert g.edge_index == {e: i for i, e in enumerate(g.sorted_edges)}
+    assert g.edge_index == {(0, 1): 0, (0, 2): 1, (1, 2): 2}
+
+
 def test_graph_label_validation():
     Graph(2, frozenset({(0, 1)}), ("a", "b"))
     with pytest.raises(ValueError):
@@ -178,6 +201,10 @@ def test_edgelist_rejects_bad_input():
         from_edgelist("3 2\n0 1\n1 0\n")
     with pytest.raises(ValueError, match="2 endpoint tokens, found 3"):
         from_edgelist("2 1\n0 1 extra\n")
+    with pytest.raises(ValueError, match="edge count must be non-negative"):
+        from_edgelist("2 -1\n")
+    with pytest.raises(ValueError, match="vertex count"):
+        from_edgelist("-2 0\n")
 
 
 def test_loads_sniffs_format():

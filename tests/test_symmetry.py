@@ -199,6 +199,7 @@ SHAPED = [
     prism(),
     cube(),
     two_k4(),
+    complete(8),
 ]
 
 
@@ -214,14 +215,33 @@ def test_shaped_graphs_mostly_reach_the_search():
     assert len(above) == len(SHAPED) - 2
 
 
-def test_orbits_save_cycle_passes(monkeypatch):
+def counting(monkeypatch, name):
+    """Count the calls the matching route makes to one of its functions."""
     calls = []
+    inner = getattr(antiforce.antiforcing, name)
 
-    def counted(g, m, budget=None):
-        calls.append(m)
-        return alternating_cycles(g, m, budget)
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
 
-    monkeypatch.setattr(antiforce.antiforcing, "alternating_cycles", counted)
-    g = complete(8)
-    assert af_via_matchings(g).value == 12
-    assert 0 < len(calls) < len(enumerate_perfect_matchings(g))
+    monkeypatch.setattr(antiforce.antiforcing, name, counted)
+    return calls
+
+
+def test_orbits_save_cycle_passes(monkeypatch):
+    # K_8's 105 matchings form one orbit: phase 1 makes one cycle pass.
+    # Phase 2 makes one more and refines that member, the last matching;
+    # the two other members it visits have a 4-cycle bound above that
+    # witness and are skipped before their cycle pass.
+    cycles = counting(monkeypatch, "alternating_cycles")
+    assert af_via_matchings(complete(8)).value == 12
+    assert len(cycles) == 2
+
+
+def test_four_cycle_bound_skips_refinements(monkeypatch):
+    # On K_10, phase 2 visits 15 of the 945 members of the one orbit, and
+    # skips all but the first by their 4-cycle bound.
+    cycles = counting(monkeypatch, "alternating_cycles")
+    refined = counting(monkeypatch, "_lex_min_cover")
+    assert af_via_matchings(complete(10)).value == 20
+    assert (len(cycles), len(refined)) == (2, 1)
