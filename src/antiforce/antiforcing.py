@@ -11,14 +11,16 @@ cross-check.
 
 Route two runs in two phases. Phase 1 proves the value on one perfect
 matching per automorphism orbit (see ``symmetry``), since af(G, M) is
-the same across an orbit. Phase 2 refines the lexicographically
-smallest witness over the members of the optimal orbits, in order of a
-cheap lower bound on each member's smallest cover, and stops once that
-bound passes the witness in hand. A sharper bound, from the member's
-alternating 4-cycles, skips a member before its cycle pass. The orbits
-are only searched for when there are more perfect matchings than
-vertices: the search costs about one refinement per vertex, which
-fewer matchings cannot pay back.
+the same across an orbit. It visits them in ascending order of their
+count of alternating 4-cycles, a lower bound on their value, and stops
+once that count passes the best value found. Phase 2 refines the
+lexicographically smallest witness over the members of the optimal
+orbits, in order of a cheap lower bound on each member's smallest cover,
+and stops once that bound passes the witness in hand. A sharper bound,
+from the member's alternating 4-cycles, skips a member before its cycle
+pass. The orbits are only searched for when there are more perfect
+matchings than vertices: the search costs about one refinement per
+vertex, which fewer matchings cannot pay back.
 
 Convention: a graph with no perfect matching gets af = |E| with an empty
 witness, tagged method "convention_no_pm".
@@ -291,15 +293,15 @@ def _lowest_outside(g: Graph, m: Matching, size: int) -> list[int]:
     return list(islice((i for i, e in enumerate(g.sorted_edges) if e not in m), size))
 
 
-def _four_cycle_bound(g: Graph, m: Matching, size: int) -> list[int]:
-    """A lower bound on m's lexicographically smallest cover, of ``size`` = af(G, m).
+def _four_cycle_pairs(g: Graph, m: Matching) -> tuple[list[int], list[int]]:
+    """The edges outside m, split by m-alternating 4-cycles.
 
     A free edge uw closes the m-alternating 4-cycle u-w-b-a-u, with a and
-    b the mates of u and w, when ab is an edge. Its free side {uw, ab}
-    is then one of a family of disjoint pairs, and every cover holds an
-    edge of each. The bound is the smaller edge of each pair, together
-    with the ``size`` - #pairs smallest other edges outside m; the proof
-    is in ``af_via_matchings``.
+    b the mates of u and w, when ab is an edge. Its free side {uw, ab} is
+    then one of a family of disjoint pairs, and every cover holds an edge
+    of each. Returns the smaller edge index of each pair, and the indices
+    of every other edge outside m, both ascending. The pair count is at
+    most af(G, m); the proof is in ``af_via_matchings``.
     """
     index = g.edge_index
     mate = [0] * g.n
@@ -317,6 +319,17 @@ def _four_cycle_bound(g: Graph, m: Matching, size: int) -> list[int]:
             smaller.append(i)
         else:
             other.append(i)
+    return smaller, other
+
+
+def _four_cycle_bound(g: Graph, m: Matching, size: int) -> list[int]:
+    """A lower bound on m's lexicographically smallest cover, of ``size`` = af(G, m).
+
+    The smaller edge of each alternating 4-cycle pair, together with the
+    ``size`` - #pairs smallest other edges outside m; the proof is in
+    ``af_via_matchings``.
+    """
+    smaller, other = _four_cycle_pairs(g, m)
     fill = size - len(smaller)
     assert fill >= 0, "more disjoint alternating 4-cycles than af(G, m)"
     return sorted(smaller + other[:fill])
@@ -329,8 +342,21 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     solve runs in two phases:
 
     1. The value is the minimum over one representative per orbit, the
-       first PM of each. A pass over them keeps the best value so far,
-       and drops a PM as soon as its value is known to exceed it.
+       first PM of each. A free edge uw lies on at most one M-alternating
+       4-cycle, u-w-b-a-u with a and b the mates of u and w, so the free
+       sides {uw, ab} of these cycles are disjoint pairs, and every cover
+       holds an edge of each. Alternating cycles that share no free edge
+       need one cover edge each (Lei, Yeh and Zhang, Discrete Appl. Math.
+       202, 2016), so M's pair count p(M) is at most af(G, M). The
+       representatives are visited in ascending order of (p(M), index),
+       keeping the best value so far; a PM is dropped as soon as its
+       value is known to exceed it, and the pass stops at the first
+       representative whose p(M) exceeds it, since it and every later
+       one have af(G, M) >= p(M) > best. An optimal representative has
+       p(M) <= value <= best, so each is still solved, to the same cover.
+       The order is what makes the stop bite: the first PMs in
+       enumeration order tend to have high values, and a low best comes
+       early from the PMs with few pairs.
     2. The reported witness is the lexicographically smallest cover over
        every optimal PM, so repeated runs agree byte for byte. Only the
        members of optimal orbits can give it. Let L(M) be the ``value``
@@ -346,21 +372,14 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
        later PM is no larger.
 
        A member whose 4-cycle bound L4(M) exceeds the witness is skipped
-       before its cycle pass. A free edge uw lies on at most one
-       M-alternating 4-cycle, u-w-b-a-u with a and b the mates of u and
-       w, so the free sides {uw, ab} of these cycles are disjoint pairs,
-       and every cover holds an edge of each. Alternating cycles that
-       share no free edge need one cover edge each (Lei, Yeh and Zhang,
-       Discrete Appl. Math. 202, 2016), so there are at most ``value``
-       pairs. L4(M) is the
-       smaller edge of each pair, together with the ``value`` - #pairs
-       smallest other edges outside M. From M's smallest cover C, pick
-       one edge per pair, the smaller one whenever C holds it: each pick
-       is at least its pair's smaller edge, and the rest of C are edges
-       outside M that are no pair's smaller edge, so they are at least
-       the fill. Hence C is at least L4(M) element by element, and L4(M)
-       is at least L(M). L stays the stop: unlike L4, it only falls along
-       the visit order.
+       before its cycle pass. L4(M) is the smaller edge of each 4-cycle
+       pair, together with the ``value`` - p(M) smallest other edges
+       outside M. From M's smallest cover C, pick one edge per pair, the
+       smaller one whenever C holds it: each pick is at least its pair's
+       smaller edge, and the rest of C are edges outside M that are no
+       pair's smaller edge, so they are at least the fill. Hence C is at
+       least L4(M) element by element, and L4(M) is at least L(M). L
+       stays the stop: unlike L4, it only falls along the visit order.
 
     The orbits come from the automorphism search in ``symmetry`` only
     when there are more PMs than vertices. The search costs about one
@@ -378,10 +397,13 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     solved: dict[int, tuple[list[int], int]] = {}  # optimal representative: masks, cover
     try:
         orbit = pm_orbits(g, pms, budget) if len(pms) > g.n else range(len(pms))
-        for i, m in enumerate(pms):
-            if orbit[i] != i:
-                continue
-            masks = _free_masks(g, m, budget)
+        order = sorted(
+            (len(_four_cycle_pairs(g, m)[0]), i) for i, m in enumerate(pms) if orbit[i] == i
+        )
+        for p, i in order:
+            if best is not None and p > best:
+                break
+            masks = _free_masks(g, pms[i], budget)
             found = _min_cover_size(masks, budget, None if best is None else best + 1)
             if found is None:
                 continue

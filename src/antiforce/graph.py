@@ -37,10 +37,16 @@ class Graph:
     def __post_init__(self) -> None:
         if not _is_int(self.n) or self.n < 0:
             raise ValueError(f"vertex count must be a non-negative integer, got {self.n!r}")
-        for u, v in self.edges:
-            if not (_is_int(u) and _is_int(v)):
-                raise ValueError(f"edge ({u!r},{v!r}) needs integer endpoints")
-        norm = frozenset(edge(u, v) for u, v in self.edges)
+        try:
+            pairs = [tuple(e) for e in self.edges]
+        except TypeError:
+            raise ValueError(f"edges must be a collection of pairs, got {self.edges!r}") from None
+        for e in pairs:
+            if len(e) != 2:
+                raise ValueError(f"edge {e!r} is not a pair")
+            if not (_is_int(e[0]) and _is_int(e[1])):
+                raise ValueError(f"edge ({e[0]!r},{e[1]!r}) needs integer endpoints")
+        norm = frozenset(edge(u, v) for u, v in pairs)
         for u, v in norm:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")

@@ -10,6 +10,8 @@ the same colour map each individualised vertex to its counterpart.
 
 Every permutation is checked against the edges before it is kept, so a
 missed generator only splits an orbit: the orbits are never too coarse.
+The perfect-matching orbits are closed from the generators by a search
+over the matchings, which stops once every matching is placed.
 """
 
 from __future__ import annotations
@@ -138,7 +140,12 @@ def pm_orbits(g: Graph, pms: Sequence[Matching], budget: Budget | None = None) -
 
     The search starts from the colouring that gives each vertex the
     sorted counts of matchings through its edges: automorphisms permute
-    the matchings, so they all keep it.
+    the matchings, so they all keep it. The orbits are then closed one at
+    a time: from each matching not yet placed, in index order, a stack
+    search maps the matchings it reaches through every generator and
+    labels them with its index, which is the least of its orbit. It stops
+    once every matching is placed, and charges the budget one node per
+    matching it expands.
     """
     edges = g.sorted_edges
     index = g.edge_index
@@ -147,10 +154,27 @@ def pm_orbits(g: Graph, pms: Sequence[Matching], budget: Budget | None = None) -
     colours = [
         sorted(through[index[edge(u, w)]] for w in nbrs) for u, nbrs in enumerate(g.adjacency)
     ]
+    gens = automorphism_generators(g, colours, budget)
+    if not gens:
+        return list(range(len(pms)))
+    moves = [[1 << index[edge(perm[u], perm[v])] for u, v in edges] for perm in gens]
     at = {sum(1 << i for i in m): k for k, m in enumerate(in_pm)}
-    first = list(range(len(pms)))
-    for perm in automorphism_generators(g, colours, budget):
-        moved = [1 << index[edge(perm[u], perm[v])] for u, v in edges]
-        for k, m in enumerate(in_pm):
-            _join(first, k, at[sum(moved[i] for i in m)])
-    return [_root(first, k) for k in range(len(pms))]
+    tick = budget.tick if budget is not None else _no_tick
+    first = [-1] * len(pms)
+    unplaced = len(pms)
+    for k in range(len(pms)):
+        if first[k] >= 0:
+            continue
+        first[k] = k
+        unplaced -= 1
+        stack = [k]
+        while stack and unplaced:
+            tick()
+            m = in_pm[stack.pop()]
+            for moved in moves:
+                image = at[sum(map(moved.__getitem__, m))]
+                if first[image] < 0:
+                    first[image] = k
+                    unplaced -= 1
+                    stack.append(image)
+    return first

@@ -11,12 +11,14 @@ it after a deliberate change:
     python tests/criterion1_witnesses.py
     python tests/criterion1_witnesses.py --write
 
-Both solve all 99 instances, which takes about 2 s on a 2-core Xeon.
+Both solve all 99 instances and print the seconds spent solving, about
+1 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 from antiforce import Budget, BudgetExceededError, af_via_matchings, build, power
@@ -61,16 +63,20 @@ def load_pin() -> dict[str, list]:
     return json.loads(PIN.read_text())
 
 
-def solve_all() -> dict[str, list]:
-    """Pin entries of every instance solved within its budget."""
+def solve_all() -> tuple[dict[str, list], float]:
+    """Pin entries of every instance solved within its budget, and the seconds spent solving."""
     out = {}
+    seconds = 0.0
     for fam, k, m, g in family_instances():
+        start = time.perf_counter()
         try:
             r = af_via_matchings(g, instance_budget())
         except BudgetExceededError:
             continue
+        finally:
+            seconds += time.perf_counter() - start
         out[instance_name(fam, k, m)] = pin_entry(r.value, r.witness)
-    return out
+    return out, seconds
 
 
 def dump(entries: dict[str, list]) -> str:
@@ -84,10 +90,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--write", action="store_true", help="rewrite the pin")
     args = parser.parse_args(argv)
-    entries = solve_all()
+    entries, seconds = solve_all()
     if args.write:
         PIN.write_text(dump(entries))
-        print(f"wrote {PIN} ({len(entries)} instances)")
+        print(f"wrote {PIN} ({len(entries)} instances, solved in {seconds:.2f} s)")
         return 0
     pin = load_pin()
     missing = [name for name in entries if name not in pin]
@@ -97,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
     for name in differ:
         print(f"{name}: differs")
     print(
-        f"{len(entries)} solved, {len(differ)} differ from the pin, "
+        f"{len(entries)} solved in {seconds:.2f} s, {len(differ)} differ from the pin, "
         f"{len(missing)} not pinned"
     )
     return 1 if missing or differ else 0

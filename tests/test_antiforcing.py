@@ -30,6 +30,7 @@ from antiforce.antiforcing import (
     _anti_forcing_sets,
     _exists_cover,
     _four_cycle_bound,
+    _four_cycle_pairs,
     _free_masks,
     _lex_min_cover,
     _lowest_outside,
@@ -316,11 +317,13 @@ def test_lex_refinement_searches_the_cut_sets(monkeypatch):
 
 
 def test_four_cycle_bound_lies_between_the_cheap_bound_and_the_cover(atlas):
-    # L(M) <= L4(M) <= M's lexicographically smallest cover, elementwise.
+    # L(M) <= L4(M) <= M's lexicographically smallest cover, elementwise,
+    # and the pair count p(M) that orders phase 1 is at most af(G, M).
     raised = 0
     for g in atlas:
         for m in enumerate_perfect_matchings(g):
             value = af_of_matching(g, m).af_of_m
+            assert len(_four_cycle_pairs(g, m)[0]) <= value
             masks = _free_masks(g, m, None)
             smallest = _lex_min_cover(masks, value, _min_cover_size(masks, None)[1], None)
             cheap = _lowest_outside(g, m, value)

@@ -59,6 +59,12 @@ def test_graph_requires_integers(n, edges):
         Graph(n, frozenset(edges))
 
 
+@pytest.mark.parametrize("edges", [frozenset({1}), None, [(0, 1, 2)]])
+def test_graph_requires_pairs(edges):
+    with pytest.raises(ValueError, match="pair"):
+        Graph(2, edges)
+
+
 def test_edge_index_numbers_the_sorted_edges():
     g = Graph(3, frozenset({(2, 0), (1, 2), (0, 1)}))
     assert g.edge_index == {e: i for i, e in enumerate(g.sorted_edges)}

@@ -1,12 +1,14 @@
 """The automorphism layer, and the orbit-reduced matching route built on it.
 
-Group orders are checked against networkx's VF2 matcher. The reduced
-route is checked against an unreduced reference written here: every
-perfect matching solved, the lexicographically smallest witness taken
-over every optimal one.
+Group orders are checked against networkx's VF2 matcher, and the
+perfect-matching orbits against a union-find reference written here. The
+reduced route is checked against an unreduced reference written here:
+every perfect matching solved, the lexicographically smallest witness
+taken over every optimal one.
 """
 
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -14,6 +16,8 @@ from networkx.algorithms.isomorphism import GraphMatcher
 
 import antiforce.antiforcing
 from antiforce import (
+    Budget,
+    BudgetExceededError,
     Graph,
     af_of_matching,
     af_via_matchings,
@@ -27,7 +31,7 @@ from antiforce import (
     power,
 )
 from antiforce.antiforcing import _lex_min_cover, _min_cover_size
-from antiforce.symmetry import automorphism_generators, pm_orbits
+from antiforce.symmetry import _join, _root, automorphism_generators, pm_orbits
 from conftest import graph_to_nx, random_connected_graph
 from criterion1_witnesses import family_instances
 
@@ -143,6 +147,48 @@ def test_pm_orbit_members_share_their_representatives_value(g):
         assert af_of_matching(g, m).af_of_m == af_of_matching(g, pms[rep]).af_of_m
 
 
+def pm_orbits_union_find(g, pms):
+    """pm_orbits by joining every matching with its image under every generator."""
+    edges = g.sorted_edges
+    index = g.edge_index
+    in_pm = [[index[e] for e in m] for m in pms]
+    through = Counter(i for m in in_pm for i in m)
+    colours = [
+        sorted(through[index[edge(u, w)]] for w in nbrs) for u, nbrs in enumerate(g.adjacency)
+    ]
+    at = {sum(1 << i for i in m): k for k, m in enumerate(in_pm)}
+    first = list(range(len(pms)))
+    for perm in automorphism_generators(g, colours):
+        moved = [1 << index[edge(perm[u], perm[v])] for u, v in edges]
+        for k, m in enumerate(in_pm):
+            _join(first, k, at[sum(moved[i] for i in m)])
+    return [_root(first, k) for k in range(len(pms))]
+
+
+def test_orbit_closure_matches_union_find(atlas):
+    # On every graph above the gate: more perfect matchings than vertices.
+    checked = 0
+    for g in [*atlas, *SHAPED, complete(10)]:
+        pms = enumerate_perfect_matchings(g)
+        if len(pms) > g.n:
+            assert pm_orbits(g, pms) == pm_orbits_union_find(g, pms), sorted(g.edges)
+            checked += 1
+    assert checked > len(SHAPED)
+
+
+def test_orbit_closure_charges_the_budget():
+    # The generator search alone fits in the budget; the closure's second
+    # expanded matching does not.
+    g = complete(8)
+    pms = enumerate_perfect_matchings(g)
+    search = Budget()
+    automorphism_generators(g, [0] * g.n, search)  # pm_orbits' colouring of K_8 is uniform too
+    with pytest.raises(BudgetExceededError) as exc:
+        pm_orbits(g, pms, Budget(max_nodes=search.nodes + 1))
+    assert exc.traceback[-2].name == "pm_orbits"
+    assert exc.value.nodes_used == search.nodes + 2
+
+
 def unreduced(g):
     """Value and witness from every PM: the route with no orbits and no bound."""
     solved = []
@@ -245,3 +291,13 @@ def test_four_cycle_bound_skips_refinements(monkeypatch):
     refined = counting(monkeypatch, "_lex_min_cover")
     assert af_via_matchings(complete(10)).value == 20
     assert (len(cycles), len(refined)) == (2, 1)
+
+
+def test_phase_one_stops_at_pair_count(monkeypatch):
+    # P_10^4 has 57 orbit representatives. Two have 6 alternating 4-cycle
+    # pairs and the rest more. The first of the two has the optimal value
+    # 6, so phase 1 makes 2 cycle passes, where in index order it made
+    # 57; phase 2 makes one more.
+    cycles = counting(monkeypatch, "alternating_cycles")
+    assert af_via_matchings(power(path(10), 4)).value == 6
+    assert len(cycles) == 3
