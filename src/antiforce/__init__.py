@@ -3,11 +3,9 @@
 from .antiforcing import (
     AntiForcingResult,
     MatchingAnalysis,
-    NoPerfectMatchingError,
     af_of_matching,
     af_subset_search,
     af_via_matchings,
-    forcing_number,
     is_anti_forcing_set,
 )
 from .budget import Budget, BudgetExceededError
@@ -60,7 +58,6 @@ from .harness import (
     evaluate_formula,
     parse_range,
     run_edge_count_audit,
-    run_monotonicity_check,
     run_sweep,
 )
 from .matching import (

@@ -1,13 +1,13 @@
-"""Anti-forcing and forcing numbers via two independent exact routes.
+"""Anti-forcing numbers via two independent exact routes.
 
 Route one (af_subset_search) is the definition itself: iterative
 deepening over edge subsets S, where S is anti-forcing exactly when one
 perfect matching is disjoint from it. Route two (af_via_matchings)
 minimizes, over perfect matchings M, the smallest set of non-M edges
-meeting every M-alternating cycle; forcing numbers use the matched-edge
-side of the same cycles. The two routes share nothing past the
-enumeration of perfect matchings, so their agreement is a meaningful
-cross-check.
+meeting every M-alternating cycle; af_of_matching also gives the
+forcing number of M, from the matched-edge side of the same cycles.
+The two routes share nothing past the enumeration of perfect matchings,
+so their agreement is a meaningful cross-check.
 
 Route two runs in two phases. Phase 1 proves the value on one perfect
 matching per automorphism orbit (see ``symmetry``), since af(G, M) is
@@ -44,10 +44,6 @@ from .matching import (
 from .symmetry import pm_orbits
 
 Method = Literal["subset_search", "via_matchings", "convention_no_pm"]
-
-
-class NoPerfectMatchingError(Exception):
-    """Raised by operations that require at least one perfect matching."""
 
 
 @dataclass(frozen=True)
@@ -439,18 +435,3 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     edges = g.sorted_edges
     return AntiForcingResult(best, frozenset(edges[i] for i in witness), "via_matchings")
 
-
-def forcing_number(g: Graph, budget: Budget | None = None) -> int:
-    """Minimum forcing number over all perfect matchings."""
-    pms = enumerate_perfect_matchings(g, budget=budget)
-    if not pms:
-        raise NoPerfectMatchingError("forcing number needs a perfect matching")
-    best: int | None = None
-    for m in pms:
-        cycles = alternating_cycles(g, m, budget)
-        masks = sorted({c for c, _ in cycles}, key=int.bit_count)
-        found = _min_cover_size(masks, budget, best)
-        if found is not None:
-            best = found[0]
-    assert best is not None
-    return best

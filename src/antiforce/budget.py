@@ -48,7 +48,7 @@ class Budget:
     _deadline: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
-        if self.max_nodes <= 0 or self.max_seconds <= 0:
+        if not (self.max_nodes > 0 and self.max_seconds > 0):  # rejects NaN too
             raise ValueError("budget caps must be positive")
         self.start()
 

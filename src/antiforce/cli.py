@@ -16,14 +16,13 @@ from dataclasses import replace
 
 from . import graph as graphio
 from .antiforcing import af_subset_search, af_via_matchings
-from .budget import Budget, BudgetExceededError, default_budget, parse_budget
+from .budget import BudgetExceededError, default_budget, parse_budget
 from .families import FAMILIES, build
 from .formulas import BoundPair, FormulaResult
 from .graph import power
 from .harness import (
     COLUMNS,
     DEFAULT_CROSS_CHECK_N_LIMIT,
-    DEFAULT_ORACLE_N_LIMIT,
     STATUSES,
     InternalInvariantError,
     default_sweep_spec,
@@ -81,7 +80,6 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--k-range", type=str, default=None, metavar="A[:B[:STEP]]")
     p_verify.add_argument("--m-range", type=str, default=None, metavar="A[:B[:STEP]]")
     p_verify.add_argument("--budget", type=str, default=None, metavar="NODES[:SECONDS]")
-    p_verify.add_argument("--oracle-n-limit", type=int, default=DEFAULT_ORACLE_N_LIMIT)
     p_verify.add_argument(
         "--cross-check-n-limit", type=int, default=DEFAULT_CROSS_CHECK_N_LIMIT
     )
@@ -183,7 +181,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         m_values=parse_range(args.m_range) if args.m_range else default.m_values,
         budget_nodes=budget.max_nodes,
         budget_seconds=budget.max_seconds,
-        oracle_n_limit=args.oracle_n_limit,
         cross_check_n_limit=args.cross_check_n_limit,
     )
     records = run_sweep(spec, workers=args.workers)
@@ -245,6 +242,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"antiforce: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError as exc:
+        print(f"antiforce: input too deep: {exc}", file=sys.stderr)
         return 1
     except BudgetExceededError as exc:
         bounds = []

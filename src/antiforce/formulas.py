@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-KINDS = ("exact", "lower_bound", "upper_bound", "edge_count")
+KINDS = ("exact", "edge_count")
 IN_RANGE = "in_range"
 OUT_OF_RANGE = "out_of_range"
 

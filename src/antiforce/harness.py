@@ -40,7 +40,7 @@ from .formulas import (
     af_path_power,
     af_triangular_chain_power,
 )
-from .graph import Graph, power
+from .graph import power
 
 STATUSES = (
     "MATCH",
@@ -67,7 +67,6 @@ COLUMNS = (
 
 EVEN_K_FAMILIES = frozenset({"ortho-chain", "para-chain"})
 
-DEFAULT_ORACLE_N_LIMIT = 14
 DEFAULT_CROSS_CHECK_N_LIMIT = 8
 
 
@@ -179,12 +178,11 @@ class SweepSpec:
     m_values: tuple[int, ...]
     budget_nodes: int = DEFAULT_MAX_NODES
     budget_seconds: float = DEFAULT_MAX_SECONDS
-    oracle_n_limit: int = DEFAULT_ORACLE_N_LIMIT
     cross_check_n_limit: int = DEFAULT_CROSS_CHECK_N_LIMIT
 
     def __post_init__(self) -> None:
-        if not self.k_values or not self.m_values:
-            raise ValueError("sweep ranges must be non-empty")
+        if not self.points():
+            raise ValueError(f"sweep of {self.family} has no points (chains take even k only)")
         self.budget()  # Budget rejects caps that are not positive
 
     def budget(self) -> Budget:
@@ -238,14 +236,10 @@ def sweep_point(spec: SweepSpec, k: int, m: int) -> VerificationRecord:
         case = "n/a"
         applicability = OUT_OF_RANGE
 
-    # Odd-order graphs bypass the size limit: the no-PM convention value
-    # is an edge count, there is nothing to search.
-    result = None
-    if g.n % 2 or g.n <= spec.oracle_n_limit:
-        try:
-            result = af_via_matchings(g, spec.budget())
-        except BudgetExceededError:
-            pass
+    try:
+        result = af_via_matchings(g, spec.budget())
+    except BudgetExceededError:
+        result = None
     oracle = None if result is None else result.value
 
     if oracle is not None and g.n <= spec.cross_check_n_limit:
@@ -297,57 +291,6 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[VerificationRecord]:
         return [point(k, m) for k, m in points]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(point, *zip(*points)))
-
-
-def run_monotonicity_check(
-    g: Graph,
-    m_max: int,
-    budget_nodes: int = DEFAULT_MAX_NODES,
-    budget_seconds: float = DEFAULT_MAX_SECONDS,
-    name: str = "graph",
-) -> list[VerificationRecord]:
-    """Check af(g^m) is non-decreasing in m, via the oracle alone.
-
-    Each row grades af(g^m) against the last successfully computed
-    previous value as a lower bound; budget-starved rows are SKIPPED and
-    later rows fall back to the last value that is known.
-    """
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    records: list[VerificationRecord] = []
-    last_known: int | None = None
-    for m in range(1, m_max + 1):
-        gm = power(g, m)
-        try:
-            value: int | None = af_via_matchings(
-                gm, Budget(max_nodes=budget_nodes, max_seconds=budget_seconds)
-            ).value
-        except BudgetExceededError:
-            value = None
-        if value is None:
-            status = "SKIPPED"
-        elif last_known is None or value >= last_known:
-            status = "WITHIN_BOUNDS"
-        else:
-            status = "BOUND_VIOLATION"
-        records.append(
-            VerificationRecord(
-                family=name,
-                k=g.n,
-                m=m,
-                n=g.n,
-                formula_value=None,
-                formula_case="monotonicity",
-                applicability=IN_RANGE,
-                oracle_value=value,
-                bound_lower=Fraction(last_known) if last_known is not None else None,
-                bound_upper=None,
-                status=status,
-            )
-        )
-        if value is not None:
-            last_known = value
-    return records
 
 
 def run_edge_count_audit(

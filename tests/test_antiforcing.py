@@ -10,14 +10,12 @@ from antiforce import (
     Budget,
     BudgetExceededError,
     Graph,
-    NoPerfectMatchingError,
     af_of_matching,
     af_subset_search,
     af_via_matchings,
     complete,
     cycle,
     enumerate_perfect_matchings,
-    forcing_number,
     friendship,
     has_unique_perfect_matching,
     is_anti_forcing_set,
@@ -122,16 +120,6 @@ def test_matching_level_numbers_hexagon():
     analysis = af_of_matching(g, m)
     assert analysis.af_of_m == 1 and analysis.f_of_m == 1
     assert analysis.matching == m
-
-
-def test_forcing_number():
-    assert forcing_number(complete(4)) == 1
-    assert forcing_number(cycle(6)) == 1
-    assert forcing_number(path(6)) == 0
-    with pytest.raises(NoPerfectMatchingError):
-        forcing_number(path(3))
-    with pytest.raises(NoPerfectMatchingError):
-        forcing_number(friendship(1))
 
 
 def test_subset_search_budget_carries_lower_bound(k8_subset_search):

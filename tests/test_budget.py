@@ -50,7 +50,7 @@ def test_parse_budget_forms():
     assert b.max_nodes == 500 and b.max_seconds == 2.5
 
 
-@pytest.mark.parametrize("text", ["", ":", "a", "1:2:3", "5:x"])
+@pytest.mark.parametrize("text", ["", ":", "a", "1:2:3", "5:x", "100:nan"])
 def test_parse_budget_rejects(text):
     with pytest.raises(ValueError):
         parse_budget(text)

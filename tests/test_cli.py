@@ -2,13 +2,15 @@ import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antiforce import Budget, af_via_matchings, to_json
 from antiforce.cli import main
 from antiforce.families import complete, cycle, path
-from antiforce.graph import power
 from antiforce.harness import COLUMNS, InternalInvariantError
 from conftest import complete_joined_to_star
 
@@ -199,6 +201,88 @@ def test_af_bad_budget(monkeypatch, capsys):
     assert rc == 1
 
 
+DEEP_JSON = '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+@pytest.mark.parametrize("argv", [["af"], ["report", "--format", "csv"]])
+def test_deeply_nested_json_exits_1(argv, monkeypatch, capsys):
+    rc, out, err = run_cli(argv, DEEP_JSON, monkeypatch, capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("antiforce: input too deep") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["pm", "--count"], ["af"]])
+def test_long_even_graph_exits_1(argv, monkeypatch, capsys):
+    # The matching searches recurse once per matched edge.
+    rc, out, err = run_cli(argv, to_json(path(2400)), monkeypatch, capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("antiforce: input too deep") and err.count("\n") == 1
+
+
+def _run_in_process(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+    finally:
+        sys.stdin = stdin
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _declares_small_order(text):
+    """False when text parses as a graph header of more than 64 vertices."""
+    try:
+        if text.lstrip().startswith("{"):
+            n = json.loads(text)["n"]
+        else:
+            n = int(text.split()[0])
+    except Exception:
+        return True
+    return not isinstance(n, int) or n <= 64
+
+
+_SMALL_INTS = st.integers(-1, 16)
+_ATOMS = st.none() | st.booleans() | _SMALL_INTS | st.floats(-5, 70) | st.text(max_size=4)
+_INT_PAIRS = st.lists(_SMALL_INTS, min_size=2, max_size=2)
+_PAIRS = st.lists(_INT_PAIRS, max_size=12) | st.lists(
+    _INT_PAIRS | st.lists(_ATOMS, min_size=1, max_size=3), max_size=6
+)
+_ORDERS = st.integers(0, 20) | st.integers(-1, 64)
+_EDGE_LISTS = st.builds(
+    lambda n, pairs, skew: f"{n} {len(pairs) + skew}\n"
+    + "\n".join(" ".join(map(str, p)) for p in pairs),
+    _ORDERS,
+    _PAIRS,
+    st.sampled_from([0, 0, 0, 1, -1]),
+)
+_JSON_VALUES = st.recursive(
+    _ATOMS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(["n", "edges", "labels", "0", "1"]), inner, max_size=4),
+    max_leaves=24,
+)
+_JSON_DOCS = st.one_of(
+    _JSON_VALUES,
+    st.fixed_dictionaries(
+        {"n": _ORDERS | _ATOMS, "edges": _PAIRS}, optional={"labels": _JSON_VALUES}
+    ),
+).map(json.dumps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    argv=st.sampled_from([["af", "--budget", "20000:1"], ["pm", "--count"], ["power", "--m", "2"]]),
+    text=st.one_of(st.text(max_size=200), _EDGE_LISTS, _JSON_DOCS).filter(_declares_small_order),
+)
+def test_cli_fuzz_exits_cleanly(argv, text):
+    rc, _, err = _run_in_process(argv, text)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
+    if rc == 1:
+        assert err.startswith("antiforce: ") and err.count("\n") == 1
+
+
 def test_formula_path(capsys):
     rc = main(["formula", "path", "--k", "6", "--m", "3"])
     out, _ = capsys.readouterr()
@@ -268,6 +352,21 @@ def test_verify_default_ranges(capsys):
     assert rc == 0
     # Defaults: k 1..4, m {2,3}.
     assert len(out.splitlines()) == 9
+
+
+def test_verify_decides_large_even_rows(capsys):
+    rc = main(["verify", "path", "--k-range", "16", "--m-range", "2", "--format", "json"])
+    out, _ = capsys.readouterr()
+    [doc] = json.loads(out)
+    assert rc == 0 and doc["oracle_value"] == 4 and doc["status"] == "MISMATCH"
+    assert main(["verify", "path", "--oracle-n-limit", "4"]) == 1
+
+
+def test_verify_sweep_without_points_exits_1(capsys):
+    rc = main(["verify", "ortho-chain", "--k-range", "3:5:2"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert "no points" in err and err.count("\n") == 1
 
 
 def test_verify_workers_validation(capsys):

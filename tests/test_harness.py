@@ -10,12 +10,10 @@ from antiforce import (
     VerificationRecord,
     check_closed_form_consistency,
     classify_status,
-    cycle,
     emit_report,
     evaluate_formula,
     parse_range,
     run_edge_count_audit,
-    run_monotonicity_check,
     run_sweep,
 )
 from antiforce.formulas import IN_RANGE, OUT_OF_RANGE, af_para_power
@@ -150,6 +148,8 @@ def test_sweep_spec_points_filters_odd_k():
     assert spec.points() == [(2, 2), (3, 2)]
     with pytest.raises(ValueError):
         SweepSpec(family="path", k_values=(), m_values=(2,))
+    with pytest.raises(ValueError, match="no points"):
+        SweepSpec(family="ortho-chain", k_values=(3, 5), m_values=(2,))
     with pytest.raises(ValueError):
         SweepSpec(family="path", k_values=(2,), m_values=(2,), budget_nodes=0)
 
@@ -193,7 +193,8 @@ def test_sweep_point_friendship_match():
 
 
 def test_sweep_point_skips_over_limit():
-    rec = _point("path", 10, 2, oracle_n_limit=4)
+    # The node budget is the only limit: a row is SKIPPED when it runs out.
+    rec = _point("path", 10, 2, budget_nodes=1)
     assert rec.status == "SKIPPED"
     assert rec.oracle_value is None
     assert rec.as_row()[7] == "skipped(budget)"
@@ -201,7 +202,7 @@ def test_sweep_point_skips_over_limit():
 
 def test_sweep_point_odd_order_bypasses_limit():
     # Odd n: the convention value needs no search, so no skip.
-    rec = _point("friendship", 3, 2, oracle_n_limit=2)
+    rec = _point("friendship", 3, 2, budget_nodes=1)
     assert rec.status == "MATCH" and rec.oracle_value == 21
 
 
@@ -233,23 +234,6 @@ def test_unverifiable_witness_raises_on_every_solved_row(monkeypatch):
 def test_run_sweep_workers_agree():
     spec = SweepSpec(family="path", k_values=(2, 3, 4), m_values=(2, 3))
     assert run_sweep(spec, workers=1) == run_sweep(spec, workers=2)
-
-
-def test_monotonicity_check():
-    records = run_monotonicity_check(cycle(6), 3)
-    assert [r.oracle_value for r in records] == [1, 4, 6]
-    assert all(r.status == "WITHIN_BOUNDS" for r in records)
-    assert records[0].bound_lower is None
-    assert records[1].bound_lower == Fraction(1)
-    assert records[2].formula_case == "monotonicity"
-    with pytest.raises(ValueError):
-        run_monotonicity_check(cycle(6), 0)
-
-
-def test_monotonicity_budget_skips():
-    records = run_monotonicity_check(cycle(8), 2, budget_nodes=1)
-    assert all(r.status == "SKIPPED" for r in records)
-    assert all(r.oracle_value is None for r in records)
 
 
 def test_edge_count_audit_tri_chain():
