@@ -2,10 +2,14 @@
 
 Route one (af_subset_search) is the definition itself: iterative
 deepening over edge subsets S, where S is anti-forcing exactly when one
-perfect matching is disjoint from it. Route two (af_via_matchings)
-minimizes, over perfect matchings M, the smallest set of non-M edges
-meeting every M-alternating cycle; af_of_matching also gives the
-forcing number of M, from the matched-edge side of the same cycles.
+perfect matching is disjoint from it. The matchings S leaves are one
+bitset over their enumeration indices, and adding an edge to S clears
+the bits of the matchings holding it, one precomputed mask per edge.
+The search tree is the one a rescan of the list of surviving matchings
+walks, node for node. Route two (af_via_matchings) minimizes, over
+perfect matchings M, the smallest set of non-M edges meeting every
+M-alternating cycle; af_of_matching also gives the forcing number of
+M, from the matched-edge side of the same cycles.
 The two routes share nothing past the enumeration of perfect matchings,
 so their agreement is a meaningful cross-check.
 
@@ -76,31 +80,39 @@ def is_anti_forcing_set(g: Graph, s: frozenset[Edge] | set[Edge]) -> bool:
 
 
 def _anti_forcing_sets(
-    pms: list[int],
+    masks: list[int],
+    holding: list[int],
+    alive: int,
     removed: int,
     forbidden: int,
     left: int,
     tick: Callable[[], None],
     found: list[int],
 ) -> None:
-    # pms: the perfect matchings disjoint from removed, at least one.
-    # Module-level, not a closure: a closure that calls itself is a
-    # reference cycle, left behind for the cyclic collector.
+    # alive: bit j set for each perfect matching masks[j] disjoint from
+    # removed, at least one; holding[i]: bit j set when masks[j] holds
+    # edge i. Module-level, not a closure: a closure that calls itself is
+    # a reference cycle, left behind for the cyclic collector.
     tick()
-    if len(pms) == 1:
+    rest = alive & (alive - 1)
+    if not rest:
         found.append(removed)
         return
     if not left:
         return
-    # An anti-forcing set containing removed must hit pms[0] or pms[1];
-    # branching on its smallest edge there, the edges tried before it are
-    # forbidden below, so each set is reached once.
-    branch = (pms[0] | pms[1]) & ~forbidden
+    # An anti-forcing set containing removed must hit the first or second
+    # surviving matching; branching on its smallest edge there, the edges
+    # tried before it are forbidden below, so each set is reached once.
+    first = (alive ^ rest).bit_length() - 1
+    second = (rest & -rest).bit_length() - 1
+    branch = (masks[first] | masks[second]) & ~forbidden
     while branch:
         low = branch & -branch
-        rest = [p for p in pms if not p & low]
-        if rest:
-            _anti_forcing_sets(rest, removed | low, forbidden, left - 1, tick, found)
+        child = alive & ~holding[low.bit_length() - 1]
+        if child:
+            _anti_forcing_sets(
+                masks, holding, child, removed | low, forbidden, left - 1, tick, found
+            )
         forbidden |= low
         branch ^= low
 
@@ -109,12 +121,17 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     """Ground-truth oracle: the fewest edges disjoint from exactly one PM.
 
     A set S is anti-forcing exactly when one perfect matching of g avoids
-    it. The matchings are enumerated once, as edge bitmasks, and the
+    it. The matchings are enumerated once, as edge bitmasks, and each
+    edge gets the bitset of the matching indices that hold it, so the
+    matchings S leaves are one int, cut by one mask per added edge. The
     search deepens over sizes 0, 1, 2, ..., reaching every set of at most
-    that size that leaves one matching. The witness is the smallest
-    sorted edge list among those of the first size that has any. Raises
-    BudgetExceededError carrying the verified lower bound (0 if the
-    budget runs out while enumerating) when the search cannot finish.
+    that size that leaves one matching. It branches on the edges of the
+    two lowest-indexed survivors, so the tree, its node count and the
+    sets it finds are those of a rescan of the list of survivors. The
+    witness is the smallest sorted edge list among those of the first
+    size that has any. Raises BudgetExceededError carrying the verified
+    lower bound (0 if the budget runs out while enumerating) when the
+    search cannot finish.
     """
     try:
         pms = enumerate_perfect_matchings(g, budget=budget)
@@ -126,11 +143,16 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     edges = g.sorted_edges
     index = g.edge_index
     masks = [sum(1 << index[e] for e in m) for m in pms]
+    holding = [0] * len(edges)
+    for j, m in enumerate(pms):
+        for e in m:
+            holding[index[e]] |= 1 << j
+    alive = (1 << len(pms)) - 1
     tick = budget.tick if budget is not None else _no_tick
     found: list[int] = []
     try:
         for size in range(len(edges) + 1):
-            _anti_forcing_sets(masks, 0, 0, size, tick, found)
+            _anti_forcing_sets(masks, holding, alive, 0, 0, size, tick, found)
             if found:
                 break
         else:

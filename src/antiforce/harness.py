@@ -70,6 +70,11 @@ EVEN_K_FAMILIES = frozenset({"ortho-chain", "para-chain"})
 DEFAULT_CROSS_CHECK_N_LIMIT = 8
 
 
+def _family_ks(family: str, k_values: tuple[int, ...]) -> list[int]:
+    """The k values a sweep or audit of family visits: chains take even k only."""
+    return [k for k in k_values if not (family in EVEN_K_FAMILIES and k % 2)]
+
+
 class InternalInvariantError(Exception):
     """The two oracles disagreed or a witness failed re-verification."""
 
@@ -190,12 +195,7 @@ class SweepSpec:
         return Budget(max_nodes=self.budget_nodes, max_seconds=self.budget_seconds)
 
     def points(self) -> list[tuple[int, int]]:
-        ks = [
-            k
-            for k in self.k_values
-            if not (self.family in EVEN_K_FAMILIES and k % 2)
-        ]
-        return [(k, m) for k in ks for m in self.m_values]
+        return [(k, m) for k in _family_ks(self.family, self.k_values) for m in self.m_values]
 
 
 def parse_range(text: str) -> tuple[int, ...]:
@@ -302,9 +302,7 @@ def run_edge_count_audit(
     and bound rows (even paths and cycles) are outside this audit.
     """
     records: list[VerificationRecord] = []
-    for k in k_values:
-        if family in EVEN_K_FAMILIES and k % 2:
-            continue
+    for k in _family_ks(family, k_values):
         base = build(family, k)
         for m in m_values:
             res = evaluate_formula(family, k, m)

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, takewhile
+from itertools import combinations, count, takewhile
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,6 +20,7 @@ from antiforce import (
     has_unique_perfect_matching,
     is_anti_forcing_set,
     max_degree,
+    para_square_chain,
     path,
     power,
 )
@@ -162,6 +163,51 @@ def test_subset_search_equals_scan_on_atlas(atlas):
         assert af_subset_search(g) == subset_scan(g), sorted(g.edges)
 
 
+def holding_of(pms):
+    """Bit j of entry i is set when the edge bitmask pms[j] holds edge i."""
+    width = max(p.bit_length() for p in pms)
+    return [sum(1 << j for j, p in enumerate(pms) if p >> i & 1) for i in range(width)]
+
+
+def list_anti_forcing_sets(pms, removed, forbidden, left, tick, found):
+    """The subset search over a list of surviving matchings, for reference.
+
+    It rescans the list at every node; the search under test keeps the
+    survivors as one bitset over matching indices instead.
+    """
+    tick()
+    if len(pms) == 1:
+        found.append(removed)
+        return
+    if not left:
+        return
+    branch = (pms[0] | pms[1]) & ~forbidden
+    while branch:
+        low = branch & -branch
+        rest = [p for p in pms if not p & low]
+        if rest:
+            list_anti_forcing_sets(rest, removed | low, forbidden, left - 1, tick, found)
+        forbidden |= low
+        branch ^= low
+
+
+def test_subset_search_walks_the_list_search_tree(atlas):
+    # Same sets in the same order, and one tick per node of the same
+    # tree, at every deepening size up to the value.
+    for g in (*atlas, power(cycle(8), 3)):
+        edges = g.sorted_edges
+        pms = [sum(1 << edges.index(e) for e in m) for m in enumerate_perfect_matchings(g)]
+        if not pms:
+            continue
+        holding, alive = holding_of(pms), (1 << len(pms)) - 1
+        for size in range(af_subset_search(g).value + 1):
+            ref_ticks, ref_found = count(), []
+            list_anti_forcing_sets(pms, 0, 0, size, lambda: next(ref_ticks), ref_found)
+            ticks, found = count(), []
+            _anti_forcing_sets(pms, holding, alive, 0, 0, size, lambda: next(ticks), found)
+            assert (found, next(ticks)) == (ref_found, next(ref_ticks)), (sorted(g.edges), size)
+
+
 def test_subset_search_reaches_each_minimum_set_once(atlas):
     for g in atlas:
         edges = g.sorted_edges
@@ -170,7 +216,9 @@ def test_subset_search_reaches_each_minimum_set_once(atlas):
             continue
         value = af_subset_search(g).value
         found = []
-        _anti_forcing_sets(pms, 0, 0, value, lambda: None, found)
+        _anti_forcing_sets(
+            pms, holding_of(pms), (1 << len(pms)) - 1, 0, 0, value, lambda: None, found
+        )
         want = [
             sum(1 << edges.index(e) for e in s)
             for s in combinations(edges, value)
@@ -204,6 +252,22 @@ def test_subset_search_finishes_dense_n8(g, value):
     a = af_subset_search(g, Budget())
     assert a.value == value
     assert a.witness == af_via_matchings(g).witness
+
+
+@pytest.mark.parametrize(
+    "g,value",
+    [
+        (power(cycle(10), 3), 9),
+        (power(para_square_chain(3), 3), 9),
+        (power(path(12), 4), 8),
+    ],
+    ids=["C10^3", "para-chain3^3", "P12^4"],
+)
+def test_subset_search_agrees_with_matchings_n10_to_12(g, value):
+    a = af_subset_search(g, Budget())
+    b = af_via_matchings(g, Budget())
+    assert a.value == value
+    assert (a.value, a.witness) == (b.value, b.witness)
 
 
 def test_via_matchings_budget():
