@@ -21,10 +21,17 @@ once that count passes the best value found. Phase 2 refines the
 lexicographically smallest witness over the members of the optimal
 orbits, in order of a cheap lower bound on each member's smallest cover,
 and stops once that bound passes the witness in hand. A sharper bound,
-from the member's alternating 4-cycles, skips a member before its cycle
-pass. The orbits are only searched for when there are more perfect
+from the member's alternating 4-cycles, skips a member before it is
+solved. The orbits are only searched for when there are more perfect
 matchings than vertices: the search costs about one refinement per
 vertex, which fewer matchings cannot pay back.
+
+Neither phase lists all of a matching's alternating cycles. Both start
+from the free sides of its short cycles, cover them, and check the
+cover against the enumerated perfect matchings. Each matching the cover
+misses adds its difference from M, and the cover is sought again, until
+M is the only matching left (constraint generation for implicit hitting
+sets; Moreno-Centeno and Karp, Oper. Res. 61(2), 2013).
 
 Convention: a graph with no perfect matching gets af = |E| with an empty
 witness, tagged method "convention_no_pm".
@@ -175,9 +182,9 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
 # Invariant: every mask list the engine handles is duplicate-free and
 # sorted by size (bit count). Filtering keeps a list sorted, so lists are
 # sorted only where masks are gathered: from the cycles of a matching,
-# and by the refinement step of _lex_min_cover. masks[0] is then a
-# smallest set, which makes it the branching pivot, and the greedy
-# packing takes sets smallest first.
+# when a family grows, and by the refinement step of _lex_min_cover.
+# masks[0] is then a smallest set, which makes it the branching pivot,
+# and the greedy packing takes sets smallest first.
 
 
 def _packing_bound(masks: Sequence[int]) -> int:
@@ -287,9 +294,80 @@ def _lex_min_cover(
     return chosen
 
 
-def _free_masks(g: Graph, m: Matching, budget: Budget | None) -> list[int]:
-    """The free sides of m's alternating cycles, as the engine expects them."""
-    return sorted({f for _, f in alternating_cycles(g, m, budget)}, key=int.bit_count)
+# A matching's seed family: the free sides of its alternating cycles of
+# at most this many edges. Most representatives are rejected on it alone.
+SEED_LENGTH = 8
+
+
+def _missed(mask: int, bits: Sequence[int], cover: int) -> list[int]:
+    """The free sides of M Δ M' over the other matchings M' that avoid ``cover``.
+
+    ``bits`` holds every perfect matching as an edge mask, ``mask`` is M's.
+    Empty exactly when M is the only perfect matching of G minus ``cover``.
+    """
+    return [b & ~mask for b in bits if not b & cover and b != mask]
+
+
+def _grown(family: list[int], missed: list[int]) -> list[int]:
+    # The missed sets are distinct, since M' - M fixes M', and the family
+    # holds none of them: the cover that misses them hits all of it.
+    return sorted(family + missed, key=int.bit_count)
+
+
+def _cover_lazily(
+    g: Graph,
+    m: Matching,
+    mask: int,
+    bits: Sequence[int],
+    budget: Budget | None,
+    below: int | None = None,
+) -> tuple[list[int], int, int] | None:
+    """af(G, M), proven from M's short cycles and the matchings they miss.
+
+    ``m`` is M, ``mask`` the same as an edge mask, and ``bits`` every
+    perfect matching. Returns the family the proof grew, its minimum and
+    a cover of that size, or None as soon as af(G, M) is known to be at
+    least ``below``; the proof is in ``af_via_matchings``.
+    """
+    cycles = alternating_cycles(g, m, budget, SEED_LENGTH)
+    family = sorted({f for _, f in cycles}, key=int.bit_count)
+    while True:
+        found = _min_cover_size(family, budget, below)
+        if found is None:
+            return None
+        missed = _missed(mask, bits, found[1])
+        if not missed:
+            return family, *found
+        family = _grown(family, missed)
+
+
+def _lex_min_lazily(
+    mask: int,
+    bits: Sequence[int],
+    family: list[int],
+    value: int,
+    cover: int,
+    budget: Budget | None,
+    beat: Sequence[int] | None,
+) -> list[int] | None:
+    """M's lexicographically smallest cover, as ``_lex_min_cover`` gives it.
+
+    ``mask`` is M as an edge mask, and ``bits`` every perfect matching.
+    ``family`` has minimum ``value`` = af(G, M), and ``cover`` is a cover
+    of it of that size. The family is grown until its smallest cover
+    leaves M unique; the proof is in ``af_via_matchings``.
+    """
+    while True:
+        picks = _lex_min_cover(family, value, cover, budget, beat)
+        if picks is None:
+            return None
+        missed = _missed(mask, bits, sum(1 << i for i in picks))
+        if not missed:
+            return picks
+        family = _grown(family, missed)
+        found = _exists_cover(family, value, budget)
+        assert found is not None, "a true cover of size af(G, M) covers every family"
+        cover = found
 
 
 def af_of_matching(g: Graph, m: Matching, budget: Budget | None = None) -> MatchingAnalysis:
@@ -356,6 +434,26 @@ def _four_cycle_bound(g: Graph, m: Matching, size: int) -> list[int]:
 def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResult:
     """Minimum over perfect matchings of the free-edge hitting number.
 
+    af(G, M) is the fewest edges outside M that meet every M-alternating
+    cycle (Lei, Yeh and Zhang, Discrete Appl. Math. 202, 2016). It is
+    proven from a family of edge sets that every such cover must meet,
+    grown only as far as the proof needs:
+
+    - The family starts as the free sides of M's alternating cycles of
+      at most ``SEED_LENGTH`` edges.
+    - A cover S of the family holds no edge of M, so M is the only PM of
+      G - S exactly when every other PM meets S. The PMs are held as
+      edge masks, so this is one scan. Each PM M' that misses S adds
+      M' - M, the free side of M Δ M', and S is sought again.
+    - M Δ M' is a union of M-alternating cycles, so every true cover
+      meets each added set, and the family's minimum stays a lower bound
+      on af(G, M). A family cover that leaves M unique is a true cover,
+      so it reaches that bound.
+    - For the same reason, every true cover of size af(G, M) is a family
+      cover, so the family's lexicographically smallest cover is no
+      larger than M's. When it leaves M unique the two are equal, and
+      when it exceeds the witness in hand, so does M's.
+
     af(G, M) is the same for every PM M in one orbit of Aut(G), so the
     solve runs in two phases:
 
@@ -364,17 +462,16 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
        4-cycle, u-w-b-a-u with a and b the mates of u and w, so the free
        sides {uw, ab} of these cycles are disjoint pairs, and every cover
        holds an edge of each. Alternating cycles that share no free edge
-       need one cover edge each (Lei, Yeh and Zhang, Discrete Appl. Math.
-       202, 2016), so M's pair count p(M) is at most af(G, M). The
-       representatives are visited in ascending order of (p(M), index),
-       keeping the best value so far; a PM is dropped as soon as its
-       value is known to exceed it, and the pass stops at the first
-       representative whose p(M) exceeds it, since it and every later
-       one have af(G, M) >= p(M) > best. An optimal representative has
-       p(M) <= value <= best, so each is still solved, to the same cover.
-       The order is what makes the stop bite: the first PMs in
-       enumeration order tend to have high values, and a low best comes
-       early from the PMs with few pairs.
+       need one cover edge each, so M's pair count p(M) is at most
+       af(G, M). The representatives are visited in ascending order of
+       (p(M), index), keeping the best value so far; a PM is dropped as
+       soon as its family's minimum exceeds it, and the pass stops at
+       the first representative whose p(M) exceeds it, since it and
+       every later one have af(G, M) >= p(M) > best. An optimal
+       representative has p(M) <= value <= best, so each is still
+       solved, to the same cover. The order is what makes the stop
+       bite: the first PMs in enumeration order tend to have high
+       values, and a low best comes early from the PMs with few pairs.
     2. The reported witness is the lexicographically smallest cover over
        every optimal PM, so repeated runs agree byte for byte. Only the
        members of optimal orbits can give it. Let L(M) be the ``value``
@@ -387,10 +484,12 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
        is the enumeration order reversed. The PMs come in lexicographic
        order, so the least edge where a later PM differs from an earlier
        one is in the earlier one and free in the later one: L of the
-       later PM is no larger.
+       later PM is no larger. A member that phase 1 did not solve is
+       solved from its own short cycles first, so that its family's
+       minimum is ``value`` when the refinement starts.
 
        A member whose 4-cycle bound L4(M) exceeds the witness is skipped
-       before its cycle pass. L4(M) is the smaller edge of each 4-cycle
+       before it is solved. L4(M) is the smaller edge of each 4-cycle
        pair, together with the ``value`` - p(M) smallest other edges
        outside M. From M's smallest cover C, pick one edge per pair, the
        smaller one whenever C holds it: each pick is at least its pair's
@@ -405,14 +504,21 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     cannot pay back; each PM is then its own orbit.
 
     When the budget runs out, BudgetExceededError carries the best value
-    so far as ``upper``; once phase 2 has begun that value is proven,
-    and ``lower`` carries it too.
+    so far as ``upper``. While phase 1 solves the representative with
+    pair count p, ``lower`` is min(best, p): every earlier representative
+    has a value of at least best, and this one and every later one have
+    af(G, M) >= p. Once phase 2 has begun the value is proven, and
+    ``lower`` carries it too. While the PMs are listed or their orbits
+    closed, ``lower`` stays None.
     """
     pms = enumerate_perfect_matchings(g, budget=budget)
     if not pms:
         return AntiForcingResult(len(g.edges), frozenset(), "convention_no_pm")
+    index = g.edge_index
+    bits = [sum(1 << index[e] for e in m) for m in pms]
     best: int | None = None
-    solved: dict[int, tuple[list[int], int]] = {}  # optimal representative: masks, cover
+    p: int | None = None  # p(M) of the representative being solved
+    solved: dict[int, tuple[list[int], int]] = {}  # optimal representative: family, cover
     try:
         orbit = pm_orbits(g, pms, budget) if len(pms) > g.n else range(len(pms))
         order = sorted(
@@ -421,15 +527,19 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
         for p, i in order:
             if best is not None and p > best:
                 break
-            masks = _free_masks(g, pms[i], budget)
-            found = _min_cover_size(masks, budget, None if best is None else best + 1)
+            found = _cover_lazily(
+                g, pms[i], bits[i], bits, budget, None if best is None else best + 1
+            )
             if found is None:
                 continue
-            if found[0] != best:
-                best, solved = found[0], {}
-            solved[i] = (masks, found[1])
+            family, value, cover = found
+            if value != best:
+                best, solved = value, {}
+            solved[i] = (family, cover)
     except BudgetExceededError as exc:
         exc.upper = best
+        if p is not None:
+            exc.lower = p if best is None else min(best, p)
         raise
     assert best is not None
     witness: list[int] | None = None
@@ -443,11 +553,12 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
                 if _four_cycle_bound(g, pms[i], best) > witness:
                     continue
             if i in solved:
-                masks, cover = solved[i]
+                family, cover = solved[i]
             else:
-                masks = _free_masks(g, pms[i], budget)
-                cover = _exists_cover(masks, best, budget)
-            picks = _lex_min_cover(masks, best, cover, budget, witness)
+                found = _cover_lazily(g, pms[i], bits[i], bits, budget)
+                assert found is not None and found[1] == best
+                family, _, cover = found
+            picks = _lex_min_lazily(bits[i], bits, family, best, cover, budget, witness)
             if picks is not None:
                 witness = picks
     except BudgetExceededError as exc:

@@ -77,6 +77,19 @@ class Graph:
         """Position of each edge in ``sorted_edges``: bit i of an edge mask is edge i."""
         return {e: i for i, e in enumerate(self.sorted_edges)}
 
+    @cached_property
+    def edge_bits(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each vertex, its (neighbour, edge mask bit) pairs, neighbours ascending.
+
+        Edge (u, x) with u < x comes before every (x, v) in sorted order,
+        so each vertex meets its neighbours in ascending order.
+        """
+        pairs: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for i, (u, v) in enumerate(self.sorted_edges):
+            pairs[u].append((v, 1 << i))
+            pairs[v].append((u, 1 << i))
+        return tuple(map(tuple, pairs))
+
     def has_edge(self, u: int, v: int) -> bool:
         return edge(u, v) in self.edges
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, Sequence
 
 from .budget import Budget
-from .graph import Edge, Graph, edge
+from .graph import Edge, Graph
 
 Matching = frozenset[Edge]
 
@@ -171,65 +171,96 @@ def count_pms_excluding(
 
 def _extend(
     cur: int,
-    start: int,
     matched: int,
     free: int,
+    room: int,
     steps: Sequence[Sequence[tuple[int, int, int, int]]],
+    closing: list[int],
     blocked: list[bool],
     tick: Callable[[], None],
     out: list[tuple[int, int]],
 ) -> None:
-    # cur was entered along a matched edge; the next edge is free. This is
-    # a module-level function, not a closure: a closure that calls itself
-    # is a reference cycle, which keeps each call's result list alive
-    # until a full garbage collection.
+    # cur was entered along a matched edge; the next edge is free, and
+    # closing[cur] is the one back to the start. room is how many more
+    # matched edges the path may take; a path taking its last one can
+    # only close at once, so that is checked here, not in a call. This
+    # is a module-level function, not a closure: a closure that calls
+    # itself is a reference cycle, which keeps each call's result list
+    # alive until a full garbage collection.
     tick()
+    if closing[cur]:
+        out.append((matched, free | closing[cur]))
+    if not room:
+        return
     for w, mw, free_bit, matched_bit in steps[cur]:
-        if w == start:
-            out.append((matched, free | free_bit))
-        elif not blocked[w]:
-            blocked[w] = blocked[mw] = True
-            _extend(
-                mw, start, matched | matched_bit, free | free_bit, steps, blocked, tick, out
-            )
-            blocked[w] = blocked[mw] = False
+        if blocked[w]:
+            continue
+        if room == 1:
+            if closing[mw]:
+                out.append((matched | matched_bit, free | free_bit | closing[mw]))
+            continue
+        blocked[w] = blocked[mw] = True
+        _extend(
+            mw,
+            matched | matched_bit,
+            free | free_bit,
+            room - 1,
+            steps,
+            closing,
+            blocked,
+            tick,
+            out,
+        )
+        blocked[w] = blocked[mw] = False
 
 
 def alternating_cycles(
-    g: Graph, m: Matching, budget: Budget | None = None
+    g: Graph, m: Matching, budget: Budget | None = None, longest: int | None = None
 ) -> list[tuple[int, int]]:
     """All simple m-alternating cycles, one copy each, as edge bitmasks.
 
     A cycle is a ``(matched, free)`` pair of masks in which bit i stands
     for ``g.sorted_edges[i]``. Each cycle is found once: traversal starts
     at its minimum vertex and leaves along the matched edge, which fixes
-    both rotation and reflection.
+    both rotation and reflection. ``longest`` caps the cycle length, in
+    edges: the walk stops extending a path that could only close a
+    longer cycle, so the result is the uncapped list, in the same order,
+    without the cycles longer than ``longest``. None means no cap.
     """
     if not is_perfect_matching(g, m):
         raise ValueError("alternating_cycles requires a perfect matching of g")
     index = g.edge_index
     mate = [-1] * g.n
+    bit = [0] * g.n  # bit[v]: the mask bit of v's matched edge
     for u, v in m:
-        mate[u] = v
-        mate[v] = u
+        mate[u], mate[v] = v, u
+        bit[u] = bit[v] = 1 << index[(u, v)]
     # steps[u]: each free edge u-w, with w's mate and the bits of u-w and
     # w-mate[w]. Matched edges are left out, so a path that gets back to
     # its start has closed a cycle of length >= 4.
     steps = [
-        [
-            (w, mate[w], 1 << index[edge(u, w)], 1 << index[edge(w, mate[w])])
-            for w in nbrs
-            if w != mate[u]
-        ]
-        for u, nbrs in enumerate(g.adjacency)
+        [(w, mate[w], free_bit, bit[w]) for w, free_bit in nbrs if w != mate[u]]
+        for u, nbrs in enumerate(g.edge_bits)
     ]
+    # A path holds one matched edge when the walk starts; it closes as a
+    # cycle of twice as many edges as it holds matched ones.
+    room = max((g.n if longest is None else longest) // 2 - 1, 0)
     # blocked[v]: v is on the path, or v's matched edge was an earlier
     # start, all of whose cycles (those through a smaller vertex) are found.
+    # Every vertex below the start s is blocked, so s would come first
+    # among the live neighbours in a step list: closing a cycle before
+    # the steps are tried keeps the order of a walk that reaches s.
     blocked = [False] * g.n
+    # closing[v]: the bit of the free edge v-s back to the start s, or 0.
+    closing = [0] * g.n
     tick = budget.tick if budget is not None else _no_tick
     out: list[tuple[int, int]] = []
     for s in range(g.n):
         if mate[s] > s:
             blocked[s] = blocked[mate[s]] = True
-            _extend(mate[s], s, 1 << index[(s, mate[s])], 0, steps, blocked, tick, out)
+            for w, _, free_bit, _ in steps[s]:
+                closing[w] = free_bit
+            _extend(mate[s], bit[s], 0, room, steps, closing, blocked, tick, out)
+            for w, *_ in steps[s]:
+                closing[w] = 0
     return out

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from functools import lru_cache
+from pathlib import Path
 
 import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
-from antiforce import Budget, Graph, af_subset_search, complete, edge
+from antiforce import Budget, Graph, af_subset_search, complete, edge, from_json
 
 
 def nx_to_graph(ng: nx.Graph) -> Graph:
@@ -35,6 +37,15 @@ def connected_atlas() -> tuple[Graph, ...]:
         if ng.number_of_nodes() > 0 and nx.is_connected(ng):
             out.append(nx_to_graph(ng))
     return tuple(out)
+
+
+def benchmark_random_graphs(seed: int) -> list[Graph]:
+    """The benchmark's seeded random corpus (``bench/corpus.py``), as graphs."""
+    where = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", where)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return [from_json(text) for _, text in corpus.random_graphs(seed)]
 
 
 def random_connected_graph(rng: random.Random, n: int) -> Graph:

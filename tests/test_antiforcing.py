@@ -26,17 +26,19 @@ from antiforce import (
 )
 import antiforce.antiforcing
 from antiforce.antiforcing import (
+    SEED_LENGTH,
     _anti_forcing_sets,
+    _cover_lazily,
     _exists_cover,
     _four_cycle_bound,
     _four_cycle_pairs,
-    _free_masks,
     _lex_min_cover,
+    _lex_min_lazily,
     _lowest_outside,
     _min_cover_size,
 )
-from antiforce.matching import count_pms_excluding
-from conftest import graphs, random_connected_graph
+from antiforce.matching import alternating_cycles, count_pms_excluding
+from conftest import benchmark_random_graphs, graphs, random_connected_graph
 
 
 def test_result_validation():
@@ -270,6 +272,17 @@ def test_subset_search_agrees_with_matchings_n10_to_12(g, value):
     assert (a.value, a.witness) == (b.value, b.witness)
 
 
+@pytest.mark.parametrize(
+    "g,value",
+    [(power(path(16), 4), 12), (power(cycle(14), 4), 18), (power(path(22), 3), 11)],
+    ids=["P16^4", "C14^4", "P22^3"],
+)
+def test_via_matchings_reaches_past_n14(g, value):
+    res = af_via_matchings(g, Budget())
+    assert res.value == value
+    assert is_anti_forcing_set(g, res.witness)
+
+
 def test_via_matchings_budget():
     with pytest.raises(BudgetExceededError) as exc:
         af_via_matchings(complete(10), Budget(max_nodes=100, max_seconds=60.0))
@@ -288,6 +301,53 @@ def test_via_matchings_budget_carries_upper_bound():
     assert exc.value.upper == value
     assert exc.value.lower == value
     assert exc.value.nodes_used == full.nodes
+
+
+def test_via_matchings_budget_bounds_bracket_the_value():
+    # Whichever layer the budget runs out in, the bounds it carries hold.
+    # Phase 1 stops with af(G) >= min(best, p(M)) for the representative
+    # M being solved, which is short of the value while best is unknown
+    # or p(M) is below it.
+    from_phase_1 = 0
+    for g in (power(cycle(10), 3), power(path(10), 3), power(path(12), 4)):
+        full = Budget(max_seconds=60.0)
+        value = af_via_matchings(g, full).value
+        for nodes in range(1, full.nodes, max(1, full.nodes // 60)):
+            with pytest.raises(BudgetExceededError) as exc:
+                af_via_matchings(g, Budget(max_nodes=nodes, max_seconds=60.0))
+            lower, upper = exc.value.lower, exc.value.upper
+            assert lower is None or lower <= value, (g.n, nodes)
+            assert upper is None or value <= upper, (g.n, nodes)
+            from_phase_1 += lower is not None and (upper is None or lower < value)
+    assert from_phase_1
+
+
+def full_family(g, m):
+    """The free sides of every m-alternating cycle, as the engine expects them."""
+    return sorted({f for _, f in alternating_cycles(g, m)}, key=int.bit_count)
+
+
+def test_lazy_loop_equals_the_full_cycle_family(atlas):
+    # Per PM, the family grown from the short cycles gives the value and
+    # the lexicographically smallest cover that all cycles give.
+    graphs = [g for g in (*atlas, *benchmark_random_graphs(0)) if g.n % 2 == 0]
+    grown = checked = 0
+    for g in graphs:
+        pms = enumerate_perfect_matchings(g)
+        bits = [sum(1 << g.edge_index[e] for e in m) for m in pms]
+        for i, m in enumerate(pms):
+            masks = full_family(g, m)
+            value, found = _min_cover_size(masks, None)
+            smallest = _lex_min_cover(masks, value, found, None)
+            family, size, cover = _cover_lazily(g, m, bits[i], bits, None)
+            assert size == value, (sorted(g.edges), sorted(m))
+            assert _cover_lazily(g, m, bits[i], bits, None, below=value) is None
+            picks = _lex_min_lazily(bits[i], bits, family, size, cover, None, None)
+            assert picks == smallest, (sorted(g.edges), sorted(m))
+            seed = {f for _, f in alternating_cycles(g, m, longest=SEED_LENGTH)}
+            grown += len(family) > len(seed)
+            checked += 1
+    assert grown and checked > 5000
 
 
 ELEMENTS = 10
@@ -376,7 +436,7 @@ def test_four_cycle_bound_lies_between_the_cheap_bound_and_the_cover(atlas):
         for m in enumerate_perfect_matchings(g):
             value = af_of_matching(g, m).af_of_m
             assert len(_four_cycle_pairs(g, m)[0]) <= value
-            masks = _free_masks(g, m, None)
+            masks = sorted({f for _, f in alternating_cycles(g, m)}, key=int.bit_count)
             smallest = _lex_min_cover(masks, value, _min_cover_size(masks, None)[1], None)
             cheap = _lowest_outside(g, m, value)
             bound = _four_cycle_bound(g, m, value)

@@ -257,6 +257,25 @@ def test_alternating_cycles_are_single_cycle_differences_on_atlas(atlas):
             assert len({free for _, free in cycles}) == len(cycles)
 
 
+def test_capped_walk_is_the_uncapped_list_filtered_by_length(atlas):
+    # The cap only stops paths that could close no cycle short enough, so
+    # the capped list is the uncapped one, in order, without the longer
+    # cycles. A cycle of length 2k holds k matched edges.
+    # Every PM of the atlas (at most 15 per graph), and the first 40 of
+    # two denser graphs, whose cycles run up to length 10 and 8.
+    extra = (power(cycle(10), 3), complete(8))
+    checked = 0
+    for g in (*atlas, *extra):
+        pms = enumerate_perfect_matchings(g) if g.n % 2 == 0 else []
+        for m in pms[:40]:
+            full = alternating_cycles(g, m)
+            for longest in range(g.n + 2):
+                want = [c for c in full if 2 * c[0].bit_count() <= longest]
+                assert alternating_cycles(g, m, longest=longest) == want
+                checked += bool(want) and want != full
+    assert checked > 100
+
+
 def test_alternating_cycles_requires_pm():
     with pytest.raises(ValueError):
         alternating_cycles(cycle(6), frozenset({(0, 1)}))
