@@ -21,7 +21,6 @@ from .families import (
     triangular_chain,
 )
 from .formulas import (
-    BoundPair,
     FormulaResult,
     af_cycle_power_bounds,
     af_friendship_power,
@@ -31,6 +30,7 @@ from .formulas import (
     af_para_power_closed_form,
     af_path_power,
     af_triangular_chain_power,
+    evaluate_formula,
 )
 from .graph import (
     DistanceMatrix,
@@ -55,7 +55,6 @@ from .harness import (
     classify_status,
     default_sweep_spec,
     emit_report,
-    evaluate_formula,
     parse_range,
     run_edge_count_audit,
     run_sweep,

@@ -56,9 +56,9 @@ class Budget:
         self.nodes = 0
         self._deadline = time.monotonic() + self.max_seconds
 
-    def tick(self, count: int = 1) -> None:
-        """Charge ``count`` nodes; raise once either cap is exhausted."""
-        self.nodes += count
+    def tick(self) -> None:
+        """Charge one node; raise once either cap is exhausted."""
+        self.nodes += 1
         if self.nodes > self.max_nodes:
             raise BudgetExceededError(
                 f"node budget exhausted ({self.max_nodes})", nodes_used=self.nodes

@@ -13,12 +13,13 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 from . import graph as graphio
 from .antiforcing import af_subset_search, af_via_matchings
 from .budget import BudgetExceededError, default_budget, parse_budget
 from .families import FAMILIES, build
-from .formulas import BoundPair, FormulaResult
+from .formulas import evaluate_formula
 from .graph import power
 from .harness import (
     COLUMNS,
@@ -27,7 +28,6 @@ from .harness import (
     InternalInvariantError,
     default_sweep_spec,
     emit_report,
-    evaluate_formula,
     format_value,
     parse_range,
     run_sweep,
@@ -148,24 +148,15 @@ def _cmd_formula(args: argparse.Namespace) -> int:
     res = evaluate_formula(args.family, args.k, args.m)
     if res is None:
         raise UsageError(f"no closed form for family {args.family!r}")
-    if isinstance(res, BoundPair):
-        doc = {
-            "value": None,
-            "kind": "bounds",
-            "case": "bounds",
-            "applicability": "in_range",
-            "lower": format_value(res.lower),
-            "upper": format_value(res.upper),
-        }
-    else:
-        assert isinstance(res, FormulaResult)
-        value = res.value if isinstance(res.value, int) else format_value(res.value)
-        doc = {
-            "value": value,
-            "kind": res.kind,
-            "case": res.case,
-            "applicability": res.applicability,
-        }
+    value = res.value
+    doc = {
+        "value": format_value(value) if isinstance(value, Fraction) else value,
+        "kind": res.kind,
+        "case": res.case,
+        "applicability": res.applicability,
+    }
+    if res.kind == "bounds":
+        doc.update(lower=format_value(res.lower), upper=format_value(res.upper))
     print(json.dumps(doc))
     return 0
 

@@ -8,10 +8,11 @@ kind tag:
   matchings (even paths and cycles).
 - "edge_count": the no-perfect-matching convention af = |E| evaluated in
   closed form (odd paths/cycles and the odd-order chain families).
+- "bounds": even cycle powers, whose value is None and whose claim is
+  the interval from ``lower`` to ``upper``.
 
-Even cycle powers get a BoundPair instead of a single value. Rational
-arithmetic is exact throughout; a non-integral value is reported as a
-Fraction, not rounded.
+Rational arithmetic is exact throughout; a non-integral value is
+reported as a Fraction, not rounded.
 
 Applicability marks whether the parameters sit inside the derivation's
 range; out-of-range values are still computed for reporting but are
@@ -22,8 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-KINDS = ("exact", "edge_count")
+KINDS = ("exact", "edge_count", "bounds")
 IN_RANGE = "in_range"
 OUT_OF_RANGE = "out_of_range"
 
@@ -38,10 +40,12 @@ def _intify(x: Value) -> Value:
 
 @dataclass(frozen=True)
 class FormulaResult:
-    value: Value
+    value: Value | None
     kind: str
     case: str
     applicability: str
+    lower: Fraction | None = None
+    upper: Fraction | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -49,12 +53,6 @@ class FormulaResult:
         if self.applicability not in (IN_RANGE, OUT_OF_RANGE):
             raise ValueError(f"unknown applicability {self.applicability!r}")
         object.__setattr__(self, "value", _intify(self.value))
-
-
-@dataclass(frozen=True)
-class BoundPair:
-    lower: Fraction
-    upper: Fraction
 
 
 def _check_km(k: int, m: int, k_min: int) -> None:
@@ -93,14 +91,14 @@ def af_path_power(k: int, m: int) -> FormulaResult:
     return FormulaResult((k - m) * (m - 1) + correction, "exact", "(ii)", IN_RANGE)
 
 
-def af_cycle_power_bounds(k: int, m: int) -> FormulaResult | BoundPair:
+def af_cycle_power_bounds(k: int, m: int) -> FormulaResult:
     """Bounds for even cycle powers, exact values elsewhere.
 
-    Even k, m >= 2: (k+8)/4 <= af <= k(k-2)/4 as a BoundPair. Even k,
-    m = 1: exactly 1 (deleting any edge leaves a path with a unique
-    perfect matching). Odd k never has a perfect matching, so the value
-    is the edge count: mk while the power is not complete, k*floor(k/2)
-    once it is.
+    Even k, m >= 2: (k+8)/4 <= af <= k(k-2)/4, a result of kind
+    "bounds". Even k, m = 1: exactly 1 (deleting any edge leaves a path
+    with a unique perfect matching). Odd k never has a perfect matching,
+    so the value is the edge count: mk while the power is not complete,
+    k*floor(k/2) once it is.
     """
     _check_km(k, m, 3)
     if k % 2:
@@ -114,7 +112,9 @@ def af_cycle_power_bounds(k: int, m: int) -> FormulaResult | BoundPair:
         return FormulaResult(value, "edge_count", case, IN_RANGE)
     if m == 1:
         return FormulaResult(1, "exact", "m=1", IN_RANGE)
-    return BoundPair(Fraction(k + 8, 4), Fraction(k * (k - 2), 4))
+    return FormulaResult(
+        None, "bounds", "bounds", IN_RANGE, Fraction(k + 8, 4), Fraction(k * (k - 2), 4)
+    )
 
 
 def af_friendship_power(k: int, m: int) -> FormulaResult:
@@ -233,3 +233,24 @@ def af_para_power_closed_form(k: int, m: int) -> Value:
     return _intify(
         Fraction(9 * m + 1, 2) * k - Fraction(m - 1, 8) * (9 * m - 11) - 4
     )
+
+
+# Each family's evaluator, keyed like families.FAMILIES; None where the
+# paper gives no closed form.
+FORMULAS: dict[str, Callable[[int, int], FormulaResult] | None] = {
+    "path": af_path_power,
+    "cycle": af_cycle_power_bounds,
+    "complete": None,
+    "friendship": af_friendship_power,
+    "tri-chain": af_triangular_chain_power,
+    "ortho-chain": af_ortho_power,
+    "para-chain": af_para_power,
+}
+
+
+def evaluate_formula(family: str, k: int, m: int) -> FormulaResult | None:
+    """The family's closed form at (k, m); None when no formula exists."""
+    if family not in FORMULAS:
+        raise ValueError(f"unknown family {family!r}")
+    evaluator = FORMULAS[family]
+    return None if evaluator is None else evaluator(k, m)

@@ -16,6 +16,10 @@ from typing import Iterable
 
 Edge = tuple[int, int]
 
+# The largest vertex count the parsers accept. The power and the solvers
+# cost at least n^2, so a short input must not declare a huge n.
+MAX_ORDER = 4096
+
 
 def edge(u: int, v: int) -> Edge:
     """Normalized edge: endpoints ordered ascending."""
@@ -199,6 +203,12 @@ def to_json(g: Graph) -> str:
     return json.dumps(doc)
 
 
+def _check_order(n: int) -> None:
+    """Reject a declared vertex count above MAX_ORDER before anything is built."""
+    if n > MAX_ORDER:
+        raise ValueError(f"graph declares {n} vertices, more than the {MAX_ORDER} accepted")
+
+
 def from_json(text: str) -> Graph:
     """Parse the JSON form; malformed input raises ValueError."""
     doc = json.loads(text)
@@ -207,6 +217,7 @@ def from_json(text: str) -> Graph:
     n = doc.get("n")
     if not _is_int(n) or n < 0:
         raise ValueError(f"graph JSON needs 'n', a non-negative integer, got {n!r}")
+    _check_order(n)
     pairs = doc.get("edges", [])
     if not isinstance(pairs, list) or not all(
         isinstance(p, list) and len(p) == 2 and _is_int(p[0]) and _is_int(p[1])
@@ -241,6 +252,7 @@ def from_edgelist(text: str) -> Graph:
     if len(tokens) < 2:
         raise ValueError("edge list needs a header line 'n m'")
     n, m = int(tokens[0]), int(tokens[1])
+    _check_order(n)
     if m < 0:
         raise ValueError(f"edge count must be non-negative, got {m}")
     flat = tokens[2:]

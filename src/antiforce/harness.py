@@ -1,10 +1,10 @@
 """Verification harness: sweeps formulas against the exact oracles.
 
 Every comparison lands in a VerificationRecord, one row per (family, k,
-m). Formula evaluation failures never abort a sweep; they become
-OUT_OF_RANGE rows. Oracle budgets never abort a sweep either; they
-become SKIPPED rows. A disagreement between the two independent oracles
-does abort: that is an internal invariant failure, not a finding.
+m). A family with no closed form gives OUT_OF_RANGE rows. Oracle budgets
+never abort a sweep; they become SKIPPED rows. A disagreement between
+the two independent oracles does abort: that is an internal invariant
+failure, not a finding.
 
 Reports are deterministic byte for byte: fixed column order, fixed row
 order, exact rational formatting.
@@ -28,17 +28,13 @@ from .families import build
 from .formulas import (
     IN_RANGE,
     OUT_OF_RANGE,
-    BoundPair,
     FormulaResult,
     Value,
-    af_cycle_power_bounds,
-    af_friendship_power,
     af_ortho_power,
     af_ortho_power_closed_form,
     af_para_power,
     af_para_power_closed_form,
-    af_path_power,
-    af_triangular_chain_power,
+    evaluate_formula,
 )
 from .graph import power
 
@@ -157,23 +153,25 @@ def classify_status(
     return "MATCH" if formula_value == oracle_value else "MISMATCH"
 
 
-def evaluate_formula(family: str, k: int, m: int) -> FormulaResult | BoundPair | None:
-    """Dispatch to the family's evaluator; None when no formula exists."""
-    if family == "path":
-        return af_path_power(k, m)
-    if family == "cycle":
-        return af_cycle_power_bounds(k, m)
-    if family == "friendship":
-        return af_friendship_power(k, m)
-    if family == "tri-chain":
-        return af_triangular_chain_power(k, m)
-    if family == "ortho-chain":
-        return af_ortho_power(k, m)
-    if family == "para-chain":
-        return af_para_power(k, m)
-    if family == "complete":
-        return None
-    raise ValueError(f"unknown family {family!r}")
+def _record(
+    family: str, k: int, m: int, n: int, res: FormulaResult | None, oracle: int | None
+) -> VerificationRecord:
+    """The graded row for res against oracle; no formula gives an n/a row."""
+    value = lower = upper = None
+    case, applicability = "n/a", OUT_OF_RANGE
+    if res is not None:
+        value, lower, upper = res.value, res.lower, res.upper
+        case, applicability = res.case, res.applicability
+    status = classify_status(
+        formula_value=value,
+        applicability=applicability,
+        oracle_value=oracle,
+        bound_lower=lower,
+        bound_upper=upper,
+    )
+    return VerificationRecord(
+        family, k, m, n, value, case, applicability, oracle, lower, upper, status
+    )
 
 
 @dataclass(frozen=True)
@@ -221,21 +219,6 @@ def sweep_point(spec: SweepSpec, k: int, m: int) -> VerificationRecord:
     g = power(base, m)
     res = evaluate_formula(family, k, m)
 
-    formula_value: Value | None = None
-    lower: Fraction | None = None
-    upper: Fraction | None = None
-    if isinstance(res, BoundPair):
-        case = "bounds"
-        applicability = IN_RANGE
-        lower, upper = res.lower, res.upper
-    elif isinstance(res, FormulaResult):
-        formula_value = res.value
-        case = res.case
-        applicability = res.applicability
-    else:
-        case = "n/a"
-        applicability = OUT_OF_RANGE
-
     try:
         result = af_via_matchings(g, spec.budget())
     except BudgetExceededError:
@@ -253,14 +236,6 @@ def sweep_point(spec: SweepSpec, k: int, m: int) -> VerificationRecord:
                 f"subset={check.value} matchings={oracle}"
             )
 
-    status = classify_status(
-        formula_value=formula_value,
-        applicability=applicability,
-        oracle_value=oracle,
-        bound_lower=lower,
-        bound_upper=upper,
-    )
-
     if (
         result is not None
         and result.method == "via_matchings"
@@ -268,19 +243,7 @@ def sweep_point(spec: SweepSpec, k: int, m: int) -> VerificationRecord:
     ):
         raise InternalInvariantError(f"unverifiable witness on {family}(k={k})^{m}")
 
-    return VerificationRecord(
-        family=family,
-        k=k,
-        m=m,
-        n=base.n,
-        formula_value=formula_value,
-        formula_case=case,
-        applicability=applicability,
-        oracle_value=oracle,
-        bound_lower=lower,
-        bound_upper=upper,
-        status=status,
-    )
+    return _record(family, k, m, base.n, res, oracle)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[VerificationRecord]:
@@ -306,31 +269,8 @@ def run_edge_count_audit(
         base = build(family, k)
         for m in m_values:
             res = evaluate_formula(family, k, m)
-            if not isinstance(res, FormulaResult) or res.kind != "edge_count":
-                continue
-            counted = len(power(base, m).edges)
-            status = classify_status(
-                formula_value=res.value,
-                applicability=res.applicability,
-                oracle_value=counted,
-                bound_lower=None,
-                bound_upper=None,
-            )
-            records.append(
-                VerificationRecord(
-                    family=family,
-                    k=k,
-                    m=m,
-                    n=base.n,
-                    formula_value=res.value,
-                    formula_case=res.case,
-                    applicability=res.applicability,
-                    oracle_value=counted,
-                    bound_lower=None,
-                    bound_upper=None,
-                    status=status,
-                )
-            )
+            if res is not None and res.kind == "edge_count":
+                records.append(_record(family, k, m, base.n, res, len(power(base, m).edges)))
     return records
 
 

@@ -13,13 +13,6 @@ def test_node_cap_raises():
     assert exc.value.nodes_used == 6
 
 
-def test_tick_counts_in_bulk():
-    b = Budget(max_nodes=10, max_seconds=60.0)
-    b.tick(10)
-    with pytest.raises(BudgetExceededError):
-        b.tick(1)
-
-
 def test_time_cap_raises():
     b = Budget(max_nodes=10**9, max_seconds=0.0001)
     with pytest.raises(BudgetExceededError):
@@ -30,9 +23,11 @@ def test_time_cap_raises():
 
 def test_start_resets():
     b = Budget(max_nodes=3, max_seconds=60.0)
-    b.tick(3)
+    for _ in range(3):
+        b.tick()
     b.start()
-    b.tick(3)  # does not raise after reset
+    for _ in range(3):
+        b.tick()  # does not raise after reset
     assert b.nodes == 3
 
 

@@ -219,6 +219,15 @@ def test_long_even_graph_exits_1(argv, monkeypatch, capsys):
     assert err.startswith("antiforce: input too deep") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["af"], ["power", "--m", "2"]])
+@pytest.mark.parametrize("text", ["100000000 0", '{"n": 100000000}'])
+def test_huge_declared_order_exits_1(argv, text, monkeypatch, capsys):
+    # Rejected before anything is built per vertex.
+    rc, out, err = run_cli(argv, text, monkeypatch, capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("antiforce: graph declares 100000000 vertices") and err.count("\n") == 1
+
+
 def _run_in_process(argv, text):
     out, err = io.StringIO(), io.StringIO()
     stdin, sys.stdin = sys.stdin, io.StringIO(text)
@@ -304,6 +313,10 @@ def test_formula_cycle_bounds(capsys):
     assert doc["kind"] == "bounds"
     assert doc["value"] is None
     assert doc["lower"] == "7/2" and doc["upper"] == "6"
+    assert out == (
+        '{"value": null, "kind": "bounds", "case": "bounds", "applicability": "in_range", '
+        '"lower": "7/2", "upper": "6"}\n'
+    )
 
 
 def test_formula_complete_has_none(capsys):

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from antiforce import (
+    FAMILIES,
     SweepSpec,
     VerificationRecord,
     check_closed_form_consistency,
@@ -16,7 +17,7 @@ from antiforce import (
     run_edge_count_audit,
     run_sweep,
 )
-from antiforce.formulas import IN_RANGE, OUT_OF_RANGE, af_para_power
+from antiforce.formulas import FORMULAS, IN_RANGE, OUT_OF_RANGE, af_para_power
 from antiforce.harness import (
     COLUMNS,
     STATUSES,
@@ -124,6 +125,7 @@ def test_evaluate_formula_dispatch():
     assert evaluate_formula("path", 6, 2).value == 2
     assert evaluate_formula("complete", 4, 2) is None
     assert evaluate_formula("cycle", 6, 2).lower == Fraction(7, 2)
+    assert FORMULAS.keys() == FAMILIES.keys()
     with pytest.raises(ValueError):
         evaluate_formula("nope", 3, 2)
 
