@@ -66,7 +66,6 @@ from .matching import (
     enumerate_perfect_matchings,
     has_perfect_matching,
     has_unique_perfect_matching,
-    is_matching,
     is_perfect_matching,
 )
 

@@ -40,7 +40,6 @@ witness, tagged method "convention_no_pm".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Literal, Sequence
 
 from .budget import Budget, BudgetExceededError
@@ -50,6 +49,7 @@ from .matching import (
     _no_tick,
     alternating_cycles,
     count_pms_excluding,
+    edge_indices,
     enumerate_perfect_matchings,
 )
 from .symmetry import pm_orbits
@@ -87,7 +87,7 @@ def is_anti_forcing_set(g: Graph, s: frozenset[Edge] | set[Edge]) -> bool:
 
 
 def _anti_forcing_sets(
-    masks: list[int],
+    pms: list[Matching],
     holding: list[int],
     alive: int,
     removed: int,
@@ -96,8 +96,8 @@ def _anti_forcing_sets(
     tick: Callable[[], None],
     found: list[int],
 ) -> None:
-    # alive: bit j set for each perfect matching masks[j] disjoint from
-    # removed, at least one; holding[i]: bit j set when masks[j] holds
+    # alive: bit j set for each perfect matching pms[j] disjoint from
+    # removed, at least one; holding[i]: bit j set when pms[j] holds
     # edge i. Module-level, not a closure: a closure that calls itself is
     # a reference cycle, left behind for the cyclic collector.
     tick()
@@ -112,13 +112,13 @@ def _anti_forcing_sets(
     # tried before it are forbidden below, so each set is reached once.
     first = (alive ^ rest).bit_length() - 1
     second = (rest & -rest).bit_length() - 1
-    branch = (masks[first] | masks[second]) & ~forbidden
+    branch = (pms[first] | pms[second]) & ~forbidden
     while branch:
         low = branch & -branch
         child = alive & ~holding[low.bit_length() - 1]
         if child:
             _anti_forcing_sets(
-                masks, holding, child, removed | low, forbidden, left - 1, tick, found
+                pms, holding, child, removed | low, forbidden, left - 1, tick, found
             )
         forbidden |= low
         branch ^= low
@@ -128,7 +128,7 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     """Ground-truth oracle: the fewest edges disjoint from exactly one PM.
 
     A set S is anti-forcing exactly when one perfect matching of g avoids
-    it. The matchings are enumerated once, as edge bitmasks, and each
+    it. The matchings are enumerated once, as edge masks, and each
     edge gets the bitset of the matching indices that hold it, so the
     matchings S leaves are one int, cut by one mask per added edge. The
     search deepens over sizes 0, 1, 2, ..., reaching every set of at most
@@ -148,18 +148,16 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     if not pms:
         return AntiForcingResult(len(g.edges), frozenset(), "convention_no_pm")
     edges = g.sorted_edges
-    index = g.edge_index
-    masks = [sum(1 << index[e] for e in m) for m in pms]
     holding = [0] * len(edges)
     for j, m in enumerate(pms):
-        for e in m:
-            holding[index[e]] |= 1 << j
+        for i in edge_indices(m):
+            holding[i] |= 1 << j
     alive = (1 << len(pms)) - 1
     tick = budget.tick if budget is not None else _no_tick
     found: list[int] = []
     try:
         for size in range(len(edges) + 1):
-            _anti_forcing_sets(masks, holding, alive, 0, 0, size, tick, found)
+            _anti_forcing_sets(pms, holding, alive, 0, 0, size, tick, found)
             if found:
                 break
         else:
@@ -167,14 +165,16 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     except BudgetExceededError as exc:
         exc.lower = size
         raise
-    picks = min([i for i in range(len(edges)) if s >> i & 1] for s in found)
+    picks = min(map(edge_indices, found))
     return AntiForcingResult(size, frozenset(edges[i] for i in picks), "subset_search")
 
 
 # Exact minimum hitting set over bitmask-encoded edge sets. Bit i stands
 # for the i-th edge of the graph's sorted edge list, so ascending bit
 # index is ascending edge order and bit lists compare like edge lists.
-# alternating_cycles hands out its cycles in this encoding. A cover is
+# It is the encoding of the whole package: the enumerator yields perfect
+# matchings in it, alternating_cycles hands out its cycles in it, and
+# edge_indices turns a mask into its ascending bit list. A cover is
 # returned as a bitmask too, so the search that proves a size also hands
 # over a hitting set of that size, and the lexicographic refinement
 # starts from it.
@@ -299,13 +299,13 @@ def _lex_min_cover(
 SEED_LENGTH = 8
 
 
-def _missed(mask: int, bits: Sequence[int], cover: int) -> list[int]:
+def _missed(m: Matching, pms: Sequence[Matching], cover: int) -> list[int]:
     """The free sides of M Δ M' over the other matchings M' that avoid ``cover``.
 
-    ``bits`` holds every perfect matching as an edge mask, ``mask`` is M's.
-    Empty exactly when M is the only perfect matching of G minus ``cover``.
+    ``pms`` holds every perfect matching, ``m`` is M. Empty exactly when
+    M is the only perfect matching of G minus ``cover``.
     """
-    return [b & ~mask for b in bits if not b & cover and b != mask]
+    return [b & ~m for b in pms if not b & cover and b != m]
 
 
 def _grown(family: list[int], missed: list[int]) -> list[int]:
@@ -315,19 +315,14 @@ def _grown(family: list[int], missed: list[int]) -> list[int]:
 
 
 def _cover_lazily(
-    g: Graph,
-    m: Matching,
-    mask: int,
-    bits: Sequence[int],
-    budget: Budget | None,
-    below: int | None = None,
+    g: Graph, m: Matching, pms: Sequence[Matching], budget: Budget | None, below: int | None = None
 ) -> tuple[list[int], int, int] | None:
     """af(G, M), proven from M's short cycles and the matchings they miss.
 
-    ``m`` is M, ``mask`` the same as an edge mask, and ``bits`` every
-    perfect matching. Returns the family the proof grew, its minimum and
-    a cover of that size, or None as soon as af(G, M) is known to be at
-    least ``below``; the proof is in ``af_via_matchings``.
+    ``m`` is M, and ``pms`` every perfect matching. Returns the family
+    the proof grew, its minimum and a cover of that size, or None as soon
+    as af(G, M) is known to be at least ``below``; the proof is in
+    ``af_via_matchings``.
     """
     cycles = alternating_cycles(g, m, budget, SEED_LENGTH)
     family = sorted({f for _, f in cycles}, key=int.bit_count)
@@ -335,15 +330,15 @@ def _cover_lazily(
         found = _min_cover_size(family, budget, below)
         if found is None:
             return None
-        missed = _missed(mask, bits, found[1])
+        missed = _missed(m, pms, found[1])
         if not missed:
             return family, *found
         family = _grown(family, missed)
 
 
 def _lex_min_lazily(
-    mask: int,
-    bits: Sequence[int],
+    m: Matching,
+    pms: Sequence[Matching],
     family: list[int],
     value: int,
     cover: int,
@@ -352,16 +347,16 @@ def _lex_min_lazily(
 ) -> list[int] | None:
     """M's lexicographically smallest cover, as ``_lex_min_cover`` gives it.
 
-    ``mask`` is M as an edge mask, and ``bits`` every perfect matching.
-    ``family`` has minimum ``value`` = af(G, M), and ``cover`` is a cover
-    of it of that size. The family is grown until its smallest cover
-    leaves M unique; the proof is in ``af_via_matchings``.
+    ``m`` is M, and ``pms`` every perfect matching. ``family`` has
+    minimum ``value`` = af(G, M), and ``cover`` is a cover of it of that
+    size. The family is grown until its smallest cover leaves M unique;
+    the proof is in ``af_via_matchings``.
     """
     while True:
         picks = _lex_min_cover(family, value, cover, budget, beat)
         if picks is None:
             return None
-        missed = _missed(mask, bits, sum(1 << i for i in picks))
+        missed = _missed(m, pms, sum(1 << i for i in picks))
         if not missed:
             return picks
         family = _grown(family, missed)
@@ -381,12 +376,12 @@ def af_of_matching(g: Graph, m: Matching, budget: Budget | None = None) -> Match
     af = _min_cover_size(sorted({f for _, f in cycles}, key=int.bit_count), budget)
     f = _min_cover_size(sorted({c for c, _ in cycles}, key=int.bit_count), budget)
     assert af is not None and f is not None
-    return MatchingAnalysis(frozenset(m), af[0], f[0])
+    return MatchingAnalysis(m, af[0], f[0])
 
 
 def _lowest_outside(g: Graph, m: Matching, size: int) -> list[int]:
     """The ``size`` smallest edge indices of g outside m."""
-    return list(islice((i for i, e in enumerate(g.sorted_edges) if e not in m), size))
+    return edge_indices(~m & ((1 << len(g.sorted_edges)) - 1))[:size]
 
 
 def _four_cycle_pairs(g: Graph, m: Matching) -> tuple[list[int], list[int]]:
@@ -399,14 +394,15 @@ def _four_cycle_pairs(g: Graph, m: Matching) -> tuple[list[int], list[int]]:
     of every other edge outside m, both ascending. The pair count is at
     most af(G, m); the proof is in ``af_via_matchings``.
     """
+    edges = g.sorted_edges
     index = g.edge_index
     mate = [0] * g.n
-    for u, v in m:
-        mate[u] = v
-        mate[v] = u
+    for i in edge_indices(m):
+        u, v = edges[i]
+        mate[u], mate[v] = v, u
     smaller: list[int] = []
     other: list[int] = []
-    for i, (u, w) in enumerate(g.sorted_edges):
+    for i, (u, w) in enumerate(edges):
         a, b = mate[u], mate[w]
         if a == w:  # uw is in m
             continue
@@ -514,8 +510,6 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     pms = enumerate_perfect_matchings(g, budget=budget)
     if not pms:
         return AntiForcingResult(len(g.edges), frozenset(), "convention_no_pm")
-    index = g.edge_index
-    bits = [sum(1 << index[e] for e in m) for m in pms]
     best: int | None = None
     p: int | None = None  # p(M) of the representative being solved
     solved: dict[int, tuple[list[int], int]] = {}  # optimal representative: family, cover
@@ -527,9 +521,7 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
         for p, i in order:
             if best is not None and p > best:
                 break
-            found = _cover_lazily(
-                g, pms[i], bits[i], bits, budget, None if best is None else best + 1
-            )
+            found = _cover_lazily(g, pms[i], pms, budget, None if best is None else best + 1)
             if found is None:
                 continue
             family, value, cover = found
@@ -555,10 +547,10 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
             if i in solved:
                 family, cover = solved[i]
             else:
-                found = _cover_lazily(g, pms[i], bits[i], bits, budget)
+                found = _cover_lazily(g, pms[i], pms, budget)
                 assert found is not None and found[1] == best
                 family, _, cover = found
-            picks = _lex_min_lazily(bits[i], bits, family, best, cover, budget, witness)
+            picks = _lex_min_lazily(pms[i], pms, family, best, cover, budget, witness)
             if picks is not None:
                 witness = picks
     except BudgetExceededError as exc:

@@ -35,6 +35,7 @@ from .harness import (
 )
 from .matching import (
     count_perfect_matchings,
+    edge_indices,
     enumerate_perfect_matchings,
     has_unique_perfect_matching,
 )
@@ -122,7 +123,7 @@ def _cmd_pm(args: argparse.Namespace) -> int:
         doc = {"count": count_perfect_matchings(g, budget)}
     else:
         matchings = enumerate_perfect_matchings(g, cap=args.cap, budget=budget)
-        doc = {"matchings": [[list(e) for e in sorted(m)] for m in matchings]}
+        doc = {"matchings": [[list(g.sorted_edges[i]) for i in edge_indices(m)] for m in matchings]}
     print(json.dumps(doc))
     return 0
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .graph import Edge, Graph
+from .graph import Edge, Graph, _check_order
 
 
 def path(k: int) -> Graph:
@@ -104,11 +104,25 @@ FAMILIES: dict[str, Callable[[int], Graph]] = {
 }
 
 
+# Each family's vertex count at k, known before anything is built.
+_ORDER: dict[str, Callable[[int], int]] = {
+    "path": lambda k: k,
+    "cycle": lambda k: k,
+    "complete": lambda k: k,
+    "friendship": lambda k: 2 * k + 1,
+    "tri-chain": lambda k: 2 * k + 1,
+    "ortho-chain": lambda k: 3 * k + 1,
+    "para-chain": lambda k: 3 * k + 1,
+}
+
+
 def build(family: str, k: int) -> Graph:
+    """The family's graph at k; ValueError past ``graph.MAX_ORDER`` vertices."""
     try:
         builder = FAMILIES[family]
     except KeyError:
         raise ValueError(
             f"unknown family {family!r}, expected one of {sorted(FAMILIES)}"
         ) from None
+    _check_order(_ORDER[family](k))
     return builder(k)

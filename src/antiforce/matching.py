@@ -1,40 +1,50 @@
 """Perfect matching enumeration and alternating cycle extraction.
 
-Desk-scale exact code: enumeration branches on the lowest-indexed
-unsaturated vertex, which yields matchings in lexicographic order of
-their sorted edge lists, so uniqueness checks and witness selection are
-deterministic. Every perfect-matching question, existence included, is
-answered by this one enumerator, charged to the caller's budget.
+A perfect matching is an edge mask, the one format every consumer takes:
+bit i stands for ``g.sorted_edges[i]``, and ``edge_indices`` lists a
+mask's edges. Desk-scale exact code: enumeration branches on the
+lowest-indexed unsaturated vertex, which yields matchings in
+lexicographic order of their sorted edge lists, so uniqueness checks and
+witness selection are deterministic. Every perfect-matching question,
+existence included, is answered by this one enumerator, charged to the
+caller's budget.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 from .budget import Budget
 from .graph import Edge, Graph
 
-Matching = frozenset[Edge]
+# A perfect matching of a graph g, as an edge mask over g.sorted_edges.
+# The empty matching is 0, so a search for one compares with None.
+Matching = int
+
+# Each vertex's (neighbour, edge mask bit) pairs, as ``Graph.edge_bits``.
+Pairs = Sequence[Sequence[tuple[int, int]]]
 
 
-def is_matching(edges: Matching) -> bool:
-    seen: set[int] = set()
-    for u, v in edges:
-        if u in seen or v in seen:
-            return False
-        seen.update((u, v))
-    return True
+def edge_indices(mask: int) -> list[int]:
+    """The set bits of an edge mask, ascending: its edges' indices in ``sorted_edges``."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def is_perfect_matching(g: Graph, m: Matching) -> bool:
-    if not m <= g.edges:
+    """Whether the mask holds edges of g only, and n/2 of them that cover every vertex."""
+    edges = g.sorted_edges
+    if m < 0 or m >> len(edges) or m.bit_count() * 2 != g.n:
         return False
-    if not is_matching(m):
-        return False
-    return len(m) * 2 == g.n
+    return len({v for i in edge_indices(m) for v in edges[i]}) == g.n
 
 
-def _components_all_even(n: int, adj: Sequence[Sequence[int]], used: list[bool]) -> bool:
+def _components_all_even(n: int, pairs: Pairs, used: list[bool]) -> bool:
     """Every residual component must have even order to extend to a PM."""
     seen = [False] * n
     for s in range(n):
@@ -46,7 +56,7 @@ def _components_all_even(n: int, adj: Sequence[Sequence[int]], used: list[bool])
         while stack:
             u = stack.pop()
             size += 1
-            for w in adj[u]:
+            for w, _ in pairs[u]:
                 if not used[w] and not seen[w]:
                     seen[w] = True
                     stack.append(w)
@@ -60,12 +70,7 @@ def _no_tick() -> None:
 
 
 def _pms_from(
-    lowest: int,
-    n: int,
-    adj: Sequence[Sequence[int]],
-    used: list[bool],
-    chosen: list[Edge],
-    tick: Callable[[], None],
+    lowest: int, n: int, pairs: Pairs, used: list[bool], chosen: int, tick: Callable[[], None]
 ) -> Iterator[Matching]:
     # Module-level, not a closure: a generator that calls itself through
     # a closure is a reference cycle, left behind for the cyclic collector.
@@ -74,41 +79,28 @@ def _pms_from(
     while u < n and used[u]:
         u += 1
     if u == n:
-        yield frozenset(chosen)
+        yield chosen
         return
-    if not _components_all_even(n, adj, used):
+    if not _components_all_even(n, pairs, used):
         return
     used[u] = True
-    for w in adj[u]:
+    for w, bit in pairs[u]:
         if used[w]:
             continue
         used[w] = True
-        chosen.append((u, w) if u < w else (w, u))
-        yield from _pms_from(u + 1, n, adj, used, chosen, tick)
-        chosen.pop()
+        yield from _pms_from(u + 1, n, pairs, used, chosen | bit, tick)
         used[w] = False
     used[u] = False
 
 
-def _iter_pms(
-    n: int, adj: Sequence[Sequence[int]], budget: Budget | None
-) -> Iterator[Matching]:
-    """Yield perfect matchings of the graph given by adjacency lists."""
+def _iter_pms(n: int, pairs: Pairs, budget: Budget | None) -> Iterator[Matching]:
+    """Yield the perfect matchings of the graph whose edges ``pairs`` lists."""
     if n % 2:
         return iter(())
     if n == 0:
-        return iter((frozenset(),))
+        return iter((0,))
     tick = budget.tick if budget is not None else _no_tick
-    return _pms_from(0, n, adj, [False] * n, [], tick)
-
-
-def _adjacency_without(g: Graph, removed: frozenset[Edge]) -> list[tuple[int, ...]]:
-    if not removed:
-        return list(g.adjacency)
-    return [
-        tuple(w for w in g.adjacency[u] if ((u, w) if u < w else (w, u)) not in removed)
-        for u in range(g.n)
-    ]
+    return _pms_from(0, n, pairs, [False] * n, 0, tick)
 
 
 def has_perfect_matching(g: Graph, budget: Budget | None = None) -> bool:
@@ -120,31 +112,26 @@ def has_perfect_matching(g: Graph, budget: Budget | None = None) -> bool:
     no. Every search node is charged to ``budget``, so under one the
     question never runs unbounded.
     """
-    return next(_iter_pms(g.n, g.adjacency, budget), None) is not None
+    return next(_iter_pms(g.n, g.edge_bits, budget), None) is not None
 
 
 def enumerate_perfect_matchings(
     g: Graph, cap: int | None = None, budget: Budget | None = None
 ) -> list[Matching]:
-    """All perfect matchings, lexicographic by sorted edge list.
+    """All perfect matchings as edge masks, lexicographic by sorted edge list.
 
     ``cap`` stops the enumeration after that many matchings; None means
     unbounded.
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be a positive integer or None")
-    out: list[Matching] = []
     if not has_perfect_matching(g, budget):
-        return out
-    for m in _iter_pms(g.n, g.adjacency, budget):
-        out.append(m)
-        if cap is not None and len(out) >= cap:
-            break
-    return out
+        return []
+    return list(islice(_iter_pms(g.n, g.edge_bits, budget), cap))
 
 
 def count_perfect_matchings(g: Graph, budget: Budget | None = None) -> int:
-    return sum(1 for _ in _iter_pms(g.n, g.adjacency, budget))
+    return sum(1 for _ in _iter_pms(g.n, g.edge_bits, budget))
 
 
 def has_unique_perfect_matching(g: Graph, budget: Budget | None = None) -> bool:
@@ -157,16 +144,16 @@ def count_pms_excluding(
 ) -> int:
     """Count perfect matchings of g minus the given edges, up to cap.
 
-    Avoids constructing the subgraph. With cap=2 it is the uniqueness
+    Avoids constructing the subgraph: the search runs on ``g.edge_bits``
+    with the removed edges' bits filtered out, so it walks the tree the
+    enumerator walks on g minus them. With cap=2 it is the uniqueness
     probe behind ``is_anti_forcing_set``, which re-verifies witnesses.
     """
-    adj = _adjacency_without(g, removed)
-    count = 0
-    for _ in _iter_pms(g.n, adj, budget):
-        count += 1
-        if count >= cap:
-            break
-    return count
+    gone = sum(1 << i for i, e in enumerate(g.sorted_edges) if e in removed)
+    pairs = g.edge_bits
+    if gone:
+        pairs = [tuple(p for p in nbrs if not p[1] & gone) for nbrs in pairs]
+    return sum(1 for _ in islice(_iter_pms(g.n, pairs, budget), cap))
 
 
 def _extend(
@@ -217,10 +204,11 @@ def _extend(
 def alternating_cycles(
     g: Graph, m: Matching, budget: Budget | None = None, longest: int | None = None
 ) -> list[tuple[int, int]]:
-    """All simple m-alternating cycles, one copy each, as edge bitmasks.
+    """All simple m-alternating cycles, one copy each, as edge masks.
 
-    A cycle is a ``(matched, free)`` pair of masks in which bit i stands
-    for ``g.sorted_edges[i]``. Each cycle is found once: traversal starts
+    ``m`` is a perfect matching of g as the enumerator yields it; any
+    other mask raises ValueError. A cycle is a ``(matched, free)`` pair
+    of masks in the same encoding. Each cycle is found once: traversal starts
     at its minimum vertex and leaves along the matched edge, which fixes
     both rotation and reflection. ``longest`` caps the cycle length, in
     edges: the walk stops extending a path that could only close a
@@ -229,12 +217,13 @@ def alternating_cycles(
     """
     if not is_perfect_matching(g, m):
         raise ValueError("alternating_cycles requires a perfect matching of g")
-    index = g.edge_index
+    edges = g.sorted_edges
     mate = [-1] * g.n
     bit = [0] * g.n  # bit[v]: the mask bit of v's matched edge
-    for u, v in m:
+    for i in edge_indices(m):
+        u, v = edges[i]
         mate[u], mate[v] = v, u
-        bit[u] = bit[v] = 1 << index[(u, v)]
+        bit[u] = bit[v] = 1 << i
     # steps[u]: each free edge u-w, with w's mate and the bits of u-w and
     # w-mate[w]. Matched edges are left out, so a path that gets back to
     # its start has closed a cycle of length >= 4.

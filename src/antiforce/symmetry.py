@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from .budget import Budget
 from .graph import Graph, edge
-from .matching import Matching, _no_tick
+from .matching import Matching, _no_tick, edge_indices
 
 Adjacency = Sequence[Sequence[int]]
 
@@ -138,19 +138,19 @@ def _join(parent: list[int], i: int, j: int) -> None:
 def pm_orbits(g: Graph, pms: Sequence[Matching], budget: Budget | None = None) -> list[int]:
     """For each perfect matching, the index of the first one in its orbit.
 
-    The search starts from the colouring that gives each vertex the
-    sorted counts of matchings through its edges: automorphisms permute
-    the matchings, so they all keep it. The orbits are then closed one at
-    a time: from each matching not yet placed, in index order, a stack
-    search maps the matchings it reaches through every generator and
-    labels them with its index, which is the least of its orbit. It stops
-    once every matching is placed, and charges the budget one node per
-    matching it expands.
+    The matchings are edge masks, as the enumerator yields them. The
+    search starts from the colouring that gives each vertex the sorted
+    counts of matchings through its edges: automorphisms permute the
+    matchings, so they all keep it. The orbits are then closed one at a
+    time: from each matching not yet placed, in index order, a stack
+    search maps the matchings it reaches through every generator, edge
+    by edge, and labels them with its index, which is the least of its
+    orbit. It stops once every matching is placed, and charges the
+    budget one node per matching it expands.
     """
     edges = g.sorted_edges
     index = g.edge_index
-    in_pm = [[index[e] for e in m] for m in pms]
-    through = Counter(i for m in in_pm for i in m)
+    through = Counter(i for m in pms for i in edge_indices(m))
     colours = [
         sorted(through[index[edge(u, w)]] for w in nbrs) for u, nbrs in enumerate(g.adjacency)
     ]
@@ -158,7 +158,7 @@ def pm_orbits(g: Graph, pms: Sequence[Matching], budget: Budget | None = None) -
     if not gens:
         return list(range(len(pms)))
     moves = [[1 << index[edge(perm[u], perm[v])] for u, v in edges] for perm in gens]
-    at = {sum(1 << i for i in m): k for k, m in enumerate(in_pm)}
+    at = {m: k for k, m in enumerate(pms)}
     tick = budget.tick if budget is not None else _no_tick
     first = [-1] * len(pms)
     unplaced = len(pms)
@@ -170,7 +170,7 @@ def pm_orbits(g: Graph, pms: Sequence[Matching], budget: Budget | None = None) -
         stack = [k]
         while stack and unplaced:
             tick()
-            m = in_pm[stack.pop()]
+            m = edge_indices(pms[stack.pop()])
             for moved in moves:
                 image = at[sum(map(moved.__getitem__, m))]
                 if first[image] < 0:

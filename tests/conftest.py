@@ -48,6 +48,16 @@ def benchmark_random_graphs(seed: int) -> list[Graph]:
     return [from_json(text) for _, text in corpus.random_graphs(seed)]
 
 
+def mask_of(g: Graph, edges) -> int:
+    """The edge mask of some of g's edges: bit i stands for ``g.sorted_edges[i]``."""
+    return sum(1 << g.edge_index[e] for e in edges)
+
+
+def edges_of(g: Graph, mask: int) -> set[tuple[int, int]]:
+    """The edges of g whose bits are set in ``mask``."""
+    return {e for i, e in enumerate(g.sorted_edges) if mask >> i & 1}
+
+
 def random_connected_graph(rng: random.Random, n: int) -> Graph:
     """Random attachment tree plus a sprinkle of extra edges."""
     if n < 1:

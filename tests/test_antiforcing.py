@@ -38,7 +38,7 @@ from antiforce.antiforcing import (
     _min_cover_size,
 )
 from antiforce.matching import alternating_cycles, count_pms_excluding
-from conftest import benchmark_random_graphs, graphs, random_connected_graph
+from conftest import benchmark_random_graphs, graphs, mask_of, random_connected_graph
 
 
 def test_result_validation():
@@ -119,7 +119,7 @@ def test_matching_level_numbers_k4():
 
 def test_matching_level_numbers_hexagon():
     g = cycle(6)
-    m = frozenset({(0, 1), (2, 3), (4, 5)})
+    m = mask_of(g, {(0, 1), (2, 3), (4, 5)})
     analysis = af_of_matching(g, m)
     assert analysis.af_of_m == 1 and analysis.f_of_m == 1
     assert analysis.matching == m
@@ -197,8 +197,7 @@ def test_subset_search_walks_the_list_search_tree(atlas):
     # Same sets in the same order, and one tick per node of the same
     # tree, at every deepening size up to the value.
     for g in (*atlas, power(cycle(8), 3)):
-        edges = g.sorted_edges
-        pms = [sum(1 << edges.index(e) for e in m) for m in enumerate_perfect_matchings(g)]
+        pms = enumerate_perfect_matchings(g)
         if not pms:
             continue
         holding, alive = holding_of(pms), (1 << len(pms)) - 1
@@ -213,7 +212,7 @@ def test_subset_search_walks_the_list_search_tree(atlas):
 def test_subset_search_reaches_each_minimum_set_once(atlas):
     for g in atlas:
         edges = g.sorted_edges
-        pms = [sum(1 << edges.index(e) for e in m) for m in enumerate_perfect_matchings(g)]
+        pms = enumerate_perfect_matchings(g)
         if not pms:
             continue
         value = af_subset_search(g).value
@@ -334,16 +333,15 @@ def test_lazy_loop_equals_the_full_cycle_family(atlas):
     grown = checked = 0
     for g in graphs:
         pms = enumerate_perfect_matchings(g)
-        bits = [sum(1 << g.edge_index[e] for e in m) for m in pms]
-        for i, m in enumerate(pms):
+        for m in pms:
             masks = full_family(g, m)
             value, found = _min_cover_size(masks, None)
             smallest = _lex_min_cover(masks, value, found, None)
-            family, size, cover = _cover_lazily(g, m, bits[i], bits, None)
-            assert size == value, (sorted(g.edges), sorted(m))
-            assert _cover_lazily(g, m, bits[i], bits, None, below=value) is None
-            picks = _lex_min_lazily(bits[i], bits, family, size, cover, None, None)
-            assert picks == smallest, (sorted(g.edges), sorted(m))
+            family, size, cover = _cover_lazily(g, m, pms, None)
+            assert size == value, (sorted(g.edges), m)
+            assert _cover_lazily(g, m, pms, None, below=value) is None
+            picks = _lex_min_lazily(m, pms, family, size, cover, None, None)
+            assert picks == smallest, (sorted(g.edges), m)
             seed = {f for _, f in alternating_cycles(g, m, longest=SEED_LENGTH)}
             grown += len(family) > len(seed)
             checked += 1
@@ -443,7 +441,7 @@ def test_four_cycle_bound_lies_between_the_cheap_bound_and_the_cover(atlas):
             assert len(cheap) == len(bound) == len(smallest) == value
             assert all(a <= b <= c for a, b, c in zip(cheap, bound, smallest)), (
                 sorted(g.edges),
-                sorted(m),
+                m,
             )
             raised += bound != cheap
     assert raised

@@ -228,6 +228,16 @@ def test_huge_declared_order_exits_1(argv, text, monkeypatch, capsys):
     assert err.startswith("antiforce: graph declares 100000000 vertices") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "family, n", [("path", 100000000), ("friendship", 200000001), ("para-chain", 300000001)]
+)
+def test_huge_family_order_exits_1(family, n, monkeypatch, capsys):
+    # gen checks the order before building a single edge.
+    rc, out, err = run_cli(["gen", family, "--k", "100000000"], "", monkeypatch, capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith(f"antiforce: graph declares {n} vertices") and err.count("\n") == 1
+
+
 def _run_in_process(argv, text):
     out, err = io.StringIO(), io.StringIO()
     stdin, sys.stdin = sys.stdin, io.StringIO(text)

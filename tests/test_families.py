@@ -15,6 +15,8 @@ from antiforce import (
     path,
     triangular_chain,
 )
+from antiforce.families import _ORDER
+from antiforce.graph import MAX_ORDER
 from conftest import graph_to_nx
 
 
@@ -174,6 +176,19 @@ def test_diameters():
 def test_factories_reject_small_k(factory, k):
     with pytest.raises(ValueError):
         factory(k)
+
+
+def test_build_caps_the_order():
+    # The order each family declares is the order it builds, and the cap
+    # falls exactly at MAX_ORDER vertices.
+    for family in FAMILIES:
+        for k in range(3, 7):
+            assert build(family, k).n == _ORDER[family](k)
+    assert build("path", MAX_ORDER).n == MAX_ORDER
+    assert build("ortho-chain", 1365).n == MAX_ORDER
+    for family, k in [("path", MAX_ORDER + 1), ("ortho-chain", 1366), ("friendship", 2048)]:
+        with pytest.raises(ValueError, match=f"more than the {MAX_ORDER} accepted"):
+            build(family, k)
 
 
 def test_build_dispatch():

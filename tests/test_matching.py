@@ -21,13 +21,19 @@ from antiforce import (
     friendship,
     has_perfect_matching,
     has_unique_perfect_matching,
-    is_matching,
     is_perfect_matching,
     path,
     power,
 )
-from antiforce.matching import Matching, count_pms_excluding
-from conftest import complete_joined_to_star, graph_to_nx, graphs, random_connected_graph
+from antiforce.matching import count_pms_excluding
+from conftest import (
+    complete_joined_to_star,
+    edges_of,
+    graph_to_nx,
+    graphs,
+    mask_of,
+    random_connected_graph,
+)
 
 
 def bipartite_pm_count(left: int, right: int, edges: set[tuple[int, int]]) -> int:
@@ -41,21 +47,17 @@ def bipartite_pm_count(left: int, right: int, edges: set[tuple[int, int]]) -> in
     return count
 
 
-def test_is_matching():
-    assert is_matching(frozenset({(0, 1), (2, 3)}))
-    assert not is_matching(frozenset({(0, 1), (1, 2)}))
-    assert is_matching(frozenset())
-
-
 def test_is_perfect_matching():
-    g = path(4)
-    assert is_perfect_matching(g, frozenset({(0, 1), (2, 3)}))
-    assert not is_perfect_matching(g, frozenset({(1, 2)}))
-    assert not is_perfect_matching(g, frozenset({(0, 2), (1, 3)}))  # not edges
-    assert is_perfect_matching(Graph(0), frozenset())
+    g = path(4)  # edges (0, 1), (1, 2), (2, 3) are bits 0, 1, 2
+    assert is_perfect_matching(g, 0b101)
+    assert not is_perfect_matching(g, 0b010)  # leaves 0 and 3 bare
+    assert not is_perfect_matching(g, 0b011)  # two edges at 1
+    assert not is_perfect_matching(g, 0b1001)  # bit 3 is no edge of g
+    assert not is_perfect_matching(g, -1)
+    assert is_perfect_matching(Graph(0), 0)
 
 
-def symmetric_difference_cycles(m1: Matching, m2: Matching) -> list[set[int]]:
+def symmetric_difference_cycles(m1: set, m2: set) -> list[set[int]]:
     """Vertex sets of the cycles formed by two distinct perfect matchings."""
     diff = (m1 - m2) | (m2 - m1)
     nbrs: dict[int, list[int]] = {}
@@ -138,15 +140,16 @@ def test_enumeration_known_counts():
 
 
 def test_enumeration_is_lexicographic():
-    pms = enumerate_perfect_matchings(complete(4))
-    assert [tuple(sorted(m)) for m in pms] == [
-        ((0, 1), (2, 3)),
-        ((0, 2), (1, 3)),
-        ((0, 3), (1, 2)),
+    g = complete(4)
+    assert [sorted(edges_of(g, m)) for m in enumerate_perfect_matchings(g)] == [
+        [(0, 1), (2, 3)],
+        [(0, 2), (1, 3)],
+        [(0, 3), (1, 2)],
     ]
-    pms = enumerate_perfect_matchings(cycle(6))
-    assert tuple(sorted(pms[0])) == ((0, 1), (2, 3), (4, 5))
-    assert tuple(sorted(pms[1])) == ((0, 5), (1, 2), (3, 4))
+    g = cycle(6)
+    pms = enumerate_perfect_matchings(g)
+    assert sorted(edges_of(g, pms[0])) == [(0, 1), (2, 3), (4, 5)]
+    assert sorted(edges_of(g, pms[1])) == [(0, 5), (1, 2), (3, 4)]
 
 
 def test_enumeration_cap():
@@ -156,7 +159,7 @@ def test_enumeration_cap():
 
 
 def test_empty_graph_has_one_pm():
-    assert enumerate_perfect_matchings(Graph(0)) == [frozenset()]
+    assert enumerate_perfect_matchings(Graph(0)) == [0]
     assert has_unique_perfect_matching(Graph(0))
 
 
@@ -198,25 +201,21 @@ def test_count_agrees_with_enumeration(g):
         assert is_perfect_matching(g, m)
 
 
-def decode(g, mask):
-    return {e for i, e in enumerate(g.sorted_edges) if mask >> i & 1}
-
-
 def test_alternating_cycles_hexagon():
     g = cycle(6)
-    m = frozenset({(0, 1), (2, 3), (4, 5)})
+    m = mask_of(g, {(0, 1), (2, 3), (4, 5)})
     cycles = alternating_cycles(g, m)
     assert len(cycles) == 1
     matched, free = cycles[0]
-    assert decode(g, matched) == m
-    assert decode(g, free) == {(1, 2), (3, 4), (0, 5)}
+    assert matched == m
+    assert edges_of(g, free) == {(1, 2), (3, 4), (0, 5)}
 
 
 def test_alternating_cycles_k4():
     g = complete(4)
-    m = frozenset({(0, 1), (2, 3)})
+    m = mask_of(g, {(0, 1), (2, 3)})
     cycles = alternating_cycles(g, m)
-    assert [(decode(g, a), decode(g, b)) for a, b in cycles] == [
+    assert [(a, edges_of(g, b)) for a, b in cycles] == [
         (m, {(1, 2), (0, 3)}),
         (m, {(1, 3), (0, 2)}),
     ]
@@ -245,12 +244,12 @@ def test_alternating_cycles_are_single_cycle_differences_on_atlas(atlas):
     # difference from m is that one cycle, and each such m2 gives a cycle.
     for g in atlas:
         pms = enumerate_perfect_matchings(g) if g.n % 2 == 0 else []
-        bit = {e: 1 << i for i, e in enumerate(g.sorted_edges)}
         for m in pms:
             expected = {
-                (sum(bit[e] for e in m - m2), sum(bit[e] for e in m2 - m))
+                (m & ~m2, m2 & ~m)
                 for m2 in pms
-                if m2 != m and len(symmetric_difference_cycles(m, m2)) == 1
+                if m2 != m
+                and len(symmetric_difference_cycles(edges_of(g, m), edges_of(g, m2))) == 1
             }
             cycles = alternating_cycles(g, m)
             assert set(cycles) == expected
@@ -278,7 +277,9 @@ def test_capped_walk_is_the_uncapped_list_filtered_by_length(atlas):
 
 def test_alternating_cycles_requires_pm():
     with pytest.raises(ValueError):
-        alternating_cycles(cycle(6), frozenset({(0, 1)}))
+        alternating_cycles(cycle(6), 0b1)  # the edge (0, 1) alone
+    with pytest.raises(ValueError):
+        alternating_cycles(cycle(4), 1 << 4)  # a bit past the last edge
 
 
 def test_unique_iff_no_alternating_cycle_on_atlas(atlas):
@@ -322,7 +323,7 @@ def test_two_pms_differ_by_alternating_cycles(g):
     pms = enumerate_perfect_matchings(g)
     for i in range(len(pms)):
         for j in range(i + 1, len(pms)):
-            comps = symmetric_difference_cycles(pms[i], pms[j])
+            comps = symmetric_difference_cycles(edges_of(g, pms[i]), edges_of(g, pms[j]))
             assert comps
             for comp in comps:
                 assert len(comp) % 2 == 0 and len(comp) >= 4

@@ -1,0 +1,131 @@
+"""The edge-mask enumerator against the frozenset enumerator it replaced.
+
+The reference below is the enumerator as it stood when perfect matchings
+were frozensets of edge tuples: it pushes and pops each chosen edge on a
+list and rebuilds the adjacency lists to drop removed edges. Encoded as
+edge masks, its matchings must be the new list, in the same order, and
+both must charge the budget the same nodes: the search trees are one.
+"""
+
+import random
+
+from antiforce import (
+    Budget,
+    Graph,
+    complete,
+    count_perfect_matchings,
+    cycle,
+    enumerate_perfect_matchings,
+    has_perfect_matching,
+    power,
+)
+from antiforce.matching import count_pms_excluding
+from conftest import mask_of
+
+
+def ref_components_all_even(n, adj, used):
+    seen = [False] * n
+    for s in range(n):
+        if used[s] or seen[s]:
+            continue
+        size = 0
+        stack = [s]
+        seen[s] = True
+        while stack:
+            u = stack.pop()
+            size += 1
+            for w in adj[u]:
+                if not used[w] and not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        if size % 2:
+            return False
+    return True
+
+
+def ref_pms_from(lowest, n, adj, used, chosen, tick):
+    tick()
+    u = lowest
+    while u < n and used[u]:
+        u += 1
+    if u == n:
+        yield frozenset(chosen)
+        return
+    if not ref_components_all_even(n, adj, used):
+        return
+    used[u] = True
+    for w in adj[u]:
+        if used[w]:
+            continue
+        used[w] = True
+        chosen.append((u, w) if u < w else (w, u))
+        yield from ref_pms_from(u + 1, n, adj, used, chosen, tick)
+        chosen.pop()
+        used[w] = False
+    used[u] = False
+
+
+def ref_iter_pms(n, adj, budget):
+    if n % 2:
+        return iter(())
+    if n == 0:
+        return iter((frozenset(),))
+    return ref_pms_from(0, n, adj, [False] * n, [], budget.tick)
+
+
+def ref_adjacency_without(g, removed):
+    if not removed:
+        return list(g.adjacency)
+    return [
+        tuple(w for w in g.adjacency[u] if ((u, w) if u < w else (w, u)) not in removed)
+        for u in range(g.n)
+    ]
+
+
+def ref_enumerate(g, budget):
+    """The gate's first matching, then the full list, as the package runs them."""
+    if next(ref_iter_pms(g.n, g.adjacency, budget), None) is None:
+        return []
+    return list(ref_iter_pms(g.n, g.adjacency, budget))
+
+
+def ref_count_excluding(g, removed, cap, budget):
+    count = 0
+    for _ in ref_iter_pms(g.n, ref_adjacency_without(g, removed), budget):
+        count += 1
+        if count >= cap:
+            break
+    return count
+
+
+EXTRA = (Graph(0), complete(8), power(cycle(10), 3))
+
+
+def test_mask_enumerator_is_the_frozenset_enumerator(atlas):
+    assert len(atlas) == 996
+    for g in (*atlas, *EXTRA):
+        ref, new = Budget(), Budget()
+        want = [mask_of(g, m) for m in ref_enumerate(g, ref)]
+        assert enumerate_perfect_matchings(g, budget=new) == want, sorted(g.edges)
+        assert new.nodes == ref.nodes, sorted(g.edges)
+        assert has_perfect_matching(g) == bool(want)
+        ref, new = Budget(), Budget()
+        assert count_perfect_matchings(g, new) == sum(
+            1 for _ in ref_iter_pms(g.n, g.adjacency, ref)
+        )
+        assert new.nodes == ref.nodes
+
+
+def test_count_excluding_is_the_reference_count(atlas):
+    # Random removed sets, from none up to every edge, at caps 1, 2 and
+    # unbounded: the same count and the same nodes.
+    rng = random.Random(150415)
+    graphs = [g for g in atlas if g.n % 2 == 0][::4] + list(EXTRA)
+    for g in graphs:
+        for _ in range(4):
+            removed = frozenset(e for e in g.sorted_edges if rng.random() < rng.random())
+            for cap in (1, 2, 10**9):
+                ref, new = Budget(), Budget()
+                want = ref_count_excluding(g, removed, cap, ref)
+                assert count_pms_excluding(g, removed, cap, new) == want
+                assert new.nodes == ref.nodes, (sorted(g.edges), sorted(removed), cap)

@@ -151,12 +151,12 @@ def pm_orbits_union_find(g, pms):
     """pm_orbits by joining every matching with its image under every generator."""
     edges = g.sorted_edges
     index = g.edge_index
-    in_pm = [[index[e] for e in m] for m in pms]
+    in_pm = [[i for i in range(len(edges)) if m >> i & 1] for m in pms]
     through = Counter(i for m in in_pm for i in m)
     colours = [
         sorted(through[index[edge(u, w)]] for w in nbrs) for u, nbrs in enumerate(g.adjacency)
     ]
-    at = {sum(1 << i for i in m): k for k, m in enumerate(in_pm)}
+    at = {m: k for k, m in enumerate(pms)}
     first = list(range(len(pms)))
     for perm in automorphism_generators(g, colours):
         moved = [1 << index[edge(perm[u], perm[v])] for u, v in edges]
