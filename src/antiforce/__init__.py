@@ -33,7 +33,6 @@ from .formulas import (
     evaluate_formula,
 )
 from .graph import (
-    DistanceMatrix,
     Graph,
     all_pairs_distances,
     diameter,

@@ -46,7 +46,6 @@ from .budget import Budget, BudgetExceededError
 from .graph import Edge, Graph, edge
 from .matching import (
     Matching,
-    _no_tick,
     alternating_cycles,
     count_pms_excluding,
     edge_indices,
@@ -140,6 +139,7 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     lower bound (0 if the budget runs out while enumerating) when the
     search cannot finish.
     """
+    budget = budget or Budget()
     try:
         pms = enumerate_perfect_matchings(g, budget=budget)
     except BudgetExceededError as exc:
@@ -153,11 +153,10 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
         for i in edge_indices(m):
             holding[i] |= 1 << j
     alive = (1 << len(pms)) - 1
-    tick = budget.tick if budget is not None else _no_tick
     found: list[int] = []
     try:
         for size in range(len(edges) + 1):
-            _anti_forcing_sets(pms, holding, alive, 0, 0, size, tick, found)
+            _anti_forcing_sets(pms, holding, alive, 0, 0, size, budget.tick, found)
             if found:
                 break
         else:
@@ -198,7 +197,7 @@ def _packing_bound(masks: Sequence[int]) -> int:
     return count
 
 
-def _exists_cover(masks: list[int], k: int, budget: Budget | None) -> int | None:
+def _exists_cover(masks: list[int], k: int, budget: Budget) -> int | None:
     """A hitting set of at most k elements as a bitmask, or None if none exists.
 
     No sets give the empty cover 0, so test the result with ``is None``.
@@ -207,8 +206,7 @@ def _exists_cover(masks: list[int], k: int, budget: Budget | None) -> int | None
         return 0
     if k <= 0:
         return None
-    if budget is not None:
-        budget.tick()
+    budget.tick()
     if _packing_bound(masks) > k:
         return None
     t = masks[0]
@@ -222,7 +220,7 @@ def _exists_cover(masks: list[int], k: int, budget: Budget | None) -> int | None
 
 
 def _min_cover_size(
-    masks: list[int], budget: Budget | None, below: int | None = None
+    masks: list[int], budget: Budget, below: int | None = None
 ) -> tuple[int, int] | None:
     """Minimum hitting set size and a cover of that size, as a bitmask.
 
@@ -242,7 +240,7 @@ def _lex_min_cover(
     masks: list[int],
     value: int,
     cover: int,
-    budget: Budget | None,
+    budget: Budget,
     beat: Sequence[int] | None = None,
 ) -> list[int] | None:
     """Lexicographically smallest hitting set of size ``value``, the minimum.
@@ -315,7 +313,7 @@ def _grown(family: list[int], missed: list[int]) -> list[int]:
 
 
 def _cover_lazily(
-    g: Graph, m: Matching, pms: Sequence[Matching], budget: Budget | None, below: int | None = None
+    g: Graph, m: Matching, pms: Sequence[Matching], budget: Budget, below: int | None = None
 ) -> tuple[list[int], int, int] | None:
     """af(G, M), proven from M's short cycles and the matchings they miss.
 
@@ -342,7 +340,7 @@ def _lex_min_lazily(
     family: list[int],
     value: int,
     cover: int,
-    budget: Budget | None,
+    budget: Budget,
     beat: Sequence[int] | None,
 ) -> list[int] | None:
     """M's lexicographically smallest cover, as ``_lex_min_cover`` gives it.
@@ -372,6 +370,7 @@ def af_of_matching(g: Graph, m: Matching, budget: Budget | None = None) -> Match
     unique PM; ``f_of_m`` the smallest subset of m contained in no other
     perfect matching.
     """
+    budget = budget or Budget()
     cycles = alternating_cycles(g, m, budget)
     af = _min_cover_size(sorted({f for _, f in cycles}, key=int.bit_count), budget)
     f = _min_cover_size(sorted({c for c, _ in cycles}, key=int.bit_count), budget)
@@ -507,6 +506,7 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     ``lower`` carries it too. While the PMs are listed or their orbits
     closed, ``lower`` stays None.
     """
+    budget = budget or Budget()
     pms = enumerate_perfect_matchings(g, budget=budget)
     if not pms:
         return AntiForcingResult(len(g.edges), frozenset(), "convention_no_pm")

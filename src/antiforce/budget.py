@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
 
-# The default allowance of one exact computation.
+# The default allowance of one exact computation, as the CLI and sweeps
+# grant it. A Budget built without caps has none.
 DEFAULT_MAX_NODES = 50_000_000
 DEFAULT_MAX_SECONDS = 10.0
 
@@ -39,21 +41,19 @@ class Budget:
     ``max_nodes`` counts search-tree nodes, of whichever searches the
     solver runs: perfect-matching enumeration, alternating cycles, the
     hitting set, the subset search. ``max_seconds`` is a soft deadline
-    checked alongside the node counter.
+    checked alongside the node counter; the clock starts when the budget
+    is made. Both caps default to ``math.inf``: a solver called without
+    a budget charges a fresh uncapped one.
     """
 
-    max_nodes: int = DEFAULT_MAX_NODES
-    max_seconds: float = DEFAULT_MAX_SECONDS
+    max_nodes: float = math.inf
+    max_seconds: float = math.inf
     nodes: int = field(default=0, init=False)
     _deadline: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
         if not (self.max_nodes > 0 and self.max_seconds > 0):  # rejects NaN too
             raise ValueError("budget caps must be positive")
-        self.start()
-
-    def start(self) -> None:
-        self.nodes = 0
         self._deadline = time.monotonic() + self.max_seconds
 
     def tick(self) -> None:
@@ -85,4 +85,4 @@ def default_budget() -> Budget:
     env = os.environ.get("ANTIFORCE_BUDGET")
     if env:
         return parse_budget(env)
-    return Budget()
+    return Budget(max_nodes=DEFAULT_MAX_NODES, max_seconds=DEFAULT_MAX_SECONDS)

@@ -12,7 +12,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 Edge = tuple[int, int]
 
@@ -94,40 +93,15 @@ class Graph:
             pairs[v].append((u, 1 << i))
         return tuple(map(tuple, pairs))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge(u, v) in self.edges
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def label_index(self) -> dict[str, int]:
         """Inverse of the label tuple; empty when unlabeled."""
         if self.labels is None:
             return {}
         return {lab: i for i, lab in enumerate(self.labels)}
 
-    def without_edges(self, removed: Iterable[Edge]) -> "Graph":
-        gone = {edge(u, v) for u, v in removed}
-        extra = gone - self.edges
-        if extra:
-            raise ValueError(f"edges not in graph: {sorted(extra)}")
-        return Graph(self.n, self.edges - gone, self.labels)
 
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs hop counts; None marks unreachable pairs."""
-
-    n: int
-    rows: tuple[tuple[int | None, ...], ...]
-
-    def __getitem__(self, pair: tuple[int, int]) -> int | None:
-        u, v = pair
-        return self.rows[u][v]
-
-
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex."""
+def all_pairs_distances(g: Graph) -> tuple[tuple[int | None, ...], ...]:
+    """Hop counts by BFS from every vertex: row u, column v; None marks unreachable pairs."""
     adj = g.adjacency
     rows: list[tuple[int | None, ...]] = []
     for src in range(g.n):
@@ -143,7 +117,7 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
                     dist[w] = du + 1
                     queue.append(w)
         rows.append(tuple(dist))
-    return DistanceMatrix(g.n, tuple(rows))
+    return tuple(rows)
 
 
 def diameter(g: Graph) -> int | float:
@@ -151,7 +125,7 @@ def diameter(g: Graph) -> int | float:
     if g.n <= 1:
         return 0
     best = 0
-    for row in all_pairs_distances(g).rows:
+    for row in all_pairs_distances(g):
         for d in row:
             if d is None:
                 return math.inf
@@ -174,7 +148,7 @@ def power(g: Graph, m: int) -> Graph:
     edges = set(g.edges)
     if m > 1:
         for u in range(g.n):
-            row = dist.rows[u]
+            row = dist[u]
             for v in range(u + 1, g.n):
                 d = row[v]
                 if d is not None and d <= m:
@@ -187,9 +161,7 @@ def is_complete(g: Graph) -> bool:
 
 
 def max_degree(g: Graph) -> int:
-    if g.n == 0:
-        return 0
-    return max(g.degree(v) for v in range(g.n))
+    return max(map(len, g.adjacency), default=0)
 
 
 # Serialization. JSON is the canonical form; a bare "n m" edge list is

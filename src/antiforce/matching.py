@@ -65,10 +65,6 @@ def _components_all_even(n: int, pairs: Pairs, used: list[bool]) -> bool:
     return True
 
 
-def _no_tick() -> None:
-    pass
-
-
 def _pms_from(
     lowest: int, n: int, pairs: Pairs, used: list[bool], chosen: int, tick: Callable[[], None]
 ) -> Iterator[Matching]:
@@ -93,14 +89,13 @@ def _pms_from(
     used[u] = False
 
 
-def _iter_pms(n: int, pairs: Pairs, budget: Budget | None) -> Iterator[Matching]:
+def _iter_pms(n: int, pairs: Pairs, budget: Budget) -> Iterator[Matching]:
     """Yield the perfect matchings of the graph whose edges ``pairs`` lists."""
     if n % 2:
         return iter(())
     if n == 0:
         return iter((0,))
-    tick = budget.tick if budget is not None else _no_tick
-    return _pms_from(0, n, pairs, [False] * n, 0, tick)
+    return _pms_from(0, n, pairs, [False] * n, 0, budget.tick)
 
 
 def has_perfect_matching(g: Graph, budget: Budget | None = None) -> bool:
@@ -109,10 +104,11 @@ def has_perfect_matching(g: Graph, budget: Budget | None = None) -> bool:
     Exponential in the worst case: a graph without one whose odd
     components appear only deep in the search (K_2k joined to a star
     K_1,3 by one edge, say) is searched in full before the answer is
-    no. Every search node is charged to ``budget``, so under one the
-    question never runs unbounded.
+    no. Every search node is charged to ``budget``, so under a capped one
+    the question never runs unbounded. Here and in every other solver
+    entry point, no budget means a fresh uncapped ``Budget()``.
     """
-    return next(_iter_pms(g.n, g.edge_bits, budget), None) is not None
+    return next(_iter_pms(g.n, g.edge_bits, budget or Budget()), None) is not None
 
 
 def enumerate_perfect_matchings(
@@ -125,13 +121,14 @@ def enumerate_perfect_matchings(
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be a positive integer or None")
+    budget = budget or Budget()
     if not has_perfect_matching(g, budget):
         return []
     return list(islice(_iter_pms(g.n, g.edge_bits, budget), cap))
 
 
 def count_perfect_matchings(g: Graph, budget: Budget | None = None) -> int:
-    return sum(1 for _ in _iter_pms(g.n, g.edge_bits, budget))
+    return sum(1 for _ in _iter_pms(g.n, g.edge_bits, budget or Budget()))
 
 
 def has_unique_perfect_matching(g: Graph, budget: Budget | None = None) -> bool:
@@ -153,7 +150,7 @@ def count_pms_excluding(
     pairs = g.edge_bits
     if gone:
         pairs = [tuple(p for p in nbrs if not p[1] & gone) for nbrs in pairs]
-    return sum(1 for _ in islice(_iter_pms(g.n, pairs, budget), cap))
+    return sum(1 for _ in islice(_iter_pms(g.n, pairs, budget or Budget()), cap))
 
 
 def _extend(
@@ -242,7 +239,7 @@ def alternating_cycles(
     blocked = [False] * g.n
     # closing[v]: the bit of the free edge v-s back to the start s, or 0.
     closing = [0] * g.n
-    tick = budget.tick if budget is not None else _no_tick
+    tick = (budget or Budget()).tick
     out: list[tuple[int, int]] = []
     for s in range(g.n):
         if mate[s] > s:

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from .budget import Budget
 from .graph import Graph, edge
-from .matching import Matching, _no_tick, edge_indices
+from .matching import Matching, edge_indices
 
 Adjacency = Sequence[Sequence[int]]
 
@@ -100,7 +100,7 @@ def automorphism_generators(
     A permutation maps vertex v to ``perm[v]``.
     """
     adj = g.adjacency
-    tick = budget.tick if budget is not None else _no_tick
+    tick = (budget or Budget()).tick
     path = [_refine(adj, list(colours))]
     cells = []
     while cell := _target_cell(path[-1]):
@@ -141,15 +141,19 @@ def pm_orbits(g: Graph, pms: Sequence[Matching], budget: Budget | None = None) -
     The matchings are edge masks, as the enumerator yields them. The
     search starts from the colouring that gives each vertex the sorted
     counts of matchings through its edges: automorphisms permute the
-    matchings, so they all keep it. The orbits are then closed one at a
-    time: from each matching not yet placed, in index order, a stack
-    search maps the matchings it reaches through every generator, edge
-    by edge, and labels them with its index, which is the least of its
-    orbit. It stops once every matching is placed, and charges the
-    budget one node per matching it expands.
+    matchings, so they all keep it. The colouring pays for its pass over
+    the matchings on regular graphs, where refinement from one colour
+    stays uniform and the search would have to individualise vertex
+    after vertex. The orbits are then closed one at a time: from each
+    matching not yet placed, in index order, a stack search maps the
+    matchings it reaches through every generator, edge by edge, and
+    labels them with its index, which is the least of its orbit. It
+    stops once every matching is placed, and charges the budget one
+    node per matching it expands.
     """
     edges = g.sorted_edges
     index = g.edge_index
+    budget = budget or Budget()
     through = Counter(i for m in pms for i in edge_indices(m))
     colours = [
         sorted(through[index[edge(u, w)]] for w in nbrs) for u, nbrs in enumerate(g.adjacency)
@@ -159,7 +163,6 @@ def pm_orbits(g: Graph, pms: Sequence[Matching], budget: Budget | None = None) -
         return list(range(len(pms)))
     moves = [[1 << index[edge(perm[u], perm[v])] for u, v in edges] for perm in gens]
     at = {m: k for k, m in enumerate(pms)}
-    tick = budget.tick if budget is not None else _no_tick
     first = [-1] * len(pms)
     unplaced = len(pms)
     for k in range(len(pms)):
@@ -169,7 +172,7 @@ def pm_orbits(g: Graph, pms: Sequence[Matching], budget: Budget | None = None) -
         unplaced -= 1
         stack = [k]
         while stack and unplaced:
-            tick()
+            budget.tick()
             m = edge_indices(pms[stack.pop()])
             for moved in moves:
                 image = at[sum(map(moved.__getitem__, m))]

@@ -228,7 +228,7 @@ def test_criterion_08_power_law_properties():
         quot = all_pairs_distances(power(g, j))
         for u in range(g.n):
             for v in range(u + 1, g.n):
-                assert quot[u, v] == math.ceil(base[u, v] / j)
+                assert quot[u][v] == math.ceil(base[u][v] / j)
     print("criterion 8: 500 seeded connected graphs passed all three power laws")
 
 
@@ -237,7 +237,7 @@ def _pairs_at_distance(g, dist, m):
         edge(u, v)
         for u in range(g.n)
         for v in range(u + 1, g.n)
-        if dist[u, v] == m
+        if dist[u][v] == m
     }
 
 
@@ -262,7 +262,7 @@ def test_criterion_09_chain_distance_patterns():
         for a, b, shift, count in cases:
             for i in range(1, count + 1):
                 u, v = idx[f"{a}{i}"], idx[f"{b}{i + shift}"]
-                assert dist[u, v] == m, ("ortho", m, a, i, b, i + shift)
+                assert dist[u][v] == m, ("ortho", m, a, i, b, i + shift)
                 found.add(edge(u, v))
         assert len(found) == 9 * (k - m) + 15
         assert found == _pairs_at_distance(g, dist, m)
@@ -295,7 +295,7 @@ def test_criterion_09_chain_distance_patterns():
         for a, b, shift, count in cases:
             for i in range(1, count + 1):
                 u, v = idx[f"{a}{i}"], idx[f"{b}{i + shift}"]
-                assert dist[u, v] == m, ("para", m, a, i, b, i + shift)
+                assert dist[u][v] == m, ("para", m, a, i, b, i + shift)
                 found.add(edge(u, v))
         assert len(found) == aggregate
         assert found == _pairs_at_distance(g, dist, m)

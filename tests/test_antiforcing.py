@@ -145,13 +145,13 @@ def subset_scan(g, budget=None):
     Subsets of one size come in lexicographic order over the sorted edge
     list, so the first anti-forcing set found is the smallest witness.
     """
+    budget = budget or Budget()
     if g.n % 2 or (g.n > 0 and count_pms_excluding(g, frozenset(), cap=1) == 0):
         return AntiForcingResult(len(g.edges), frozenset(), "convention_no_pm")
     try:
         for size in range(len(g.edges) + 1):
             for subset in combinations(g.sorted_edges, size):
-                if budget is not None:
-                    budget.tick()
+                budget.tick()
                 if count_pms_excluding(g, frozenset(subset), cap=2) == 1:
                     return AntiForcingResult(size, frozenset(subset), "subset_search")
     except BudgetExceededError as exc:
@@ -335,12 +335,12 @@ def test_lazy_loop_equals_the_full_cycle_family(atlas):
         pms = enumerate_perfect_matchings(g)
         for m in pms:
             masks = full_family(g, m)
-            value, found = _min_cover_size(masks, None)
-            smallest = _lex_min_cover(masks, value, found, None)
-            family, size, cover = _cover_lazily(g, m, pms, None)
+            value, found = _min_cover_size(masks, Budget())
+            smallest = _lex_min_cover(masks, value, found, Budget())
+            family, size, cover = _cover_lazily(g, m, pms, Budget())
             assert size == value, (sorted(g.edges), m)
-            assert _cover_lazily(g, m, pms, None, below=value) is None
-            picks = _lex_min_lazily(m, pms, family, size, cover, None, None)
+            assert _cover_lazily(g, m, pms, Budget(), below=value) is None
+            picks = _lex_min_lazily(m, pms, family, size, cover, Budget(), None)
             assert picks == smallest, (sorted(g.edges), m)
             seed = {f for _, f in alternating_cycles(g, m, longest=SEED_LENGTH)}
             grown += len(family) > len(seed)
@@ -363,8 +363,8 @@ def bits(xs):
 def cover(sets):
     """Value and lexicographically smallest minimum hitting set."""
     masks = encode(sets)
-    value, found = _min_cover_size(masks, None)
-    return value, _lex_min_cover(masks, value, found, None)
+    value, found = _min_cover_size(masks, Budget())
+    return value, _lex_min_cover(masks, value, found, Budget())
 
 
 def test_min_hitting_set_disjoint():
@@ -381,15 +381,15 @@ def test_min_hitting_set_lex():
 
 def test_cover_engine_early_exits():
     masks = encode([{0, 1}, {2, 3}, {4, 5}])
-    assert _min_cover_size(masks, None, below=3) is None
-    assert _min_cover_size(masks, None, below=4) == (3, bits([0, 2, 4]))
+    assert _min_cover_size(masks, Budget(), below=3) is None
+    assert _min_cover_size(masks, Budget(), below=4) == (3, bits([0, 2, 4]))
     # The smallest cover is [0, 2, 4]: it loses to [0, 2, 3] at its third
     # pick, and beats [0, 3, 4] at its second. Started from [1, 3, 5],
     # the refinement searches for its first pick.
     start = bits([1, 3, 5])
-    assert _lex_min_cover(masks, 3, start, None, beat=[0, 2, 3]) is None
-    assert _lex_min_cover(masks, 3, start, None, beat=[0, 3, 4]) == [0, 2, 4]
-    assert _lex_min_cover(masks, 3, start, None, beat=[1, 2, 3]) == [0, 2, 4]
+    assert _lex_min_cover(masks, 3, start, Budget(), beat=[0, 2, 3]) is None
+    assert _lex_min_cover(masks, 3, start, Budget(), beat=[0, 3, 4]) == [0, 2, 4]
+    assert _lex_min_cover(masks, 3, start, Budget(), beat=[1, 2, 3]) == [0, 2, 4]
 
 
 def test_lex_refinement_from_smallest_cover_runs_no_search():
@@ -418,7 +418,7 @@ def test_lex_refinement_searches_the_cut_sets(monkeypatch):
         return _exists_cover(sets, k, budget)
 
     monkeypatch.setattr(antiforce.antiforcing, "_exists_cover", recorded)
-    assert _lex_min_cover(masks, 3, bits([0, 3, 5]), None) == [0, 2, 3]
+    assert _lex_min_cover(masks, 3, bits([0, 3, 5]), Budget()) == [0, 2, 3]
     assert searched == [
         (sorted([bits([2, 5]), bits([3, 4])]), 1),  # candidate 1
         (sorted([bits([3]), bits([3, 4])]), 1),  # candidate 2
@@ -435,7 +435,7 @@ def test_four_cycle_bound_lies_between_the_cheap_bound_and_the_cover(atlas):
             value = af_of_matching(g, m).af_of_m
             assert len(_four_cycle_pairs(g, m)[0]) <= value
             masks = sorted({f for _, f in alternating_cycles(g, m)}, key=int.bit_count)
-            smallest = _lex_min_cover(masks, value, _min_cover_size(masks, None)[1], None)
+            smallest = _lex_min_cover(masks, value, _min_cover_size(masks, Budget())[1], Budget())
             cheap = _lowest_outside(g, m, value)
             bound = _four_cycle_bound(g, m, value)
             assert len(cheap) == len(bound) == len(smallest) == value
@@ -467,19 +467,19 @@ def test_cover_engine_matches_brute_force(sets, below, data):
     size = len(ref)
     assert cover(sets) == (size, ref)
     masks = encode(sets)
-    value, found = _min_cover_size(masks, None)
+    value, found = _min_cover_size(masks, Budget())
     assert value == size and found.bit_count() == size
     assert all(s & found for s in masks)
-    assert _min_cover_size(masks, None, below) == (
+    assert _min_cover_size(masks, Budget(), below) == (
         (size, found) if size < below else None
     )
     # Whichever minimum cover the refinement starts from, the answer is
     # the same.
     minimum = [ref, *takewhile(lambda c: len(c) == size, covers)]
     start = bits(data.draw(st.sampled_from(minimum)))
-    assert _lex_min_cover(masks, size, start, None) == ref
+    assert _lex_min_cover(masks, size, start, Budget()) == ref
     beat = sorted(data.draw(st.sets(st.integers(0, ELEMENTS - 1), min_size=size, max_size=size)))
-    assert _lex_min_cover(masks, size, start, None, beat) == (None if ref > beat else ref)
+    assert _lex_min_cover(masks, size, start, Budget(), beat) == (None if ref > beat else ref)
 
 
 @settings(max_examples=40, deadline=None)

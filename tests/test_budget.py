@@ -1,7 +1,24 @@
+import math
+
 import pytest
 
-from antiforce import Budget, BudgetExceededError
+from antiforce import (
+    Budget,
+    BudgetExceededError,
+    af_of_matching,
+    af_subset_search,
+    af_via_matchings,
+    alternating_cycles,
+    count_perfect_matchings,
+    cycle,
+    enumerate_perfect_matchings,
+    has_perfect_matching,
+    has_unique_perfect_matching,
+    power,
+)
 from antiforce.budget import default_budget, parse_budget
+from antiforce.matching import count_pms_excluding
+from antiforce.symmetry import automorphism_generators, pm_orbits
 
 
 def test_node_cap_raises():
@@ -19,16 +36,6 @@ def test_time_cap_raises():
         # Time is only polled every 256 ticks.
         for _ in range(10**6):
             b.tick()
-
-
-def test_start_resets():
-    b = Budget(max_nodes=3, max_seconds=60.0)
-    for _ in range(3):
-        b.tick()
-    b.start()
-    for _ in range(3):
-        b.tick()  # does not raise after reset
-    assert b.nodes == 3
 
 
 def test_invalid_caps():
@@ -63,3 +70,39 @@ def test_default_budget_env_override(monkeypatch):
 def test_exception_carries_bounds():
     exc = BudgetExceededError("stop", lower=3, upper=7, nodes_used=42)
     assert exc.lower == 3 and exc.upper == 7 and exc.nodes_used == 42
+
+
+def test_budget_is_uncapped_by_default():
+    b = Budget()
+    assert b.max_nodes == math.inf and b.max_seconds == math.inf
+
+
+def _entry_point_calls():
+    g = power(cycle(8), 2)
+    pms = enumerate_perfect_matchings(g)
+    return [
+        (has_perfect_matching, (g,)),
+        (enumerate_perfect_matchings, (g,)),
+        (count_perfect_matchings, (g,)),
+        (has_unique_perfect_matching, (g,)),
+        (count_pms_excluding, (g, frozenset(g.sorted_edges[:2]), 2)),
+        (alternating_cycles, (g, pms[0])),
+        (automorphism_generators, (g, [0] * g.n)),
+        (pm_orbits, (g, pms)),
+        (af_subset_search, (g,)),
+        (af_of_matching, (g, pms[0])),
+        (af_via_matchings, (g,)),
+    ]
+
+
+ENTRY_POINT_CALLS = _entry_point_calls()
+
+
+@pytest.mark.parametrize(
+    "fn, args", ENTRY_POINT_CALLS, ids=[f.__name__ for f, _ in ENTRY_POINT_CALLS]
+)
+def test_every_entry_point_runs_without_a_budget(fn, args):
+    # No budget is a fresh uncapped one: the same result, the same search.
+    budget = Budget()
+    assert fn(*args, budget=budget) == fn(*args)
+    assert budget.nodes >= 1

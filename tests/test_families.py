@@ -8,6 +8,7 @@ from antiforce import (
     complete,
     cycle,
     diameter,
+    edge,
     friendship,
     is_complete,
     ortho_square_chain,
@@ -31,7 +32,7 @@ def test_path_shape(k):
 def test_cycle_shape(k):
     g = cycle(k)
     assert g.n == k and len(g.edges) == k
-    assert all(g.degree(v) == 2 for v in range(k))
+    assert all(len(nbrs) == 2 for nbrs in g.adjacency)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
@@ -45,8 +46,8 @@ def test_complete_shape(n):
 def test_friendship_shape(k):
     g = friendship(k)
     assert g.n == 2 * k + 1 and len(g.edges) == 3 * k
-    assert g.degree(0) == 2 * k
-    assert all(g.degree(v) == 2 for v in range(1, g.n))
+    assert len(g.adjacency[0]) == 2 * k
+    assert all(len(nbrs) == 2 for nbrs in g.adjacency[1:])
 
 
 @pytest.mark.parametrize("k", [1, 3, 6])
@@ -55,9 +56,9 @@ def test_triangular_chain_shape(k):
     assert g.n == 2 * k + 1 and len(g.edges) == 3 * k
     idx = g.label_index()
     for i in range(1, k + 1):
-        assert g.has_edge(idx[f"c{i - 1}"], idx[f"c{i}"])
-        assert g.has_edge(idx[f"c{i - 1}"], idx[f"t{i}"])
-        assert g.has_edge(idx[f"c{i}"], idx[f"t{i}"])
+        assert edge(idx[f"c{i - 1}"], idx[f"c{i}"]) in g.edges
+        assert edge(idx[f"c{i - 1}"], idx[f"t{i}"]) in g.edges
+        assert edge(idx[f"c{i}"], idx[f"t{i}"]) in g.edges
 
 
 @pytest.mark.parametrize("factory", [ortho_square_chain, para_square_chain])
@@ -83,8 +84,8 @@ def test_ortho_square_structure():
         y, y_next = idx[f"y{i}"], idx[f"y{i + 1}"]
         x, z = idx[f"x{i}"], idx[f"z{i}"]
         # Square i with the two cut vertices adjacent.
-        assert g.has_edge(y, x) and g.has_edge(x, z)
-        assert g.has_edge(z, y_next) and g.has_edge(y, y_next)
+        assert edge(y, x) in g.edges and edge(x, z) in g.edges
+        assert edge(z, y_next) in g.edges and edge(y, y_next) in g.edges
 
 
 def test_para_square_structure():
@@ -94,9 +95,9 @@ def test_para_square_structure():
         y, y_next = idx[f"y{i}"], idx[f"y{i + 1}"]
         x, z = idx[f"x{i}"], idx[f"z{i}"]
         # Square i with the two cut vertices opposite.
-        assert g.has_edge(y, x) and g.has_edge(x, y_next)
-        assert g.has_edge(y, z) and g.has_edge(z, y_next)
-        assert not g.has_edge(y, y_next)
+        assert edge(y, x) in g.edges and edge(x, y_next) in g.edges
+        assert edge(y, z) in g.edges and edge(z, y_next) in g.edges
+        assert edge(y, y_next) not in g.edges
 
 
 def test_spine_distances():
@@ -105,13 +106,13 @@ def test_spine_distances():
     idx = g.label_index()
     for i in range(1, 5):
         for j in range(i + 1, 6):
-            assert d[idx[f"y{i}"], idx[f"y{j}"]] == j - i
+            assert d[idx[f"y{i}"]][idx[f"y{j}"]] == j - i
     h = para_square_chain(4)
     d = all_pairs_distances(h)
     idx = h.label_index()
     for i in range(1, 5):
         for j in range(i + 1, 6):
-            assert d[idx[f"y{i}"], idx[f"y{j}"]] == 2 * (j - i)
+            assert d[idx[f"y{i}"]][idx[f"y{j}"]] == 2 * (j - i)
 
 
 @pytest.mark.parametrize(

@@ -172,7 +172,7 @@ def test_unique_pm():
 def test_count_excluding_matches_subgraph():
     g = complete(6)
     removed = frozenset({(0, 1), (2, 3)})
-    direct = count_perfect_matchings(g.without_edges(removed))
+    direct = count_perfect_matchings(Graph(g.n, g.edges - removed))
     assert count_pms_excluding(g, removed, cap=10**9) == direct
     assert count_pms_excluding(g, frozenset(), cap=4) == 4  # capped
 
