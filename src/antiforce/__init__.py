@@ -49,7 +49,6 @@ from .graph import (
 from .harness import (
     InternalInvariantError,
     SweepSpec,
-    VerificationRecord,
     check_closed_form_consistency,
     classify_status,
     default_sweep_spec,

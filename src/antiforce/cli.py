@@ -23,7 +23,6 @@ from .formulas import evaluate_formula
 from .graph import power
 from .harness import (
     COLUMNS,
-    DEFAULT_CROSS_CHECK_N_LIMIT,
     STATUSES,
     InternalInvariantError,
     default_sweep_spec,
@@ -31,7 +30,6 @@ from .harness import (
     format_value,
     parse_range,
     run_sweep,
-    write_report,
 )
 from .matching import (
     count_perfect_matchings,
@@ -81,9 +79,6 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--k-range", type=str, default=None, metavar="A[:B[:STEP]]")
     p_verify.add_argument("--m-range", type=str, default=None, metavar="A[:B[:STEP]]")
     p_verify.add_argument("--budget", type=str, default=None, metavar="NODES[:SECONDS]")
-    p_verify.add_argument(
-        "--cross-check-n-limit", type=int, default=DEFAULT_CROSS_CHECK_N_LIMIT
-    )
     p_verify.add_argument("--format", choices=("csv", "json"), default="csv")
     p_verify.add_argument("--out", type=str, default=None)
     p_verify.add_argument("--workers", type=int, default=1)
@@ -173,19 +168,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         m_values=parse_range(args.m_range) if args.m_range else default.m_values,
         budget_nodes=budget.max_nodes,
         budget_seconds=budget.max_seconds,
-        cross_check_n_limit=args.cross_check_n_limit,
     )
     records = run_sweep(spec, workers=args.workers)
     text = emit_report(records, fmt=args.format, path=args.out)
     if args.out is None:
         sys.stdout.write(text)
     return 0
-
-
-# Value types of a report record's columns, as VerificationRecord.as_json
-# writes them: oracle_value is an int, or the text of a skipped solve.
-_TYPES: dict[str, type | tuple[type, ...]] = dict.fromkeys(COLUMNS, str)
-_TYPES.update(dict.fromkeys(("k", "m", "n"), int), oracle_value=(int, str))
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -201,10 +189,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
             raise UsageError(f"record missing keys: {missing}")
         if doc["status"] not in STATUSES:
             raise UsageError(f"unknown record status {doc['status']!r}")
-        bad = [c for c in COLUMNS if type(doc[c]) is bool or not isinstance(doc[c], _TYPES[c])]
+        bad = [c for c, t in COLUMNS.items() if type(doc[c]) is bool or not isinstance(doc[c], t)]
         if bad:
             raise UsageError(f"record column {bad[0]!r} has a bad value: {doc[bad[0]]!r}")
-    text = write_report(docs, fmt=args.format, path=args.out)
+    text = emit_report(docs, fmt=args.format, path=args.out)
     if args.out is None:
         sys.stdout.write(text)
     return 0

@@ -1,10 +1,11 @@
 """Verification harness: sweeps formulas against the exact oracles.
 
-Every comparison lands in a VerificationRecord, one row per (family, k,
-m). A family with no closed form gives OUT_OF_RANGE rows. Oracle budgets
-never abort a sweep; they become SKIPPED rows. A disagreement between
-the two independent oracles does abort: that is an internal invariant
-failure, not a finding.
+Every comparison lands in one report row per (family, k, m): a document
+keyed by ``COLUMNS``, built by ``_record`` and serialized by
+``emit_report``. A family with no closed form gives OUT_OF_RANGE rows.
+Oracle budgets never abort a sweep; they become SKIPPED rows. A
+disagreement between the two independent oracles does abort: that is an
+internal invariant failure, not a finding.
 
 Reports are deterministic byte for byte: fixed column order, fixed row
 order, exact rational formatting.
@@ -47,19 +48,21 @@ STATUSES = (
     "SKIPPED",
 )
 
-COLUMNS = (
-    "family",
-    "k",
-    "m",
-    "n",
-    "formula_value",
-    "formula_case",
-    "applicability",
-    "oracle_value",
-    "bound_lower",
-    "bound_upper",
-    "status",
-)
+# A report row's columns, in order, with the type of each value: oracle_value
+# is an int, or "skipped(budget)" when the oracle ran out of budget.
+COLUMNS: dict[str, type | tuple[type, ...]] = {
+    "family": str,
+    "k": int,
+    "m": int,
+    "n": int,
+    "formula_value": str,
+    "formula_case": str,
+    "applicability": str,
+    "oracle_value": (int, str),
+    "bound_lower": str,
+    "bound_upper": str,
+    "status": str,
+}
 
 EVEN_K_FAMILIES = frozenset({"ortho-chain", "para-chain"})
 
@@ -84,46 +87,6 @@ def format_value(x: Value | None) -> str:
             return str(x.numerator)
         return f"{x.numerator}/{x.denominator}"
     return str(x)
-
-
-@dataclass(frozen=True)
-class VerificationRecord:
-    family: str
-    k: int
-    m: int
-    n: int
-    formula_value: Value | None
-    formula_case: str
-    applicability: str
-    oracle_value: int | None
-    bound_lower: Fraction | None
-    bound_upper: Fraction | None
-    status: str
-
-    def as_row(self) -> list[str]:
-        return [
-            self.family,
-            str(self.k),
-            str(self.m),
-            str(self.n),
-            format_value(self.formula_value),
-            self.formula_case,
-            self.applicability,
-            "skipped(budget)" if self.oracle_value is None else str(self.oracle_value),
-            format_value(self.bound_lower),
-            format_value(self.bound_upper),
-            self.status,
-        ]
-
-    def as_json(self) -> dict[str, object]:
-        row = self.as_row()
-        doc: dict[str, object] = dict(zip(COLUMNS, row))
-        doc["k"] = self.k
-        doc["m"] = self.m
-        doc["n"] = self.n
-        if self.oracle_value is not None:
-            doc["oracle_value"] = self.oracle_value
-        return doc
 
 
 def classify_status(
@@ -155,8 +118,8 @@ def classify_status(
 
 def _record(
     family: str, k: int, m: int, n: int, res: FormulaResult | None, oracle: int | None
-) -> VerificationRecord:
-    """The graded row for res against oracle; no formula gives an n/a row."""
+) -> dict[str, object]:
+    """The graded report row for res against oracle; no formula gives an n/a row."""
     value = lower = upper = None
     case, applicability = "n/a", OUT_OF_RANGE
     if res is not None:
@@ -169,9 +132,20 @@ def _record(
         bound_lower=lower,
         bound_upper=upper,
     )
-    return VerificationRecord(
-        family, k, m, n, value, case, applicability, oracle, lower, upper, status
+    cells = (
+        family,
+        k,
+        m,
+        n,
+        format_value(value),
+        case,
+        applicability,
+        "skipped(budget)" if oracle is None else oracle,
+        format_value(lower),
+        format_value(upper),
+        status,
     )
+    return dict(zip(COLUMNS, cells))
 
 
 @dataclass(frozen=True)
@@ -181,7 +155,6 @@ class SweepSpec:
     m_values: tuple[int, ...]
     budget_nodes: int = DEFAULT_MAX_NODES
     budget_seconds: float = DEFAULT_MAX_SECONDS
-    cross_check_n_limit: int = DEFAULT_CROSS_CHECK_N_LIMIT
 
     def __post_init__(self) -> None:
         if not self.points():
@@ -212,7 +185,7 @@ def parse_range(text: str) -> tuple[int, ...]:
     return tuple(range(nums[0], nums[1] + 1, step))
 
 
-def sweep_point(spec: SweepSpec, k: int, m: int) -> VerificationRecord:
+def sweep_point(spec: SweepSpec, k: int, m: int) -> dict[str, object]:
     """Grade the formula for spec.family at (k, m) against the oracle."""
     family = spec.family
     base = build(family, k)
@@ -225,7 +198,7 @@ def sweep_point(spec: SweepSpec, k: int, m: int) -> VerificationRecord:
         result = None
     oracle = None if result is None else result.value
 
-    if oracle is not None and g.n <= spec.cross_check_n_limit:
+    if oracle is not None and g.n <= DEFAULT_CROSS_CHECK_N_LIMIT:
         try:
             check = af_subset_search(g, spec.budget())
         except BudgetExceededError:
@@ -246,7 +219,7 @@ def sweep_point(spec: SweepSpec, k: int, m: int) -> VerificationRecord:
     return _record(family, k, m, base.n, res, oracle)
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> list[VerificationRecord]:
+def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict[str, object]]:
     """One record per sweep point, in (k, m) iteration order."""
     point = partial(sweep_point, spec)
     points = spec.points()
@@ -258,13 +231,13 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[VerificationRecord]:
 
 def run_edge_count_audit(
     family: str, k_values: tuple[int, ...], m_values: tuple[int, ...]
-) -> list[VerificationRecord]:
+) -> list[dict[str, object]]:
     """Grade edge-count formulas against directly counted |E(family(k)^m)|.
 
     Only rows whose formula is an edge-count claim participate; exact
     and bound rows (even paths and cycles) are outside this audit.
     """
-    records: list[VerificationRecord] = []
+    records: list[dict[str, object]] = []
     for k in _family_ks(family, k_values):
         base = build(family, k)
         for m in m_values:
@@ -298,20 +271,11 @@ def check_closed_form_consistency(k_max: int = 12) -> list[tuple[str, int, int, 
 
 
 def emit_report(
-    records: list[VerificationRecord],
+    records: list[dict[str, object]],
     fmt: str = "csv",
     path: str | None = None,
 ) -> str:
-    """Serialize records; per-status counts go to stderr."""
-    return write_report([rec.as_json() for rec in records], fmt, path)
-
-
-def write_report(
-    docs: list[dict[str, object]],
-    fmt: str = "csv",
-    path: str | None = None,
-) -> str:
-    """Serialize record documents (``as_json`` form) as CSV or JSON.
+    """Serialize report rows as CSV or JSON.
 
     Per-status counts go to stderr in ``STATUSES`` order; the text is
     written to ``path`` when given and returned either way.
@@ -320,15 +284,15 @@ def write_report(
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(COLUMNS)
-        writer.writerows([str(doc[c]) for c in COLUMNS] for doc in docs)
+        writer.writerows([rec[c] for c in COLUMNS] for rec in records)
         text = buf.getvalue()
     elif fmt == "json":
-        text = json.dumps(docs, indent=2) + "\n"
+        text = json.dumps(records, indent=2) + "\n"
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    counts = Counter(doc["status"] for doc in docs)
+    counts = Counter(rec["status"] for rec in records)
     summary = " ".join(f"{s}={counts[s]}" for s in STATUSES if counts[s])
-    print(f"records={len(docs)} {summary}".rstrip(), file=sys.stderr)
+    print(f"records={len(records)} {summary}".rstrip(), file=sys.stderr)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -127,9 +127,9 @@ def test_criterion_03_no_pm_convention():
         records = run_sweep(spec)
     assert len(records) == 16
     for r in records:
-        assert r.status == "MATCH", (r.k, r.m, r.status)
-        assert r.oracle_value == 2 * r.k * r.k + r.k
-        assert r.formula_value == r.oracle_value
+        assert r["status"] == "MATCH", (r["k"], r["m"], r["status"])
+        assert r["oracle_value"] == 2 * r["k"] * r["k"] + r["k"]
+        assert r["formula_value"] == str(r["oracle_value"])
     print("criterion 3: 16/16 friendship rows MATCH with value 2k^2+k")
 
 

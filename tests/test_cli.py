@@ -383,6 +383,7 @@ def test_verify_decides_large_even_rows(capsys):
     [doc] = json.loads(out)
     assert rc == 0 and doc["oracle_value"] == 4 and doc["status"] == "MISMATCH"
     assert main(["verify", "path", "--oracle-n-limit", "4"]) == 1
+    assert main(["verify", "path", "--cross-check-n-limit", "4"]) == 1
 
 
 def test_verify_sweep_without_points_exits_1(capsys):
@@ -409,16 +410,19 @@ def test_verify_invariant_failure_exit_3(monkeypatch, capsys):
 
 
 def test_report_roundtrip(monkeypatch, capsys):
-    rc = main(["verify", "path", "--k-range", "2:4", "--m-range", "2", "--format", "json"])
-    json_text, _ = capsys.readouterr()
-    monkeypatch.setattr("sys.stdin", io.StringIO(json_text))
-    rc = main(["report", "--format", "csv"])
-    csv_text, err = capsys.readouterr()
-    assert rc == 0
-    rc = main(["verify", "path", "--k-range", "2:4", "--m-range", "2"])
-    direct_csv, direct_err = capsys.readouterr()
-    assert csv_text == direct_csv
-    assert err == direct_err and "records=3" in err
+    sweep = ["verify", "path", "--k-range", "2:4", "--m-range", "2"]
+    rc = main([*sweep, "--format", "json"])
+    json_text, json_err = capsys.readouterr()
+    assert rc == 0 and "records=3" in json_err
+    for fmt in ("csv", "json"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json_text))
+        rc = main(["report", "--format", fmt])
+        report_text, err = capsys.readouterr()
+        assert rc == 0
+        rc = main([*sweep, "--format", fmt])
+        direct_text, direct_err = capsys.readouterr()
+        assert rc == 0 and report_text == direct_text, fmt
+        assert err == direct_err == json_err, fmt
 
 
 def test_report_rejects_bad_stdin(monkeypatch, capsys):

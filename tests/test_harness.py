@@ -8,7 +8,7 @@ import pytest
 from antiforce import (
     FAMILIES,
     SweepSpec,
-    VerificationRecord,
+    af_subset_search,
     check_closed_form_consistency,
     classify_status,
     emit_report,
@@ -20,6 +20,7 @@ from antiforce import (
 from antiforce.formulas import FORMULAS, IN_RANGE, OUT_OF_RANGE, af_para_power
 from antiforce.harness import (
     COLUMNS,
+    DEFAULT_CROSS_CHECK_N_LIMIT,
     STATUSES,
     InternalInvariantError,
     default_sweep_spec,
@@ -29,7 +30,7 @@ from antiforce.harness import (
 
 
 def test_column_contract():
-    assert COLUMNS == (
+    assert tuple(COLUMNS) == (
         "family",
         "k",
         "m",
@@ -42,6 +43,8 @@ def test_column_contract():
         "bound_upper",
         "status",
     )
+    assert {c for c, t in COLUMNS.items() if t is not str} == {"k", "m", "n", "oracle_value"}
+    assert COLUMNS["oracle_value"] == (int, str)
     assert STATUSES == (
         "MATCH",
         "MISMATCH",
@@ -59,34 +62,38 @@ def test_format_value():
     assert format_value(Fraction(8, 2)) == "4"
 
 
-def _record(**overrides):
+def _row(**overrides):
     base = dict(
         family="path",
         k=4,
         m=2,
         n=4,
-        formula_value=2,
+        formula_value="2",
         formula_case="(i)",
         applicability=IN_RANGE,
         oracle_value=1,
-        bound_lower=None,
-        bound_upper=None,
+        bound_lower="n/a",
+        bound_upper="n/a",
         status="MISMATCH",
     )
     base.update(overrides)
-    return VerificationRecord(**base)
+    return base
 
 
 def test_record_row_and_json():
-    rec = _record()
-    assert rec.as_row() == [
-        "path", "4", "2", "4", "2", "(i)", "in_range", "1", "n/a", "n/a", "MISMATCH",
-    ]
-    doc = rec.as_json()
-    assert doc["k"] == 4 and doc["oracle_value"] == 1
-    skipped = _record(oracle_value=None, status="SKIPPED")
-    assert skipped.as_row()[7] == "skipped(budget)"
-    assert skipped.as_json()["oracle_value"] == "skipped(budget)"
+    rows = {
+        "sweep": _point("path", 4, 2),
+        "skipped": _point("path", 10, 2, budget_nodes=1),
+        "audit": run_edge_count_audit("path", (5,), (2,))[0],
+    }
+    for name, row in rows.items():
+        assert list(row) == list(COLUMNS), name
+        for column, kind in COLUMNS.items():
+            assert isinstance(row[column], kind), (name, column, row[column])
+    assert rows["sweep"] == _row()
+    assert rows["skipped"]["status"] == "SKIPPED"
+    assert rows["skipped"]["oracle_value"] == "skipped(budget)"
+    assert rows["audit"]["oracle_value"] == 7 and rows["audit"]["formula_value"] == "7"
 
 
 @pytest.mark.parametrize(
@@ -163,49 +170,48 @@ def _point(family, k, m, **overrides):
 
 def test_sweep_point_path_mismatch():
     rec = _point("path", 4, 2)
-    assert rec.status == "MISMATCH"
-    assert rec.formula_value == 2 and rec.oracle_value == 1
-    assert rec.n == 4
+    assert rec["status"] == "MISMATCH"
+    assert rec["formula_value"] == "2" and rec["oracle_value"] == 1
+    assert rec["n"] == 4
 
 
 def test_sweep_point_cycle_bound_violation():
     rec = _point("cycle", 4, 2)
-    assert rec.status == "BOUND_VIOLATION"
-    assert rec.bound_lower == Fraction(3) and rec.bound_upper == Fraction(2)
-    assert rec.oracle_value == 2
+    assert rec["status"] == "BOUND_VIOLATION"
+    assert rec["bound_lower"] == "3" and rec["bound_upper"] == "2"
+    assert rec["oracle_value"] == 2
 
 
 def test_sweep_point_cycle_within_bounds():
     rec = _point("cycle", 6, 2)
-    assert rec.status == "WITHIN_BOUNDS"
-    assert rec.formula_value is None
+    assert rec["status"] == "WITHIN_BOUNDS"
+    assert rec["formula_value"] == "n/a"
 
 
 def test_sweep_point_complete_is_ungraded():
     rec = _point("complete", 4, 2)
-    assert rec.status == "OUT_OF_RANGE"
-    assert rec.formula_value is None and rec.oracle_value == 2
-    assert rec.formula_case == "n/a"
+    assert rec["status"] == "OUT_OF_RANGE"
+    assert rec["formula_value"] == "n/a" and rec["oracle_value"] == 2
+    assert rec["formula_case"] == "n/a"
 
 
 def test_sweep_point_friendship_match():
     rec = _point("friendship", 2, 2)
-    assert rec.status == "MATCH"
-    assert rec.formula_value == 10 and rec.oracle_value == 10
+    assert rec["status"] == "MATCH"
+    assert rec["formula_value"] == "10" and rec["oracle_value"] == 10
 
 
 def test_sweep_point_skips_over_limit():
     # The node budget is the only limit: a row is SKIPPED when it runs out.
     rec = _point("path", 10, 2, budget_nodes=1)
-    assert rec.status == "SKIPPED"
-    assert rec.oracle_value is None
-    assert rec.as_row()[7] == "skipped(budget)"
+    assert rec["status"] == "SKIPPED"
+    assert rec["oracle_value"] == "skipped(budget)"
 
 
 def test_sweep_point_odd_order_bypasses_limit():
     # Odd n: the convention value needs no search, so no skip.
     rec = _point("friendship", 3, 2, budget_nodes=1)
-    assert rec.status == "MATCH" and rec.oracle_value == 21
+    assert rec["status"] == "MATCH" and rec["oracle_value"] == 21
 
 
 def test_oracle_disagreement_raises(monkeypatch):
@@ -215,6 +221,20 @@ def test_oracle_disagreement_raises(monkeypatch):
     )
     with pytest.raises(InternalInvariantError):
         _point("cycle", 6, 2)
+
+
+def test_cross_check_reach(monkeypatch):
+    checked = []
+
+    def counted(g, budget=None):
+        checked.append(g.n)
+        return af_subset_search(g, budget)
+
+    monkeypatch.setattr("antiforce.harness.af_subset_search", counted)
+    rows = run_sweep(SweepSpec("path", (8, 10), (2,)))
+    assert DEFAULT_CROSS_CHECK_N_LIMIT == 8
+    assert [r["n"] for r in rows] == [8, 10]
+    assert checked == [8]
 
 
 def test_unverifiable_witness_raises(monkeypatch):
@@ -240,21 +260,21 @@ def test_run_sweep_workers_agree():
 
 def test_edge_count_audit_tri_chain():
     records = run_edge_count_audit("tri-chain", (1, 2, 3), (2, 3))
-    in_range = [r for r in records if r.applicability == IN_RANGE]
-    assert in_range and all(r.status == "MATCH" for r in in_range)
-    out = [r for r in records if r.applicability == OUT_OF_RANGE]
-    assert all(r.status == "OUT_OF_RANGE" for r in out)
+    in_range = [r for r in records if r["applicability"] == IN_RANGE]
+    assert in_range and all(r["status"] == "MATCH" for r in in_range)
+    out = [r for r in records if r["applicability"] == OUT_OF_RANGE]
+    assert all(r["status"] == "OUT_OF_RANGE" for r in out)
 
 
 def test_edge_count_audit_skips_odd_k_chains():
     records = run_edge_count_audit("ortho-chain", (3, 4), (2,))
-    assert [r.k for r in records] == [4]
+    assert [r["k"] for r in records] == [4]
 
 
 def test_edge_count_audit_ignores_exact_rows():
     records = run_edge_count_audit("path", (4, 5), (2,))
-    assert [r.k for r in records] == [5]
-    assert records[0].status == "MATCH"
+    assert [r["k"] for r in records] == [5]
+    assert records[0]["status"] == "MATCH"
 
 
 def test_closed_form_consistency_findings():
@@ -273,7 +293,7 @@ def test_closed_form_consistency_findings():
 
 
 def test_emit_report_csv(capsys):
-    records = [_record(), _record(k=6, formula_value=2, oracle_value=2, status="MATCH")]
+    records = [_row(), _row(k=6, oracle_value=2, status="MATCH")]
     text = emit_report(records, fmt="csv")
     lines = text.splitlines()
     assert lines[0] == ",".join(COLUMNS)
@@ -284,7 +304,7 @@ def test_emit_report_csv(capsys):
 
 
 def test_emit_report_json(tmp_path):
-    records = [_record()]
+    records = [_row()]
     out = tmp_path / "r.json"
     text = emit_report(records, fmt="json", path=str(out))
     docs = json.loads(text)
