@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -49,7 +48,7 @@ class Budget:
     max_nodes: float = math.inf
     max_seconds: float = math.inf
     nodes: int = field(default=0, init=False)
-    _deadline: float = field(default=0.0, init=False)
+    _deadline: float = field(default=0.0, init=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.max_nodes > 0 and self.max_seconds > 0):  # rejects NaN too
@@ -79,10 +78,3 @@ def parse_budget(text: str) -> Budget:
     seconds = float(parts[1]) if len(parts) == 2 else DEFAULT_MAX_SECONDS
     return Budget(max_nodes=nodes, max_seconds=seconds)
 
-
-def default_budget() -> Budget:
-    """Fresh default budget, overridable via ANTIFORCE_BUDGET=NODES[:SECONDS]."""
-    env = os.environ.get("ANTIFORCE_BUDGET")
-    if env:
-        return parse_budget(env)
-    return Budget(max_nodes=DEFAULT_MAX_NODES, max_seconds=DEFAULT_MAX_SECONDS)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import graph as graphio
 from .antiforcing import af_subset_search, af_via_matchings
-from .budget import BudgetExceededError, default_budget, parse_budget
+from .budget import DEFAULT_MAX_NODES, DEFAULT_MAX_SECONDS, BudgetExceededError, parse_budget
 from .families import FAMILIES, build
 from .formulas import evaluate_formula
 from .graph import power
@@ -51,6 +51,14 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="antiforce")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    # The allowance of each solve, shared by every subcommand that searches.
+    budget_flag = argparse.ArgumentParser(add_help=False)
+    budget_flag.add_argument(
+        "--budget",
+        default=f"{DEFAULT_MAX_NODES}:{DEFAULT_MAX_SECONDS}",
+        metavar="NODES[:SECONDS]",
+        help="search allowance of each solve (default: %(default)s)",
+    )
 
     p_gen = sub.add_parser("gen", help="emit a family graph as JSON")
     p_gen.add_argument("family", choices=sorted(FAMILIES))
@@ -59,26 +67,28 @@ def _build_parser() -> _Parser:
     p_pow = sub.add_parser("power", help="raise the stdin graph to a distance power")
     p_pow.add_argument("--m", type=int, required=True)
 
-    p_pm = sub.add_parser("pm", help="perfect matchings of the stdin graph")
+    p_pm = sub.add_parser("pm", parents=[budget_flag], help="perfect matchings of the stdin graph")
     mode = p_pm.add_mutually_exclusive_group()
     mode.add_argument("--count", action="store_true")
     mode.add_argument("--unique", action="store_true")
     p_pm.add_argument("--cap", type=int, default=None)
 
-    p_af = sub.add_parser("af", help="anti-forcing number of the stdin graph")
+    p_af = sub.add_parser(
+        "af", parents=[budget_flag], help="anti-forcing number of the stdin graph"
+    )
     p_af.add_argument("--method", choices=("subset", "matchings"), default="matchings")
-    p_af.add_argument("--budget", type=str, default=None, metavar="NODES[:SECONDS]")
 
     p_formula = sub.add_parser("formula", help="closed-form value for a family")
     p_formula.add_argument("family", choices=sorted(FAMILIES))
     p_formula.add_argument("--k", type=int, required=True)
     p_formula.add_argument("--m", type=int, required=True)
 
-    p_verify = sub.add_parser("verify", help="sweep a family against the oracle")
+    p_verify = sub.add_parser(
+        "verify", parents=[budget_flag], help="sweep a family against the oracle"
+    )
     p_verify.add_argument("family", choices=sorted(FAMILIES))
     p_verify.add_argument("--k-range", type=str, default=None, metavar="A[:B[:STEP]]")
     p_verify.add_argument("--m-range", type=str, default=None, metavar="A[:B[:STEP]]")
-    p_verify.add_argument("--budget", type=str, default=None, metavar="NODES[:SECONDS]")
     p_verify.add_argument("--format", choices=("csv", "json"), default="csv")
     p_verify.add_argument("--out", type=str, default=None)
     p_verify.add_argument("--workers", type=int, default=1)
@@ -111,7 +121,7 @@ def _cmd_pm(args: argparse.Namespace) -> int:
     if args.cap is not None and (args.count or args.unique):
         raise UsageError("--cap applies only to the matching list; drop it")
     g = _read_graph()
-    budget = default_budget()
+    budget = parse_budget(args.budget)
     if args.unique:
         doc = {"unique": has_unique_perfect_matching(g, budget)}
     elif args.count:
@@ -125,7 +135,7 @@ def _cmd_pm(args: argparse.Namespace) -> int:
 
 def _cmd_af(args: argparse.Namespace) -> int:
     g = _read_graph()
-    budget = parse_budget(args.budget) if args.budget else default_budget()
+    budget = parse_budget(args.budget)
     run = af_subset_search if args.method == "subset" else af_via_matchings
     result = run(g, budget)
     print(
@@ -160,14 +170,12 @@ def _cmd_formula(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
-    budget = parse_budget(args.budget) if args.budget else default_budget()
     default = default_sweep_spec(args.family)
     spec = replace(
         default,
         k_values=parse_range(args.k_range) if args.k_range else default.k_values,
         m_values=parse_range(args.m_range) if args.m_range else default.m_values,
-        budget_nodes=budget.max_nodes,
-        budget_seconds=budget.max_seconds,
+        budget=parse_budget(args.budget),
     )
     records = run_sweep(spec, workers=args.workers)
     text = emit_report(records, fmt=args.format, path=args.out)
@@ -217,10 +225,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_help(sys.stderr)
             return 1
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"antiforce: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"antiforce: {exc}", file=sys.stderr)
         return 1
     except RecursionError as exc:

@@ -19,7 +19,7 @@ import json
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 
@@ -153,17 +153,12 @@ class SweepSpec:
     family: str
     k_values: tuple[int, ...]
     m_values: tuple[int, ...]
-    budget_nodes: int = DEFAULT_MAX_NODES
-    budget_seconds: float = DEFAULT_MAX_SECONDS
+    # The allowance of each oracle call; every call gets a fresh copy.
+    budget: Budget = field(default_factory=partial(Budget, DEFAULT_MAX_NODES, DEFAULT_MAX_SECONDS))
 
     def __post_init__(self) -> None:
         if not self.points():
             raise ValueError(f"sweep of {self.family} has no points (chains take even k only)")
-        self.budget()  # Budget rejects caps that are not positive
-
-    def budget(self) -> Budget:
-        """A fresh allowance for one oracle call."""
-        return Budget(max_nodes=self.budget_nodes, max_seconds=self.budget_seconds)
 
     def points(self) -> list[tuple[int, int]]:
         return [(k, m) for k in _family_ks(self.family, self.k_values) for m in self.m_values]
@@ -193,14 +188,14 @@ def sweep_point(spec: SweepSpec, k: int, m: int) -> dict[str, object]:
     res = evaluate_formula(family, k, m)
 
     try:
-        result = af_via_matchings(g, spec.budget())
+        result = af_via_matchings(g, replace(spec.budget))
     except BudgetExceededError:
         result = None
     oracle = None if result is None else result.value
 
     if oracle is not None and g.n <= DEFAULT_CROSS_CHECK_N_LIMIT:
         try:
-            check = af_subset_search(g, spec.budget())
+            check = af_subset_search(g, replace(spec.budget))
         except BudgetExceededError:
             check = None
         if check is not None and check.value != oracle:
@@ -277,8 +272,10 @@ def emit_report(
 ) -> str:
     """Serialize report rows as CSV or JSON.
 
-    Per-status counts go to stderr in ``STATUSES`` order; the text is
-    written to ``path`` when given and returned either way.
+    Both formats write each row's ``COLUMNS`` cells in column order and
+    drop any other key. Per-status counts go to stderr in ``STATUSES``
+    order; the text is written to ``path`` when given and returned
+    either way.
     """
     if fmt == "csv":
         buf = io.StringIO()
@@ -287,7 +284,7 @@ def emit_report(
         writer.writerows([rec[c] for c in COLUMNS] for rec in records)
         text = buf.getvalue()
     elif fmt == "json":
-        text = json.dumps(records, indent=2) + "\n"
+        text = json.dumps([{c: rec[c] for c in COLUMNS} for rec in records], indent=2) + "\n"
     else:
         raise ValueError(f"unknown report format {fmt!r}")
     counts = Counter(rec["status"] for rec in records)

@@ -22,13 +22,14 @@ import time
 from pathlib import Path
 
 from antiforce import Budget, BudgetExceededError, af_via_matchings, build, power
+from antiforce.budget import DEFAULT_MAX_NODES, DEFAULT_MAX_SECONDS
 
 PIN = Path(__file__).parent / "goldens" / "criterion1_witnesses.json"
 
 
 def instance_budget() -> Budget:
     # The deadline starts at construction, so every solve gets its own.
-    return Budget(max_nodes=50_000_000, max_seconds=10.0)
+    return Budget(max_nodes=DEFAULT_MAX_NODES, max_seconds=DEFAULT_MAX_SECONDS)
 
 
 def family_instances() -> list[tuple[str, int, int, object]]:

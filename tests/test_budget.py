@@ -16,7 +16,7 @@ from antiforce import (
     has_unique_perfect_matching,
     power,
 )
-from antiforce.budget import default_budget, parse_budget
+from antiforce.budget import parse_budget
 from antiforce.matching import count_pms_excluding
 from antiforce.symmetry import automorphism_generators, pm_orbits
 
@@ -56,15 +56,6 @@ def test_parse_budget_forms():
 def test_parse_budget_rejects(text):
     with pytest.raises(ValueError):
         parse_budget(text)
-
-
-def test_default_budget_env_override(monkeypatch):
-    monkeypatch.setenv("ANTIFORCE_BUDGET", "1234:3.5")
-    b = default_budget()
-    assert b.max_nodes == 1234 and b.max_seconds == 3.5
-    monkeypatch.delenv("ANTIFORCE_BUDGET")
-    b = default_budget()
-    assert b.max_nodes == 50_000_000 and b.max_seconds == 10.0
 
 
 def test_exception_carries_bounds():

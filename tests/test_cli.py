@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import antiforce.harness as harness
 from antiforce import Budget, af_via_matchings, to_json
 from antiforce.cli import main
 from antiforce.families import complete, cycle, path
@@ -105,8 +106,7 @@ def test_pm_cap_rejected_with_count_or_unique(mode, monkeypatch, capsys):
 @pytest.mark.parametrize("flags", [[], ["--count"], ["--unique"], ["--cap", "2"]])
 def test_pm_budget_exhaustion_exit_2(flags, monkeypatch, capsys):
     g = complete_joined_to_star(10)
-    monkeypatch.setenv("ANTIFORCE_BUDGET", "100")
-    rc, out, err = run_cli(["pm", *flags], to_json(g), monkeypatch, capsys)
+    rc, out, err = run_cli(["pm", *flags, "--budget", "100"], to_json(g), monkeypatch, capsys)
     assert rc == 2 and out == ""
     assert err == "antiforce: budget exhausted\n"
 
@@ -199,6 +199,34 @@ def test_af_rejects_negative_edge_count(monkeypatch, capsys):
 def test_af_bad_budget(monkeypatch, capsys):
     rc, _, _ = run_cli(["af", "--budget", "x"], to_json(path(4)), monkeypatch, capsys)
     assert rc == 1
+
+
+def test_pm_bad_budget_reads_as_af(monkeypatch, capsys):
+    g = to_json(path(4))
+    rc, out, err = run_cli(["pm", "--budget", "x"], g, monkeypatch, capsys)
+    assert rc == 1 and out == "" and err.count("\n") == 1
+    assert run_cli(["af", "--budget", "x"], g, monkeypatch, capsys) == (rc, out, err)
+
+
+def test_sweep_gives_each_oracle_call_its_own_budget(monkeypatch, capsys):
+    seen = []
+
+    def recording(solver):
+        def wrapper(g, budget):
+            seen.append((solver.__name__, budget, budget.nodes))
+            return solver(g, budget)
+
+        return wrapper
+
+    for name in ("af_via_matchings", "af_subset_search"):
+        monkeypatch.setattr(harness, name, recording(getattr(harness, name)))
+    argv = ["verify", "path", "--k-range", "4:8:2", "--m-range", "2", "--budget", "1000:5"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert {name for name, _, _ in seen} == {"af_via_matchings", "af_subset_search"}
+    assert len({id(budget) for _, budget, _ in seen}) == len(seen)
+    for _, budget, nodes in seen:
+        assert (budget.max_nodes, budget.max_seconds, nodes) == (1000, 5.0, 0)
 
 
 DEEP_JSON = '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}"
@@ -423,6 +451,19 @@ def test_report_roundtrip(monkeypatch, capsys):
         direct_text, direct_err = capsys.readouterr()
         assert rc == 0 and report_text == direct_text, fmt
         assert err == direct_err == json_err, fmt
+
+
+def test_report_json_writes_the_row_format(monkeypatch, capsys):
+    rc = main(["verify", "path", "--k-range", "4", "--m-range", "2", "--format", "json"])
+    verify_text, _ = capsys.readouterr()
+    assert rc == 0
+    [row] = json.loads(verify_text)
+    foreign = dict(reversed([*row.items(), ("extra", 1)]))
+    assert list(foreign)[:2] == ["extra", "status"]
+    rc, out, _ = run_cli(
+        ["report", "--format", "json"], json.dumps([foreign]), monkeypatch, capsys
+    )
+    assert rc == 0 and out == verify_text
 
 
 def test_report_rejects_bad_stdin(monkeypatch, capsys):

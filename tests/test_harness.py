@@ -1,5 +1,6 @@
 import json
 import time
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ import pytest
 
 from antiforce import (
     FAMILIES,
+    Budget,
     SweepSpec,
     af_subset_search,
     check_closed_form_consistency,
@@ -83,7 +85,7 @@ def _row(**overrides):
 def test_record_row_and_json():
     rows = {
         "sweep": _point("path", 4, 2),
-        "skipped": _point("path", 10, 2, budget_nodes=1),
+        "skipped": _point("path", 10, 2, budget=Budget(max_nodes=1)),
         "audit": run_edge_count_audit("path", (5,), (2,))[0],
     }
     for name, row in rows.items():
@@ -150,6 +152,13 @@ def test_parse_range_rejects(text):
         parse_range(text)
 
 
+def test_sweep_specs_compare_by_their_caps():
+    # A Budget's deadline is a clock reading, not part of its value.
+    assert default_sweep_spec("path") == default_sweep_spec("path")
+    spec = default_sweep_spec("path")
+    assert spec != replace(spec, budget=Budget(max_nodes=1000))
+
+
 def test_sweep_spec_points_filters_odd_k():
     spec = SweepSpec(family="ortho-chain", k_values=(2, 3, 4), m_values=(2,))
     assert spec.points() == [(2, 2), (4, 2)]
@@ -160,7 +169,7 @@ def test_sweep_spec_points_filters_odd_k():
     with pytest.raises(ValueError, match="no points"):
         SweepSpec(family="ortho-chain", k_values=(3, 5), m_values=(2,))
     with pytest.raises(ValueError):
-        SweepSpec(family="path", k_values=(2,), m_values=(2,), budget_nodes=0)
+        SweepSpec(family="path", k_values=(2,), m_values=(2,), budget=Budget(max_nodes=0))
 
 
 def _point(family, k, m, **overrides):
@@ -203,14 +212,14 @@ def test_sweep_point_friendship_match():
 
 def test_sweep_point_skips_over_limit():
     # The node budget is the only limit: a row is SKIPPED when it runs out.
-    rec = _point("path", 10, 2, budget_nodes=1)
+    rec = _point("path", 10, 2, budget=Budget(max_nodes=1))
     assert rec["status"] == "SKIPPED"
     assert rec["oracle_value"] == "skipped(budget)"
 
 
 def test_sweep_point_odd_order_bypasses_limit():
     # Odd n: the convention value needs no search, so no skip.
-    rec = _point("friendship", 3, 2, budget_nodes=1)
+    rec = _point("friendship", 3, 2, budget=Budget(max_nodes=1))
     assert rec["status"] == "MATCH" and rec["oracle_value"] == 21
 
 
