@@ -9,7 +9,7 @@ The search tree is the one a rescan of the list of surviving matchings
 walks, node for node. Route two (af_via_matchings) minimizes, over
 perfect matchings M, the smallest set of non-M edges meeting every
 M-alternating cycle; af_of_matching also gives the forcing number of
-M, from the matched-edge side of the same cycles.
+M, from the matched sides of the same cycles, which it alone derives.
 The two routes share nothing past the enumeration of perfect matchings,
 so their agreement is a meaningful cross-check.
 
@@ -172,18 +172,20 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
 # for the i-th edge of the graph's sorted edge list, so ascending bit
 # index is ascending edge order and bit lists compare like edge lists.
 # It is the encoding of the whole package: the enumerator yields perfect
-# matchings in it, alternating_cycles hands out its cycles in it, and
-# edge_indices turns a mask into its ascending bit list. A cover is
-# returned as a bitmask too, so the search that proves a size also hands
-# over a hitting set of that size, and the lexicographic refinement
-# starts from it.
+# matchings in it, alternating_cycles hands out each cycle's free side
+# in it, and edge_indices turns a mask into its ascending bit list. A
+# cover is returned as a bitmask too, so the search that proves a size
+# also hands over a hitting set of that size, and the lexicographic
+# refinement starts from it.
 #
 # Invariant: every mask list the engine handles is duplicate-free and
 # sorted by size (bit count). Filtering keeps a list sorted, so lists are
 # sorted only where masks are gathered: from the cycles of a matching,
 # when a family grows, and by the refinement step of _lex_min_cover.
 # masks[0] is then a smallest set, which makes it the branching pivot,
-# and the greedy packing takes sets smallest first.
+# and the greedy packing takes sets smallest first. A matching's cycles
+# have distinct free sides, which go through a set all the same: ties in
+# size keep the set's order, and the search trees depend on it.
 
 
 def _packing_bound(masks: Sequence[int]) -> int:
@@ -322,8 +324,7 @@ def _cover_lazily(
     as af(G, M) is known to be at least ``below``; the proof is in
     ``af_via_matchings``.
     """
-    cycles = alternating_cycles(g, m, budget, SEED_LENGTH)
-    family = sorted({f for _, f in cycles}, key=int.bit_count)
+    family = sorted(set(alternating_cycles(g, m, budget, SEED_LENGTH)), key=int.bit_count)
     while True:
         found = _min_cover_size(family, budget, below)
         if found is None:
@@ -368,12 +369,16 @@ def af_of_matching(g: Graph, m: Matching, budget: Budget | None = None) -> Match
 
     ``af_of_m`` is the fewest non-m edges whose removal leaves m as the
     unique PM; ``f_of_m`` the smallest subset of m contained in no other
-    perfect matching.
+    perfect matching, a hitting set of the cycles' matched sides.
     """
     budget = budget or Budget()
     cycles = alternating_cycles(g, m, budget)
-    af = _min_cover_size(sorted({f for _, f in cycles}, key=int.bit_count), budget)
-    f = _min_cover_size(sorted({c for c, _ in cycles}, key=int.bit_count), budget)
+    edges = g.sorted_edges
+    # Each vertex of an m-alternating cycle meets the cycle's m-edge there.
+    ends = [{v for i in edge_indices(c) for v in edges[i]} for c in cycles]
+    matched = {sum(1 << i for i in edge_indices(m) if edges[i][0] in e) for e in ends}
+    af = _min_cover_size(sorted(set(cycles), key=int.bit_count), budget)
+    f = _min_cover_size(sorted(matched, key=int.bit_count), budget)
     assert af is not None and f is not None
     return MatchingAnalysis(m, af[0], f[0])
 

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .graph import MAX_ORDER
+
 KINDS = ("exact", "edge_count", "bounds")
 IN_RANGE = "in_range"
 OUT_OF_RANGE = "out_of_range"
@@ -58,8 +60,10 @@ class FormulaResult:
 def _check_km(k: int, m: int, k_min: int) -> None:
     if not isinstance(k, int) or isinstance(k, bool) or k < k_min:
         raise ValueError(f"k must be an integer >= {k_min}, got {k!r}")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"m must be an integer >= 1, got {m!r}")
+    # The recurrences step up to m. Every m >= n - 1 gives the complete
+    # graph, and no graph has more than MAX_ORDER vertices.
+    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= MAX_ORDER:
+        raise ValueError(f"m must be an integer from 1 to {MAX_ORDER}, got {m!r}")
 
 
 def af_path_power(k: int, m: int) -> FormulaResult:

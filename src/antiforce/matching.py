@@ -2,7 +2,8 @@
 
 A perfect matching is an edge mask, the one format every consumer takes:
 bit i stands for ``g.sorted_edges[i]``, and ``edge_indices`` lists a
-mask's edges. Desk-scale exact code: enumeration branches on the
+mask's edges. An alternating cycle is the mask of its edges outside the
+matching. Desk-scale exact code: enumeration branches on the
 lowest-indexed unsaturated vertex, which yields matchings in
 lexicographic order of their sorted edge lists, so uniqueness checks and
 witness selection are deterministic. Every perfect-matching question,
@@ -155,14 +156,13 @@ def count_pms_excluding(
 
 def _extend(
     cur: int,
-    matched: int,
     free: int,
     room: int,
-    steps: Sequence[Sequence[tuple[int, int, int, int]]],
+    steps: Sequence[Sequence[tuple[int, int, int]]],
     closing: list[int],
     blocked: list[bool],
     tick: Callable[[], None],
-    out: list[tuple[int, int]],
+    out: list[int],
 ) -> None:
     # cur was entered along a matched edge; the next edge is free, and
     # closing[cur] is the one back to the start. room is how many more
@@ -173,59 +173,48 @@ def _extend(
     # alive until a full garbage collection.
     tick()
     if closing[cur]:
-        out.append((matched, free | closing[cur]))
+        out.append(free | closing[cur])
     if not room:
         return
-    for w, mw, free_bit, matched_bit in steps[cur]:
+    for w, mw, free_bit in steps[cur]:
         if blocked[w]:
             continue
         if room == 1:
             if closing[mw]:
-                out.append((matched | matched_bit, free | free_bit | closing[mw]))
+                out.append(free | free_bit | closing[mw])
             continue
         blocked[w] = blocked[mw] = True
-        _extend(
-            mw,
-            matched | matched_bit,
-            free | free_bit,
-            room - 1,
-            steps,
-            closing,
-            blocked,
-            tick,
-            out,
-        )
+        _extend(mw, free | free_bit, room - 1, steps, closing, blocked, tick, out)
         blocked[w] = blocked[mw] = False
 
 
 def alternating_cycles(
     g: Graph, m: Matching, budget: Budget | None = None, longest: int | None = None
-) -> list[tuple[int, int]]:
-    """All simple m-alternating cycles, one copy each, as edge masks.
+) -> list[int]:
+    """All simple m-alternating cycles, one copy each, as their free sides.
 
     ``m`` is a perfect matching of g as the enumerator yields it; any
-    other mask raises ValueError. A cycle is a ``(matched, free)`` pair
-    of masks in the same encoding. Each cycle is found once: traversal starts
-    at its minimum vertex and leaves along the matched edge, which fixes
-    both rotation and reflection. ``longest`` caps the cycle length, in
-    edges: the walk stops extending a path that could only close a
-    longer cycle, so the result is the uncapped list, in the same order,
-    without the cycles longer than ``longest``. None means no cap.
+    other mask raises ValueError. A cycle is the mask of its edges
+    outside m, and no two cycles share one. Each cycle is found once:
+    traversal starts at its minimum vertex and leaves along the matched
+    edge, which fixes both rotation and reflection. ``longest`` caps the
+    cycle length, in edges: the walk stops extending a path that could
+    only close a longer cycle, so the result is the uncapped list, in
+    the same order, without the cycles longer than ``longest``. None
+    means no cap.
     """
     if not is_perfect_matching(g, m):
         raise ValueError("alternating_cycles requires a perfect matching of g")
     edges = g.sorted_edges
     mate = [-1] * g.n
-    bit = [0] * g.n  # bit[v]: the mask bit of v's matched edge
     for i in edge_indices(m):
         u, v = edges[i]
         mate[u], mate[v] = v, u
-        bit[u] = bit[v] = 1 << i
-    # steps[u]: each free edge u-w, with w's mate and the bits of u-w and
-    # w-mate[w]. Matched edges are left out, so a path that gets back to
-    # its start has closed a cycle of length >= 4.
+    # steps[u]: each free edge u-w, with w's mate and the bit of u-w.
+    # Matched edges are left out, so a path that gets back to its start
+    # has closed a cycle of length >= 4.
     steps = [
-        [(w, mate[w], free_bit, bit[w]) for w, free_bit in nbrs if w != mate[u]]
+        [(w, mate[w], free_bit) for w, free_bit in nbrs if w != mate[u]]
         for u, nbrs in enumerate(g.edge_bits)
     ]
     # A path holds one matched edge when the walk starts; it closes as a
@@ -240,13 +229,13 @@ def alternating_cycles(
     # closing[v]: the bit of the free edge v-s back to the start s, or 0.
     closing = [0] * g.n
     tick = (budget or Budget()).tick
-    out: list[tuple[int, int]] = []
+    out: list[int] = []
     for s in range(g.n):
         if mate[s] > s:
             blocked[s] = blocked[mate[s]] = True
-            for w, _, free_bit, _ in steps[s]:
+            for w, _, free_bit in steps[s]:
                 closing[w] = free_bit
-            _extend(mate[s], bit[s], 0, room, steps, closing, blocked, tick, out)
+            _extend(mate[s], 0, room, steps, closing, blocked, tick, out)
             for w, *_ in steps[s]:
                 closing[w] = 0
     return out

@@ -323,7 +323,7 @@ def test_via_matchings_budget_bounds_bracket_the_value():
 
 def full_family(g, m):
     """The free sides of every m-alternating cycle, as the engine expects them."""
-    return sorted({f for _, f in alternating_cycles(g, m)}, key=int.bit_count)
+    return sorted(alternating_cycles(g, m), key=int.bit_count)
 
 
 def test_lazy_loop_equals_the_full_cycle_family(atlas):
@@ -342,7 +342,7 @@ def test_lazy_loop_equals_the_full_cycle_family(atlas):
             assert _cover_lazily(g, m, pms, Budget(), below=value) is None
             picks = _lex_min_lazily(m, pms, family, size, cover, Budget(), None)
             assert picks == smallest, (sorted(g.edges), m)
-            seed = {f for _, f in alternating_cycles(g, m, longest=SEED_LENGTH)}
+            seed = alternating_cycles(g, m, longest=SEED_LENGTH)
             grown += len(family) > len(seed)
             checked += 1
     assert grown and checked > 5000
@@ -434,7 +434,7 @@ def test_four_cycle_bound_lies_between_the_cheap_bound_and_the_cover(atlas):
         for m in enumerate_perfect_matchings(g):
             value = af_of_matching(g, m).af_of_m
             assert len(_four_cycle_pairs(g, m)[0]) <= value
-            masks = sorted({f for _, f in alternating_cycles(g, m)}, key=int.bit_count)
+            masks = full_family(g, m)
             smallest = _lex_min_cover(masks, value, _min_cover_size(masks, Budget())[1], Budget())
             cheap = _lowest_outside(g, m, value)
             bound = _four_cycle_bound(g, m, value)
@@ -445,6 +445,24 @@ def test_four_cycle_bound_lies_between_the_cheap_bound_and_the_cover(atlas):
             )
             raised += bound != cheap
     assert raised
+
+
+def test_four_cycle_scan_agrees_with_the_walk(atlas):
+    # _four_cycle_pairs reads M's alternating 4-cycles off the mates, with
+    # no walk: one pair per cycle the walk finds, its smaller edge the
+    # lowest bit of that cycle's free side, and every other edge outside
+    # M in the second list.
+    graphs = [g for g in (*atlas, *benchmark_random_graphs(0)) if g.n % 2 == 0]
+    pairs = 0
+    for g in graphs:
+        for m in enumerate_perfect_matchings(g):
+            smaller, other = _four_cycle_pairs(g, m)
+            squares = alternating_cycles(g, m, longest=4)
+            assert len(smaller) == len(squares)
+            assert smaller == sorted((c & -c).bit_length() - 1 for c in squares)
+            assert sorted(smaller + other) == _lowest_outside(g, m, len(g.edges))
+            pairs += len(smaller)
+    assert pairs == 728 + 20848  # the atlas, then the random graphs
 
 
 set_systems = st.lists(

@@ -363,6 +363,22 @@ def test_formula_complete_has_none(capsys):
     assert rc == 1 and "no closed form" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["formula", "path", "--k", "2", "--m", "1000000000"],
+        ["formula", "para-chain", "--k", "2", "--m", "4097"],
+        ["verify", "ortho-chain", "--k-range", "2", "--m-range", "100000000"],
+    ],
+)
+def test_huge_exponent_exits_1(argv, monkeypatch, capsys):
+    # The recurrences step up to m; past MAX_ORDER = 4096 the power is
+    # complete anyway, so m is refused before any stepping.
+    rc, out, err = run_cli(argv, "", monkeypatch, capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("antiforce: m must be an integer from 1 to 4096") and err.count("\n") == 1
+
+
 def test_formula_odd_k_chain(capsys):
     rc = main(["formula", "ortho-chain", "--k", "3", "--m", "2"])
     _, err = capsys.readouterr()

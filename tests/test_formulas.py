@@ -4,6 +4,7 @@ import pytest
 
 from antiforce import FormulaResult
 from antiforce.formulas import (
+    FORMULAS,
     IN_RANGE,
     OUT_OF_RANGE,
     af_cycle_power_bounds,
@@ -15,6 +16,7 @@ from antiforce.formulas import (
     af_path_power,
     af_triangular_chain_power,
 )
+from antiforce.graph import MAX_ORDER
 
 
 def test_formula_result_validation():
@@ -199,3 +201,19 @@ def test_chain_families_reject_bad_k():
             fn(1, 2)
         with pytest.raises(ValueError):
             fn(4, 0)
+
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [fn for fn in FORMULAS.values() if fn is not None]
+    + [af_ortho_power_closed_form, af_para_power_closed_form],
+)
+def test_exponent_stops_at_max_order(evaluate):
+    # The recurrences step up to m, and every m >= n - 1 gives the
+    # complete graph on at most MAX_ORDER vertices, so a larger m is
+    # refused before any stepping.
+    evaluate(4, MAX_ORDER)
+    for m in (MAX_ORDER + 1, 10**9):
+        with pytest.raises(ValueError, match=f"m must be an integer from 1 to {MAX_ORDER}"):
+            evaluate(4, m)

@@ -205,20 +205,14 @@ def test_alternating_cycles_hexagon():
     g = cycle(6)
     m = mask_of(g, {(0, 1), (2, 3), (4, 5)})
     cycles = alternating_cycles(g, m)
-    assert len(cycles) == 1
-    matched, free = cycles[0]
-    assert matched == m
-    assert edges_of(g, free) == {(1, 2), (3, 4), (0, 5)}
+    assert [edges_of(g, free) for free in cycles] == [{(1, 2), (3, 4), (0, 5)}]
 
 
 def test_alternating_cycles_k4():
     g = complete(4)
     m = mask_of(g, {(0, 1), (2, 3)})
     cycles = alternating_cycles(g, m)
-    assert [(a, edges_of(g, b)) for a, b in cycles] == [
-        (m, {(1, 2), (0, 3)}),
-        (m, {(1, 3), (0, 2)}),
-    ]
+    assert [edges_of(g, free) for free in cycles] == [{(1, 2), (0, 3)}, {(1, 3), (0, 2)}]
 
 
 def test_alternating_cycles_leave_no_cyclic_garbage():
@@ -240,26 +234,27 @@ def test_pm_enumeration_leaves_no_cyclic_garbage():
 
 
 def test_alternating_cycles_are_single_cycle_differences_on_atlas(atlas):
-    # Every m-alternating cycle is m xor m2 for a perfect matching m2 whose
-    # difference from m is that one cycle, and each such m2 gives a cycle.
+    # Every m-alternating cycle's free side is m2 - m for a perfect
+    # matching m2 whose difference from m is that one cycle, and each such
+    # m2 gives a cycle. No two cycles share a free side.
     for g in atlas:
         pms = enumerate_perfect_matchings(g) if g.n % 2 == 0 else []
         for m in pms:
             expected = {
-                (m & ~m2, m2 & ~m)
+                m2 & ~m
                 for m2 in pms
                 if m2 != m
                 and len(symmetric_difference_cycles(edges_of(g, m), edges_of(g, m2))) == 1
             }
             cycles = alternating_cycles(g, m)
             assert set(cycles) == expected
-            assert len({free for _, free in cycles}) == len(cycles)
+            assert len(set(cycles)) == len(cycles)
 
 
 def test_capped_walk_is_the_uncapped_list_filtered_by_length(atlas):
     # The cap only stops paths that could close no cycle short enough, so
     # the capped list is the uncapped one, in order, without the longer
-    # cycles. A cycle of length 2k holds k matched edges.
+    # cycles. A cycle of length 2k has k free edges.
     # Every PM of the atlas (at most 15 per graph), and the first 40 of
     # two denser graphs, whose cycles run up to length 10 and 8.
     extra = (power(cycle(10), 3), complete(8))
@@ -269,7 +264,7 @@ def test_capped_walk_is_the_uncapped_list_filtered_by_length(atlas):
         for m in pms[:40]:
             full = alternating_cycles(g, m)
             for longest in range(g.n + 2):
-                want = [c for c in full if 2 * c[0].bit_count() <= longest]
+                want = [c for c in full if 2 * c.bit_count() <= longest]
                 assert alternating_cycles(g, m, longest=longest) == want
                 checked += bool(want) and want != full
     assert checked > 100

@@ -33,7 +33,8 @@ def milp_min_cover(rows: list[int], width: int) -> int:
 def test_af_of_matching_agrees_with_milp():
     rng = random.Random(170915)
     graphs = [power(cycle(10), 3), power(path(10), 3), complete(8)]
-    graphs += [random_connected_graph(rng, rng.choice((4, 6, 8, 10))) for _ in range(40)]
+    graphs += [power(cycle(12), 3), power(cycle(12), 4), power(path(12), 3)]
+    graphs += [random_connected_graph(rng, rng.choice((4, 6, 8, 10, 12))) for _ in range(40)]
     checked = 0
     for g in graphs:
         pms = enumerate_perfect_matchings(g)

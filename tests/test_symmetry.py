@@ -211,7 +211,7 @@ def unreduced(g):
     """Value and witness from every PM: the route with no orbits and no bound."""
     solved = []
     for m in enumerate_perfect_matchings(g):
-        masks = sorted({f for _, f in alternating_cycles(g, m)}, key=int.bit_count)
+        masks = sorted(alternating_cycles(g, m), key=int.bit_count)
         value, cover = _min_cover_size(masks, Budget())
         solved.append((value, masks, cover))
     best = min(value for value, _, _ in solved)
