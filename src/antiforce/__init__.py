@@ -60,10 +60,9 @@ from .harness import (
 from .matching import (
     Matching,
     alternating_cycles,
-    count_perfect_matchings,
+    count_pms_excluding,
     enumerate_perfect_matchings,
     has_perfect_matching,
-    has_unique_perfect_matching,
     is_perfect_matching,
 )
 

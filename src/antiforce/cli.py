@@ -16,11 +16,11 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import graph as graphio
-from .antiforcing import af_subset_search, af_via_matchings
+from .antiforcing import af_subset_search, af_via_matchings, is_anti_forcing_set
 from .budget import DEFAULT_MAX_NODES, DEFAULT_MAX_SECONDS, BudgetExceededError, parse_budget
 from .families import FAMILIES, build
 from .formulas import evaluate_formula
-from .graph import power
+from .graph import MAX_ORDER, power
 from .harness import (
     COLUMNS,
     STATUSES,
@@ -31,12 +31,7 @@ from .harness import (
     parse_range,
     run_sweep,
 )
-from .matching import (
-    count_perfect_matchings,
-    edge_indices,
-    enumerate_perfect_matchings,
-    has_unique_perfect_matching,
-)
+from .matching import count_pms_excluding, edge_indices, enumerate_perfect_matchings
 
 
 class UsageError(Exception):
@@ -123,9 +118,9 @@ def _cmd_pm(args: argparse.Namespace) -> int:
     g = _read_graph()
     budget = parse_budget(args.budget)
     if args.unique:
-        doc = {"unique": has_unique_perfect_matching(g, budget)}
+        doc = {"unique": count_pms_excluding(g, cap=2, budget=budget) == 1}
     elif args.count:
-        doc = {"count": count_perfect_matchings(g, budget)}
+        doc = {"count": count_pms_excluding(g, budget=budget)}
     else:
         matchings = enumerate_perfect_matchings(g, cap=args.cap, budget=budget)
         doc = {"matchings": [[list(g.sorted_edges[i]) for i in edge_indices(m)] for m in matchings]}
@@ -138,6 +133,8 @@ def _cmd_af(args: argparse.Namespace) -> int:
     budget = parse_budget(args.budget)
     run = af_subset_search if args.method == "subset" else af_via_matchings
     result = run(g, budget)
+    if result.method != "convention_no_pm" and not is_anti_forcing_set(g, result.witness):
+        raise InternalInvariantError(f"unverifiable witness from {result.method}")
     print(
         json.dumps(
             {
@@ -218,6 +215,17 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The matching searches recurse once per matched edge, up to
+    # MAX_ORDER / 2 deep: past the default limit of 1,000 frames.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4 * MAX_ORDER))
+    try:
+        return _run(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -240,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         hint = f" ({', '.join(bounds)})" if bounds else ""
         print(f"antiforce: budget exhausted{hint}", file=sys.stderr)
         return 2
-    except InternalInvariantError as exc:
+    except (InternalInvariantError, AssertionError) as exc:
         print(f"antiforce: internal invariant failure: {exc}", file=sys.stderr)
         return 3
 

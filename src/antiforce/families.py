@@ -22,6 +22,7 @@ from .graph import Edge, Graph, _check_order
 def path(k: int) -> Graph:
     if k < 1:
         raise ValueError(f"path needs k >= 1, got {k}")
+    _check_order(k)
     edges = frozenset((i, i + 1) for i in range(k - 1))
     return Graph(k, edges, tuple(f"v{i + 1}" for i in range(k)))
 
@@ -29,6 +30,7 @@ def path(k: int) -> Graph:
 def cycle(k: int) -> Graph:
     if k < 3:
         raise ValueError(f"cycle needs k >= 3, got {k}")
+    _check_order(k)
     edges = frozenset((i, (i + 1) % k) for i in range(k))
     return Graph(k, edges, tuple(f"v{i + 1}" for i in range(k)))
 
@@ -36,6 +38,7 @@ def cycle(k: int) -> Graph:
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"complete needs n >= 1, got {n}")
+    _check_order(n)
     edges = frozenset((u, v) for u in range(n) for v in range(u + 1, n))
     return Graph(n, edges)
 
@@ -43,6 +46,7 @@ def complete(n: int) -> Graph:
 def friendship(k: int) -> Graph:
     if k < 1:
         raise ValueError(f"friendship needs k >= 1, got {k}")
+    _check_order(2 * k + 1)
     edges: set[Edge] = set()
     for i in range(1, k + 1):
         a, b = 2 * i - 1, 2 * i
@@ -53,6 +57,7 @@ def friendship(k: int) -> Graph:
 def triangular_chain(k: int) -> Graph:
     if k < 1:
         raise ValueError(f"triangular_chain needs k >= 1, got {k}")
+    _check_order(2 * k + 1)
     edges: set[Edge] = set()
     for i in range(1, k + 1):
         c_prev, c_cur, t = i - 1, i, k + i
@@ -74,6 +79,7 @@ def _square_chain_labels(k: int) -> tuple[str, ...]:
 def ortho_square_chain(k: int) -> Graph:
     if k < 1:
         raise ValueError(f"ortho_square_chain needs k >= 1, got {k}")
+    _check_order(3 * k + 1)
     edges: set[Edge] = set()
     for i in range(1, k + 1):
         y_i, y_next = i - 1, i
@@ -85,6 +91,7 @@ def ortho_square_chain(k: int) -> Graph:
 def para_square_chain(k: int) -> Graph:
     if k < 1:
         raise ValueError(f"para_square_chain needs k >= 1, got {k}")
+    _check_order(3 * k + 1)
     edges: set[Edge] = set()
     for i in range(1, k + 1):
         y_i, y_next = i - 1, i
@@ -104,25 +111,12 @@ FAMILIES: dict[str, Callable[[int], Graph]] = {
 }
 
 
-# Each family's vertex count at k, known before anything is built.
-_ORDER: dict[str, Callable[[int], int]] = {
-    "path": lambda k: k,
-    "cycle": lambda k: k,
-    "complete": lambda k: k,
-    "friendship": lambda k: 2 * k + 1,
-    "tri-chain": lambda k: 2 * k + 1,
-    "ortho-chain": lambda k: 3 * k + 1,
-    "para-chain": lambda k: 3 * k + 1,
-}
-
-
 def build(family: str, k: int) -> Graph:
-    """The family's graph at k; ValueError past ``graph.MAX_ORDER`` vertices."""
+    """The family's graph at k; its builder refuses more than ``graph.MAX_ORDER`` vertices."""
     try:
         builder = FAMILIES[family]
     except KeyError:
         raise ValueError(
             f"unknown family {family!r}, expected one of {sorted(FAMILIES)}"
         ) from None
-    _check_order(_ORDER[family](k))
     return builder(k)

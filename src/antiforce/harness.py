@@ -89,61 +89,49 @@ def format_value(x: Value | None) -> str:
     return str(x)
 
 
-def classify_status(
-    *,
-    formula_value: Value | None,
-    applicability: str,
-    oracle_value: int | None,
-    bound_lower: Fraction | None,
-    bound_upper: Fraction | None,
-) -> str:
-    """Pure status classification; the only consumer of record semantics.
+def classify_status(res: FormulaResult | None, oracle: int | None) -> str:
+    """Grade the closed-form claim res against the oracle's value.
 
-    Precedence: out-of-range rows are never graded, budget-starved rows
-    are SKIPPED, bound rows grade against the interval, everything else
+    None for res means the family has no closed form, and None for
+    oracle means the oracle ran out of budget. Precedence: out-of-range
+    claims and no claim are never graded, budget-starved rows are
+    SKIPPED, bound claims grade against their interval, everything else
     is an equality check.
     """
-    if applicability == OUT_OF_RANGE:
+    if res is None or res.applicability == OUT_OF_RANGE:
         return "OUT_OF_RANGE"
-    if oracle_value is None:
+    if oracle is None:
         return "SKIPPED"
-    if bound_lower is not None or bound_upper is not None:
-        ok_low = bound_lower is None or oracle_value >= bound_lower
-        ok_up = bound_upper is None or oracle_value <= bound_upper
+    if res.lower is not None or res.upper is not None:
+        ok_low = res.lower is None or oracle >= res.lower
+        ok_up = res.upper is None or oracle <= res.upper
         return "WITHIN_BOUNDS" if ok_low and ok_up else "BOUND_VIOLATION"
-    if formula_value is None:
+    if res.value is None:
         return "OUT_OF_RANGE"
-    return "MATCH" if formula_value == oracle_value else "MISMATCH"
+    return "MATCH" if res.value == oracle else "MISMATCH"
+
+
+# The cells of a row whose family has no closed form: every claim n/a.
+_NO_FORMULA = FormulaResult(None, "exact", "n/a", OUT_OF_RANGE)
 
 
 def _record(
     family: str, k: int, m: int, n: int, res: FormulaResult | None, oracle: int | None
 ) -> dict[str, object]:
     """The graded report row for res against oracle; no formula gives an n/a row."""
-    value = lower = upper = None
-    case, applicability = "n/a", OUT_OF_RANGE
-    if res is not None:
-        value, lower, upper = res.value, res.lower, res.upper
-        case, applicability = res.case, res.applicability
-    status = classify_status(
-        formula_value=value,
-        applicability=applicability,
-        oracle_value=oracle,
-        bound_lower=lower,
-        bound_upper=upper,
-    )
+    res = res or _NO_FORMULA
     cells = (
         family,
         k,
         m,
         n,
-        format_value(value),
-        case,
-        applicability,
+        format_value(res.value),
+        res.case,
+        res.applicability,
         "skipped(budget)" if oracle is None else oracle,
-        format_value(lower),
-        format_value(upper),
-        status,
+        format_value(res.lower),
+        format_value(res.upper),
+        classify_status(res, oracle),
     )
     return dict(zip(COLUMNS, cells))
 

@@ -128,24 +128,18 @@ def enumerate_perfect_matchings(
     return list(islice(_iter_pms(g.n, g.edge_bits, budget), cap))
 
 
-def count_perfect_matchings(g: Graph, budget: Budget | None = None) -> int:
-    return sum(1 for _ in _iter_pms(g.n, g.edge_bits, budget or Budget()))
-
-
-def has_unique_perfect_matching(g: Graph, budget: Budget | None = None) -> bool:
-    """Short-circuits at the second matching."""
-    return count_pms_excluding(g, frozenset(), 2, budget) == 1
-
-
 def count_pms_excluding(
-    g: Graph, removed: frozenset[Edge], cap: int, budget: Budget | None = None
+    g: Graph,
+    removed: frozenset[Edge] = frozenset(),
+    cap: int | None = None,
+    budget: Budget | None = None,
 ) -> int:
-    """Count perfect matchings of g minus the given edges, up to cap.
+    """Count perfect matchings of g minus the removed edges, up to cap (None: no cap).
 
-    Avoids constructing the subgraph: the search runs on ``g.edge_bits``
-    with the removed edges' bits filtered out, so it walks the tree the
-    enumerator walks on g minus them. With cap=2 it is the uniqueness
-    probe behind ``is_anti_forcing_set``, which re-verifies witnesses.
+    The package's one PM counter; cap=2 asks whether exactly one is left,
+    the uniqueness probe behind ``is_anti_forcing_set``. The search runs
+    on ``g.edge_bits`` with the removed edges' bits filtered out: the tree
+    the enumerator walks on g minus them, without building that graph.
     """
     gone = sum(1 << i for i, e in enumerate(g.sorted_edges) if e in removed)
     pairs = g.edge_bits

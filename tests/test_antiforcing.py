@@ -17,7 +17,6 @@ from antiforce import (
     cycle,
     enumerate_perfect_matchings,
     friendship,
-    has_unique_perfect_matching,
     is_anti_forcing_set,
     max_degree,
     para_square_chain,
@@ -523,7 +522,7 @@ def test_witness_verifies(g):
 def test_zero_iff_unique_pm(g):
     if g.n % 2 == 0 and g.edges:
         zero = af_subset_search(g).value == 0
-        assert zero == has_unique_perfect_matching(g)
+        assert zero == (count_pms_excluding(g, cap=2) == 1)
 
 
 @settings(max_examples=30, deadline=None)

@@ -9,15 +9,13 @@ from antiforce import (
     af_subset_search,
     af_via_matchings,
     alternating_cycles,
-    count_perfect_matchings,
+    count_pms_excluding,
     cycle,
     enumerate_perfect_matchings,
     has_perfect_matching,
-    has_unique_perfect_matching,
     power,
 )
 from antiforce.budget import parse_budget
-from antiforce.matching import count_pms_excluding
 from antiforce.symmetry import automorphism_generators, pm_orbits
 
 
@@ -74,8 +72,6 @@ def _entry_point_calls():
     return [
         (has_perfect_matching, (g,)),
         (enumerate_perfect_matchings, (g,)),
-        (count_perfect_matchings, (g,)),
-        (has_unique_perfect_matching, (g,)),
         (count_pms_excluding, (g, frozenset(g.sorted_edges[:2]), 2)),
         (alternating_cycles, (g, pms[0])),
         (automorphism_generators, (g, [0] * g.n)),

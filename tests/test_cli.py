@@ -5,13 +5,14 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import antiforce.harness as harness
-from antiforce import Budget, af_via_matchings, to_json
+from antiforce import AntiForcingResult, Budget, af_via_matchings, to_json
 from antiforce.cli import main
 from antiforce.families import complete, cycle, path
+from antiforce.graph import MAX_ORDER
 from antiforce.harness import COLUMNS, InternalInvariantError
 from conftest import complete_joined_to_star
 
@@ -95,8 +96,7 @@ def test_pm_cap_rejected_with_count_or_unique(mode, monkeypatch, capsys):
         raise AssertionError("pm enumerated before rejecting --cap")
 
     monkeypatch.setattr("antiforce.cli.enumerate_perfect_matchings", boom)
-    monkeypatch.setattr("antiforce.cli.count_perfect_matchings", boom)
-    monkeypatch.setattr("antiforce.cli.has_unique_perfect_matching", boom)
+    monkeypatch.setattr("antiforce.cli.count_pms_excluding", boom)
     rc, out, err = run_cli(
         ["pm", mode, "--cap", "1"], to_json(complete(8)), monkeypatch, capsys
     )
@@ -137,6 +137,30 @@ def test_af_convention(monkeypatch, capsys):
     rc, out, _ = run_cli(["af"], to_json(path(5)), monkeypatch, capsys)
     doc = json.loads(out)
     assert doc["value"] == 4 and doc["method"] == "convention_no_pm"
+
+
+@pytest.mark.parametrize("method", ["matchings", "subset"])
+def test_af_unverifiable_witness_exits_3(method, monkeypatch, capsys):
+    # C_6 keeps two perfect matchings, so the empty set is no witness.
+    def wrong(g, budget):
+        return AntiForcingResult(0, frozenset(), "via_matchings")
+
+    solver = "af_via_matchings" if method == "matchings" else "af_subset_search"
+    monkeypatch.setattr(f"antiforce.cli.{solver}", wrong)
+    rc, out, err = run_cli(["af", "--method", method], to_json(cycle(6)), monkeypatch, capsys)
+    assert rc == 3 and out == ""
+    assert err == "antiforce: internal invariant failure: unverifiable witness from via_matchings\n"
+
+
+def test_af_solver_assertion_exits_3(monkeypatch, capsys):
+    def broken(g, budget):
+        raise AssertionError("a true cover of size af(G, M) covers every family")
+
+    monkeypatch.setattr("antiforce.cli.af_via_matchings", broken)
+    rc, out, err = run_cli(["af"], to_json(cycle(6)), monkeypatch, capsys)
+    assert rc == 3 and out == ""
+    assert err.startswith("antiforce: internal invariant failure: a true cover")
+    assert err.count("\n") == 1
 
 
 def test_af_budget_exhaustion_exit_2(k8_subset_search, monkeypatch, capsys):
@@ -239,12 +263,20 @@ def test_deeply_nested_json_exits_1(argv, monkeypatch, capsys):
     assert err.startswith("antiforce: input too deep") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [["pm", "--count"], ["af"]])
-def test_long_even_graph_exits_1(argv, monkeypatch, capsys):
-    # The matching searches recurse once per matched edge.
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["pm", "--count"], {"count": 1}),
+        (["af"], {"value": 0, "witness": [], "method": "via_matchings"}),
+    ],
+)
+def test_long_even_graph_is_served(argv, want, monkeypatch, capsys):
+    # The matching searches recurse once per matched edge, 1,200 deep here,
+    # past the interpreter's default limit; main raises it while it runs.
+    limit = sys.getrecursionlimit()
     rc, out, err = run_cli(argv, to_json(path(2400)), monkeypatch, capsys)
-    assert rc == 1 and out == ""
-    assert err.startswith("antiforce: input too deep") and err.count("\n") == 1
+    assert rc == 0 and json.loads(out) == want and err == ""
+    assert sys.getrecursionlimit() == limit
 
 
 @pytest.mark.parametrize("argv", [["af"], ["power", "--m", "2"]])
@@ -295,7 +327,7 @@ _INT_PAIRS = st.lists(_SMALL_INTS, min_size=2, max_size=2)
 _PAIRS = st.lists(_INT_PAIRS, max_size=12) | st.lists(
     _INT_PAIRS | st.lists(_ATOMS, min_size=1, max_size=3), max_size=6
 )
-_ORDERS = st.integers(0, 20) | st.integers(-1, 64)
+_ORDERS = st.integers(0, 20) | st.integers(-1, 64) | st.integers(65, MAX_ORDER + 1)
 _EDGE_LISTS = st.builds(
     lambda n, pairs, skew: f"{n} {len(pairs) + skew}\n"
     + "\n".join(" ".join(map(str, p)) for p in pairs),
@@ -320,9 +352,12 @@ _JSON_DOCS = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(
     argv=st.sampled_from([["af", "--budget", "20000:1"], ["pm", "--count"], ["power", "--m", "2"]]),
-    text=st.one_of(st.text(max_size=200), _EDGE_LISTS, _JSON_DOCS).filter(_declares_small_order),
+    text=st.one_of(st.text(max_size=200), _EDGE_LISTS, _JSON_DOCS),
 )
 def test_cli_fuzz_exits_cleanly(argv, text):
+    # The solvers take every order the parsers accept, up to MAX_ORDER;
+    # the power's all-pairs BFS is quadratic, so it gets 64 vertices.
+    assume(argv[0] != "power" or _declares_small_order(text))
     rc, _, err = _run_in_process(argv, text)
     assert rc in (0, 1, 2)
     assert "Traceback" not in err

@@ -16,7 +16,6 @@ from antiforce import (
     path,
     triangular_chain,
 )
-from antiforce.families import _ORDER
 from antiforce.graph import MAX_ORDER
 from conftest import graph_to_nx
 
@@ -180,11 +179,12 @@ def test_factories_reject_small_k(factory, k):
 
 
 def test_build_caps_the_order():
-    # The order each family declares is the order it builds, and the cap
-    # falls exactly at MAX_ORDER vertices.
-    for family in FAMILIES:
-        for k in range(3, 7):
-            assert build(family, k).n == _ORDER[family](k)
+    # Each builder refuses more than MAX_ORDER vertices before it builds
+    # an edge, so a direct call at k = 10^8 returns at once, as build
+    # does. The cap falls exactly at MAX_ORDER vertices.
+    for builder in FAMILIES.values():
+        with pytest.raises(ValueError, match=f"vertices, more than the {MAX_ORDER} accepted"):
+            builder(10**8)
     assert build("path", MAX_ORDER).n == MAX_ORDER
     assert build("ortho-chain", 1365).n == MAX_ORDER
     for family, k in [("path", MAX_ORDER + 1), ("ortho-chain", 1366), ("friendship", 2048)]:

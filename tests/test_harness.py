@@ -19,7 +19,7 @@ from antiforce import (
     run_edge_count_audit,
     run_sweep,
 )
-from antiforce.formulas import FORMULAS, IN_RANGE, OUT_OF_RANGE, af_para_power
+from antiforce.formulas import FORMULAS, IN_RANGE, OUT_OF_RANGE, FormulaResult, af_para_power
 from antiforce.harness import (
     COLUMNS,
     DEFAULT_CROSS_CHECK_N_LIMIT,
@@ -98,32 +98,29 @@ def test_record_row_and_json():
     assert rows["audit"]["oracle_value"] == 7 and rows["audit"]["formula_value"] == "7"
 
 
+def _claim(value, applicability=IN_RANGE, lower=None, upper=None):
+    kind = "bounds" if value is None and (lower, upper) != (None, None) else "exact"
+    return FormulaResult(value, kind, "case", applicability, lower, upper)
+
+
 @pytest.mark.parametrize(
     "kwargs,expected",
     [
-        (dict(formula_value=2, applicability=OUT_OF_RANGE, oracle_value=1,
-              bound_lower=None, bound_upper=None), "OUT_OF_RANGE"),
-        (dict(formula_value=2, applicability=IN_RANGE, oracle_value=None,
-              bound_lower=None, bound_upper=None), "SKIPPED"),
-        (dict(formula_value=None, applicability=IN_RANGE, oracle_value=5,
-              bound_lower=Fraction(3), bound_upper=Fraction(6)), "WITHIN_BOUNDS"),
-        (dict(formula_value=None, applicability=IN_RANGE, oracle_value=2,
-              bound_lower=Fraction(3), bound_upper=Fraction(6)), "BOUND_VIOLATION"),
-        (dict(formula_value=None, applicability=IN_RANGE, oracle_value=7,
-              bound_lower=Fraction(3), bound_upper=Fraction(6)), "BOUND_VIOLATION"),
-        (dict(formula_value=None, applicability=IN_RANGE, oracle_value=9,
-              bound_lower=Fraction(3), bound_upper=None), "WITHIN_BOUNDS"),
-        (dict(formula_value=None, applicability=IN_RANGE, oracle_value=1,
-              bound_lower=None, bound_upper=None), "OUT_OF_RANGE"),
-        (dict(formula_value=4, applicability=IN_RANGE, oracle_value=4,
-              bound_lower=None, bound_upper=None), "MATCH"),
-        (dict(formula_value=4, applicability=IN_RANGE, oracle_value=5,
-              bound_lower=None, bound_upper=None), "MISMATCH"),
+        (dict(res=_claim(2, OUT_OF_RANGE), oracle=1), "OUT_OF_RANGE"),
+        (dict(res=_claim(2), oracle=None), "SKIPPED"),
+        (dict(res=_claim(None, lower=Fraction(3), upper=Fraction(6)), oracle=5), "WITHIN_BOUNDS"),
+        (dict(res=_claim(None, lower=Fraction(3), upper=Fraction(6)), oracle=2), "BOUND_VIOLATION"),
+        (dict(res=_claim(None, lower=Fraction(3), upper=Fraction(6)), oracle=7), "BOUND_VIOLATION"),
+        (dict(res=_claim(None, lower=Fraction(3)), oracle=9), "WITHIN_BOUNDS"),
+        (dict(res=_claim(None), oracle=1), "OUT_OF_RANGE"),
+        (dict(res=_claim(4), oracle=4), "MATCH"),
+        (dict(res=_claim(4), oracle=5), "MISMATCH"),
         # Out-of-range wins over everything, budget loss over bounds.
-        (dict(formula_value=None, applicability=OUT_OF_RANGE, oracle_value=None,
-              bound_lower=Fraction(1), bound_upper=Fraction(2)), "OUT_OF_RANGE"),
-        (dict(formula_value=None, applicability=IN_RANGE, oracle_value=None,
-              bound_lower=Fraction(1), bound_upper=Fraction(2)), "SKIPPED"),
+        (dict(res=_claim(None, OUT_OF_RANGE, Fraction(1), Fraction(2)), oracle=None),
+         "OUT_OF_RANGE"),
+        (dict(res=_claim(None, IN_RANGE, Fraction(1), Fraction(2)), oracle=None), "SKIPPED"),
+        # A family with no closed form is never graded.
+        (dict(res=None, oracle=3), "OUT_OF_RANGE"),
     ],
 )
 def test_classify_status(kwargs, expected):

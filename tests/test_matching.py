@@ -15,17 +15,15 @@ from antiforce import (
     af_via_matchings,
     alternating_cycles,
     complete,
-    count_perfect_matchings,
+    count_pms_excluding,
     cycle,
     enumerate_perfect_matchings,
     friendship,
     has_perfect_matching,
-    has_unique_perfect_matching,
     is_perfect_matching,
     path,
     power,
 )
-from antiforce.matching import count_pms_excluding
 from conftest import (
     complete_joined_to_star,
     edges_of,
@@ -131,12 +129,12 @@ def test_import_leaves_networkx_out():
 def test_enumeration_known_counts():
     assert len(enumerate_perfect_matchings(path(6))) == 1
     assert len(enumerate_perfect_matchings(cycle(6))) == 2
-    assert count_perfect_matchings(complete(4)) == 3
+    assert count_pms_excluding(complete(4)) == 3
     # (2t-1)!! for complete graphs.
-    assert count_perfect_matchings(complete(6)) == 15
-    assert count_perfect_matchings(complete(8)) == 105
-    assert count_perfect_matchings(path(5)) == 0
-    assert count_perfect_matchings(friendship(3)) == 0
+    assert count_pms_excluding(complete(6)) == 15
+    assert count_pms_excluding(complete(8)) == 105
+    assert count_pms_excluding(path(5)) == 0
+    assert count_pms_excluding(friendship(3)) == 0
 
 
 def test_enumeration_is_lexicographic():
@@ -160,21 +158,21 @@ def test_enumeration_cap():
 
 def test_empty_graph_has_one_pm():
     assert enumerate_perfect_matchings(Graph(0)) == [0]
-    assert has_unique_perfect_matching(Graph(0))
+    assert count_pms_excluding(Graph(0), cap=2) == 1
 
 
 def test_unique_pm():
-    assert has_unique_perfect_matching(path(4))
-    assert not has_unique_perfect_matching(cycle(4))
-    assert not has_unique_perfect_matching(path(3))
+    assert count_pms_excluding(path(4), cap=2) == 1
+    assert count_pms_excluding(cycle(4), cap=2) == 2
+    assert count_pms_excluding(path(3), cap=2) == 0
 
 
 def test_count_excluding_matches_subgraph():
     g = complete(6)
     removed = frozenset({(0, 1), (2, 3)})
-    direct = count_perfect_matchings(Graph(g.n, g.edges - removed))
-    assert count_pms_excluding(g, removed, cap=10**9) == direct
-    assert count_pms_excluding(g, frozenset(), cap=4) == 4  # capped
+    direct = count_pms_excluding(Graph(g.n, g.edges - removed))
+    assert count_pms_excluding(g, removed) == direct
+    assert count_pms_excluding(g, cap=4) == 4  # capped
 
 
 def test_bipartite_counts_match_permanent():
@@ -188,15 +186,15 @@ def test_bipartite_counts_match_permanent():
             if rng.random() < 0.6
         }
         g = Graph(2 * t, frozenset(edges))
-        assert count_perfect_matchings(g) == bipartite_pm_count(t, t, edges)
+        assert count_pms_excluding(g) == bipartite_pm_count(t, t, edges)
 
 
 @settings(max_examples=60, deadline=None)
 @given(graphs(max_n=7))
 def test_count_agrees_with_enumeration(g):
     pms = enumerate_perfect_matchings(g)
-    assert count_perfect_matchings(g) == len(pms)
-    assert has_unique_perfect_matching(g) == (len(pms) == 1)
+    assert count_pms_excluding(g) == len(pms)
+    assert count_pms_excluding(g, cap=2) == min(len(pms), 2)
     for m in pms:
         assert is_perfect_matching(g, m)
 
@@ -326,4 +324,4 @@ def test_two_pms_differ_by_alternating_cycles(g):
 
 def test_enumeration_budget():
     with pytest.raises(BudgetExceededError):
-        count_perfect_matchings(complete(10), Budget(max_nodes=50, max_seconds=60.0))
+        count_pms_excluding(complete(10), budget=Budget(max_nodes=50, max_seconds=60.0))

@@ -13,13 +13,12 @@ from antiforce import (
     Budget,
     Graph,
     complete,
-    count_perfect_matchings,
+    count_pms_excluding,
     cycle,
     enumerate_perfect_matchings,
     has_perfect_matching,
     power,
 )
-from antiforce.matching import count_pms_excluding
 from conftest import mask_of
 
 
@@ -110,7 +109,7 @@ def test_mask_enumerator_is_the_frozenset_enumerator(atlas):
         assert new.nodes == ref.nodes, sorted(g.edges)
         assert has_perfect_matching(g) == bool(want)
         ref, new = Budget(), Budget()
-        assert count_perfect_matchings(g, new) == sum(
+        assert count_pms_excluding(g, budget=new) == sum(
             1 for _ in ref_iter_pms(g.n, g.adjacency, ref)
         )
         assert new.nodes == ref.nodes
