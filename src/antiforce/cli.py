@@ -133,8 +133,16 @@ def _cmd_af(args: argparse.Namespace) -> int:
     budget = parse_budget(args.budget)
     run = af_subset_search if args.method == "subset" else af_via_matchings
     result = run(g, budget)
-    if result.method != "convention_no_pm" and not is_anti_forcing_set(g, result.witness):
-        raise InternalInvariantError(f"unverifiable witness from {result.method}")
+    if result.method != "convention_no_pm":
+        # The re-check charges the solve's budget; running out there still
+        # leaves the value the solve found as both bounds.
+        try:
+            verified = is_anti_forcing_set(g, result.witness, budget)
+        except BudgetExceededError as exc:
+            exc.lower = exc.upper = result.value
+            raise
+        if not verified:
+            raise InternalInvariantError(f"unverifiable witness from {result.method}")
     print(
         json.dumps(
             {

@@ -16,88 +16,73 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .graph import Edge, Graph, _check_order
+from .graph import Edge, Graph, _check_order, _shown
+
+
+def _order(builder: str, k: int, least: int, n: int, arg: str = "k") -> int:
+    """Check k against its least value and n against MAX_ORDER, before any edge is built; give n."""
+    if k < least:
+        raise ValueError(f"{builder} needs {arg} >= {least}, got {_shown(k)}")
+    _check_order(n)
+    return n
 
 
 def path(k: int) -> Graph:
-    if k < 1:
-        raise ValueError(f"path needs k >= 1, got {k}")
-    _check_order(k)
-    edges = frozenset((i, i + 1) for i in range(k - 1))
-    return Graph(k, edges, tuple(f"v{i + 1}" for i in range(k)))
+    n = _order("path", k, 1, k)
+    edges = frozenset((i, i + 1) for i in range(n - 1))
+    return Graph(n, edges, tuple(f"v{i + 1}" for i in range(n)))
 
 
 def cycle(k: int) -> Graph:
-    if k < 3:
-        raise ValueError(f"cycle needs k >= 3, got {k}")
-    _check_order(k)
-    edges = frozenset((i, (i + 1) % k) for i in range(k))
-    return Graph(k, edges, tuple(f"v{i + 1}" for i in range(k)))
+    n = _order("cycle", k, 3, k)
+    edges = frozenset((i, (i + 1) % n) for i in range(n))
+    return Graph(n, edges, tuple(f"v{i + 1}" for i in range(n)))
 
 
 def complete(n: int) -> Graph:
-    if n < 1:
-        raise ValueError(f"complete needs n >= 1, got {n}")
-    _check_order(n)
-    edges = frozenset((u, v) for u in range(n) for v in range(u + 1, n))
-    return Graph(n, edges)
+    _order("complete", n, 1, n, arg="n")
+    return Graph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def friendship(k: int) -> Graph:
-    if k < 1:
-        raise ValueError(f"friendship needs k >= 1, got {k}")
-    _check_order(2 * k + 1)
+    n = _order("friendship", k, 1, 2 * k + 1)
     edges: set[Edge] = set()
     for i in range(1, k + 1):
         a, b = 2 * i - 1, 2 * i
         edges.update({(0, a), (0, b), (a, b)})
-    return Graph(2 * k + 1, frozenset(edges))
+    return Graph(n, frozenset(edges))
 
 
 def triangular_chain(k: int) -> Graph:
-    if k < 1:
-        raise ValueError(f"triangular_chain needs k >= 1, got {k}")
-    _check_order(2 * k + 1)
+    n = _order("triangular_chain", k, 1, 2 * k + 1)
     edges: set[Edge] = set()
     for i in range(1, k + 1):
         c_prev, c_cur, t = i - 1, i, k + i
         edges.update({(c_prev, c_cur), (c_prev, t), (c_cur, t)})
-    labels = tuple(f"c{i}" for i in range(k + 1)) + tuple(
-        f"t{i}" for i in range(1, k + 1)
-    )
-    return Graph(2 * k + 1, frozenset(edges), labels)
+    labels = tuple(f"c{i}" for i in range(k + 1)) + tuple(f"t{i}" for i in range(1, k + 1))
+    return Graph(n, frozenset(edges), labels)
 
 
-def _square_chain_labels(k: int) -> tuple[str, ...]:
-    return (
-        tuple(f"y{i}" for i in range(1, k + 2))
-        + tuple(f"x{i}" for i in range(1, k + 1))
-        + tuple(f"z{i}" for i in range(1, k + 1))
-    )
+def _square_chain(
+    builder: str, k: int, square: Callable[[int, int, int, int], tuple[int, ...]]
+) -> Graph:
+    """k squares on 3k+1 vertices: square i is the vertex cycle square(y_i, x_i, z_i, y_(i+1))."""
+    n = _order(builder, k, 1, 3 * k + 1)
+    edges: set[Edge] = set()
+    for i in range(1, k + 1):
+        cyc = square(i - 1, k + i, 2 * k + i, i)
+        edges.update(zip(cyc, cyc[1:] + cyc[:1]))
+    runs = (("y", k + 1), ("x", k), ("z", k))
+    labels = tuple(f"{s}{i}" for s, last in runs for i in range(1, last + 1))
+    return Graph(n, frozenset(edges), labels)
 
 
 def ortho_square_chain(k: int) -> Graph:
-    if k < 1:
-        raise ValueError(f"ortho_square_chain needs k >= 1, got {k}")
-    _check_order(3 * k + 1)
-    edges: set[Edge] = set()
-    for i in range(1, k + 1):
-        y_i, y_next = i - 1, i
-        x_i, z_i = k + i, 2 * k + i
-        edges.update({(y_i, x_i), (x_i, z_i), (z_i, y_next), (y_i, y_next)})
-    return Graph(3 * k + 1, frozenset(edges), _square_chain_labels(k))
+    return _square_chain("ortho_square_chain", k, lambda y, x, z, y_next: (y, x, z, y_next))
 
 
 def para_square_chain(k: int) -> Graph:
-    if k < 1:
-        raise ValueError(f"para_square_chain needs k >= 1, got {k}")
-    _check_order(3 * k + 1)
-    edges: set[Edge] = set()
-    for i in range(1, k + 1):
-        y_i, y_next = i - 1, i
-        x_i, z_i = k + i, 2 * k + i
-        edges.update({(y_i, x_i), (x_i, y_next), (y_i, z_i), (z_i, y_next)})
-    return Graph(3 * k + 1, frozenset(edges), _square_chain_labels(k))
+    return _square_chain("para_square_chain", k, lambda y, x, z, y_next: (y, x, y_next, z))
 
 
 FAMILIES: dict[str, Callable[[int], Graph]] = {

@@ -33,32 +33,28 @@ def _is_int(x: object) -> bool:
 
 @dataclass(frozen=True)
 class Graph:
+    """The one validator: every graph is checked here, and a malformed one raises ValueError."""
+
     n: int
     edges: frozenset[Edge] = frozenset()
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not _is_int(self.n) or self.n < 0:
-            raise ValueError(f"vertex count must be a non-negative integer, got {self.n!r}")
+        n = self.n
+        _check_order(n)
         try:
-            pairs = [tuple(e) for e in self.edges]
-        except TypeError:
-            raise ValueError(f"edges must be a collection of pairs, got {self.edges!r}") from None
-        for e in pairs:
-            if len(e) != 2:
-                raise ValueError(f"edge {e!r} is not a pair")
-            if not (_is_int(e[0]) and _is_int(e[1])):
-                raise ValueError(f"edge ({e[0]!r},{e[1]!r}) needs integer endpoints")
-        norm = frozenset(edge(u, v) for u, v in pairs)
-        for u, v in norm:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-        object.__setattr__(self, "edges", norm)
+            pairs = [(u, v) for u, v in self.edges]
+        except (TypeError, ValueError):
+            raise ValueError("edges must be a collection of vertex pairs") from None
+        for u, v in pairs:
+            if not (_is_int(u) and _is_int(v) and 0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge endpoints must be integers from 0 to n - 1, n = {n}")
+        object.__setattr__(self, "edges", frozenset(edge(u, v) for u, v in pairs))
         if self.labels is not None:
             labels = tuple(self.labels)
-            if len(labels) != self.n:
-                raise ValueError("label tuple must have one entry per vertex")
-            if len(set(labels)) != self.n:
+            if len(labels) != n or not all(isinstance(lab, str) for lab in labels):
+                raise ValueError("labels must be one string per vertex")
+            if len(set(labels)) != n:
                 raise ValueError("labels must be distinct")
             object.__setattr__(self, "labels", labels)
 
@@ -140,10 +136,8 @@ def power(g: Graph, m: int) -> Graph:
     Unreachable pairs never become edges, so powers of a disconnected
     graph stay disconnected.
     """
-    if not _is_int(m):
-        raise ValueError("power exponent must be an integer")
-    if m < 1:
-        raise ValueError(f"power exponent must be >= 1, got {m}")
+    if not _is_int(m) or m < 1:
+        raise ValueError(f"power exponent must be an integer >= 1, got {_shown(m)}")
     dist = all_pairs_distances(g)
     edges = set(g.edges)
     if m > 1:
@@ -175,10 +169,19 @@ def to_json(g: Graph) -> str:
     return json.dumps(doc)
 
 
-def _check_order(n: int) -> None:
-    """Reject a declared vertex count above MAX_ORDER before anything is built."""
+def _check_order(n: object) -> None:
+    """The one vertex-count check: an int from 0 to MAX_ORDER, made before anything is built."""
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"vertex count must be a non-negative integer, got {_shown(n)}")
     if n > MAX_ORDER:
-        raise ValueError(f"graph declares {n} vertices, more than the {MAX_ORDER} accepted")
+        raise ValueError(f"graph declares {_shown(n)} vertices, more than the {MAX_ORDER} accepted")
+
+
+def _shown(x: object) -> str:
+    """x as an error message names it: never its full text, which may be unbounded."""
+    if _is_int(x):
+        return str(x) if abs(x) < 10**18 else ("at most -10^18" if x < 0 else "at least 10^18")
+    return type(x).__name__
 
 
 def from_json(text: str) -> Graph:
@@ -187,30 +190,20 @@ def from_json(text: str) -> Graph:
     if not isinstance(doc, dict):
         raise ValueError("graph JSON must be an object")
     n = doc.get("n")
-    if not _is_int(n) or n < 0:
-        raise ValueError(f"graph JSON needs 'n', a non-negative integer, got {n!r}")
     _check_order(n)
     pairs = doc.get("edges", [])
-    if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 and _is_int(p[0]) and _is_int(p[1])
-        for p in pairs
-    ):
-        raise ValueError("graph JSON 'edges' must be a list of [u, v] integer pairs")
-    edges = frozenset(edge(u, v) for u, v in pairs)
-    if len(edges) != len(pairs):
-        raise ValueError("duplicate edges in graph JSON 'edges'")
-    labels = None
-    if "labels" in doc and doc["labels"] is not None:
-        if not isinstance(doc["labels"], dict):
-            raise ValueError("graph JSON 'labels' must map vertex indices to names")
-        raw = doc["labels"]
+    if not isinstance(pairs, list):
+        raise ValueError("graph JSON 'edges' must be a list of [u, v] pairs")
+    labels = doc.get("labels")
+    if labels is not None:
         keys = [str(i) for i in range(n)]
-        if raw.keys() != set(keys):
-            raise ValueError("labels must have one key per vertex, '0' to 'n-1'")
-        if not all(isinstance(v, str) for v in raw.values()):
-            raise ValueError("labels must be strings")
-        labels = tuple(raw[key] for key in keys)
-    return Graph(n, edges, labels)
+        if not isinstance(labels, dict) or labels.keys() != set(keys):
+            raise ValueError("graph JSON 'labels' must map each index '0' to 'n-1' to a name")
+        labels = tuple(labels[key] for key in keys)
+    g = Graph(n, pairs, labels)
+    if len(g.edges) != len(pairs):
+        raise ValueError("duplicate edges in graph JSON 'edges'")
+    return g
 
 
 def to_edgelist(g: Graph) -> str:
@@ -219,23 +212,30 @@ def to_edgelist(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(tokens: list[str]) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise ValueError("edge list tokens must be integers") from None
+
+
 def from_edgelist(text: str) -> Graph:
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("edge list needs a header line 'n m'")
-    n, m = int(tokens[0]), int(tokens[1])
-    _check_order(n)
+    n, m = _ints(tokens[:2])
     if m < 0:
-        raise ValueError(f"edge count must be non-negative, got {m}")
+        raise ValueError(f"edge count must be non-negative, got {_shown(m)}")
     flat = tokens[2:]
     if len(flat) != 2 * m:
-        raise ValueError(f"expected {m} edges as {2 * m} endpoint tokens, found {len(flat)}")
-    edges = frozenset(
-        edge(int(flat[2 * i]), int(flat[2 * i + 1])) for i in range(m)
-    )
-    if len(edges) != m:
+        raise ValueError(
+            f"expected {_shown(m)} edges as {_shown(2 * m)} endpoint tokens, found {len(flat)}"
+        )
+    ends = _ints(flat)
+    g = Graph(n, list(zip(ends[::2], ends[1::2])))
+    if len(g.edges) != m:
         raise ValueError("duplicate edges in edge list")
-    return Graph(n, edges)
+    return g
 
 
 def loads(text: str) -> Graph:

@@ -20,7 +20,6 @@ import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import partial
 
 from .antiforcing import af_subset_search, af_via_matchings, is_anti_forcing_set
@@ -80,13 +79,7 @@ class InternalInvariantError(Exception):
 
 def format_value(x: Value | None) -> str:
     """Exact textual form: integers bare, other rationals as a/b, None as n/a."""
-    if x is None:
-        return "n/a"
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return str(x)
+    return "n/a" if x is None else str(x)
 
 
 def classify_status(res: FormulaResult | None, oracle: int | None) -> str:
@@ -175,11 +168,16 @@ def sweep_point(spec: SweepSpec, k: int, m: int) -> dict[str, object]:
     g = power(base, m)
     res = evaluate_formula(family, k, m)
 
+    # The witness is re-verified inside the oracle's budget: running out
+    # there skips the row, as running out in the solve does.
+    budget = replace(spec.budget)
     try:
-        result = af_via_matchings(g, replace(spec.budget))
+        result = af_via_matchings(g, budget)
+        if result.method == "via_matchings" and not is_anti_forcing_set(g, result.witness, budget):
+            raise InternalInvariantError(f"unverifiable witness on {family}(k={k})^{m}")
+        oracle = result.value
     except BudgetExceededError:
-        result = None
-    oracle = None if result is None else result.value
+        oracle = None
 
     if oracle is not None and g.n <= DEFAULT_CROSS_CHECK_N_LIMIT:
         try:
@@ -191,13 +189,6 @@ def sweep_point(spec: SweepSpec, k: int, m: int) -> dict[str, object]:
                 f"oracle disagreement on {family}(k={k})^{m}: "
                 f"subset={check.value} matchings={oracle}"
             )
-
-    if (
-        result is not None
-        and result.method == "via_matchings"
-        and not is_anti_forcing_set(g, result.witness)
-    ):
-        raise InternalInvariantError(f"unverifiable witness on {family}(k={k})^{m}")
 
     return _record(family, k, m, base.n, res, oracle)
 

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import antiforce.harness as harness
-from antiforce import AntiForcingResult, Budget, af_via_matchings, to_json
+from antiforce import AntiForcingResult, Budget, af_subset_search, af_via_matchings, to_json
 from antiforce.cli import main
 from antiforce.families import complete, cycle, path
 from antiforce.graph import MAX_ORDER
@@ -152,6 +152,23 @@ def test_af_unverifiable_witness_exits_3(method, monkeypatch, capsys):
     assert err == "antiforce: internal invariant failure: unverifiable witness from via_matchings\n"
 
 
+@pytest.mark.parametrize("method", ["matchings", "subset"])
+def test_af_recheck_out_of_budget_exits_2_with_the_value(method, monkeypatch, capsys):
+    # The solve fits in its budget exactly; re-verifying its witness, which
+    # charges the same budget, does not.
+    g = cycle(6)
+    solve = af_via_matchings if method == "matchings" else af_subset_search
+    full = Budget()
+    value = solve(g, full).value
+    argv = ["af", "--method", method, "--budget", f"{full.nodes}:60"]
+    rc, out, err = run_cli(argv, to_json(g), monkeypatch, capsys)
+    assert rc == 2 and out == ""
+    assert err == f"antiforce: budget exhausted (value >= {value}, value <= {value})\n"
+    argv[-1] = f"{full.nodes + 100}:60"
+    rc, out, _ = run_cli(argv, to_json(g), monkeypatch, capsys)
+    assert rc == 0 and json.loads(out)["value"] == value
+
+
 def test_af_solver_assertion_exits_3(monkeypatch, capsys):
     def broken(g, budget):
         raise AssertionError("a true cover of size af(G, M) covers every family")
@@ -206,12 +223,19 @@ def test_af_budget_exhaustion_reports_upper_bound(monkeypatch, capsys):
         '{"n": 3',
         '{"n": 2, "edges": [[0, 1], [0, 1]]}',
         '{"n": 2, "edges": [[0, 1], [1, 0]]}',
+        pytest.param('{"n": ' + "[" * 16000 + "]" * 16000 + "}", id="n-nested-16000-deep"),
+        pytest.param(
+            '{"n": 2, "edges": ' + "[" * 16000 + "]" * 16000 + "}", id="edges-nested-16000-deep"
+        ),
+        pytest.param('{"n": 1' + "0" * 4000 + "}", id="n-of-4001-digits"),
     ],
 )
 def test_af_rejects_malformed_json(text, monkeypatch, capsys):
+    # One short line, whatever the size of the input: no message echoes it.
     rc, out, err = run_cli(["af"], text, monkeypatch, capsys)
     assert rc == 1 and out == ""
     assert err.startswith("antiforce: ") and err.count("\n") == 1
+    assert len(err.encode()) <= 200
 
 
 def test_af_rejects_negative_edge_count(monkeypatch, capsys):

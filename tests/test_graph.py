@@ -65,6 +65,36 @@ def test_graph_requires_pairs(edges):
         Graph(2, edges)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Graph(2, [1] * 100000),
+        lambda: Graph([[0]] * 5000),
+        lambda: Graph(2, [("x" * 100000, 1)]),
+        lambda: Graph(2, [(0, 10**5000)]),
+        lambda: Graph(10**5000),
+        lambda: from_edgelist("x" * 100000 + " 0"),
+        lambda: from_edgelist("2 -" + "9" * 4000),
+        lambda: power(path(3), -(10**4000)),
+    ],
+    ids=[
+        "edge-not-a-pair",
+        "order-a-list",
+        "long-str-endpoint",
+        "huge-endpoint",
+        "huge-order",
+        "long-token",
+        "huge-edge-count",
+        "huge-exponent",
+    ],
+)
+def test_error_messages_stay_short(build):
+    # A message names what is wrong; it never repeats an unbounded input.
+    with pytest.raises(ValueError) as info:
+        build()
+    assert len(str(info.value)) < 200
+
+
 def test_edge_index_numbers_the_sorted_edges():
     g = Graph(3, frozenset({(2, 0), (1, 2), (0, 1)}))
     assert g.edge_index == {e: i for i, e in enumerate(g.sorted_edges)}

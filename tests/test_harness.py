@@ -11,11 +11,14 @@ from antiforce import (
     Budget,
     SweepSpec,
     af_subset_search,
+    af_via_matchings,
     check_closed_form_consistency,
     classify_status,
     emit_report,
     evaluate_formula,
     parse_range,
+    path,
+    power,
     run_edge_count_audit,
     run_sweep,
 )
@@ -245,7 +248,7 @@ def test_cross_check_reach(monkeypatch):
 
 def test_unverifiable_witness_raises(monkeypatch):
     monkeypatch.setattr(
-        "antiforce.harness.is_anti_forcing_set", lambda g, s: False
+        "antiforce.harness.is_anti_forcing_set", lambda g, s, budget=None: False
     )
     with pytest.raises(InternalInvariantError):
         _point("path", 4, 2)
@@ -253,10 +256,22 @@ def test_unverifiable_witness_raises(monkeypatch):
 
 def test_unverifiable_witness_raises_on_every_solved_row(monkeypatch):
     monkeypatch.setattr(
-        "antiforce.harness.is_anti_forcing_set", lambda g, s: False
+        "antiforce.harness.is_anti_forcing_set", lambda g, s, budget=None: False
     )
     with pytest.raises(InternalInvariantError):
         _point("cycle", 6, 2)  # WITHIN_BOUNDS, not a MISMATCH
+
+
+def test_recheck_out_of_budget_skips_the_row():
+    # P_10^2 has n = 10, past the cross-check, so only the oracle and the
+    # re-check of its witness charge the budget. The solve fits exactly;
+    # solve plus re-check does not.
+    full = Budget()
+    value = af_via_matchings(power(path(10), 2), full).value
+    row = _point("path", 10, 2, budget=Budget(full.nodes, 60.0))
+    assert row["status"] == "SKIPPED" and row["oracle_value"] == "skipped(budget)"
+    row = _point("path", 10, 2, budget=Budget(full.nodes + 100, 60.0))
+    assert row["status"] != "SKIPPED" and row["oracle_value"] == value
 
 
 def test_run_sweep_workers_agree():
