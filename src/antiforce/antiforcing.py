@@ -6,10 +6,13 @@ perfect matching is disjoint from it. The matchings S leaves are one
 bitset over their enumeration indices, and adding an edge to S clears
 the bits of the matchings holding it, one precomputed mask per edge.
 The search tree is the one a rescan of the list of surviving matchings
-walks, node for node. Route two (af_via_matchings) minimizes, over
-perfect matchings M, the smallest set of non-M edges meeting every
-M-alternating cycle; af_of_matching also gives the forcing number of
-M, from the matched sides of the same cycles, which it alone derives.
+walks, node for node. It deepens from a lower bound proven from the
+matchings alone: the least, over the matchings M, of a greedy packing
+of the differences M' - M, each of which an anti-forcing set leaving M
+must meet. Route two (af_via_matchings) minimizes, over perfect
+matchings M, the smallest set of non-M edges meeting every M-alternating
+cycle; af_of_matching also gives the forcing number of M, from the
+matched sides of the same cycles, which it alone derives.
 The two routes share nothing past the enumeration of perfect matchings,
 so their agreement is a meaningful cross-check.
 
@@ -114,6 +117,17 @@ def _anti_forcing_sets(
     first = (alive ^ rest).bit_length() - 1
     second = (rest & -rest).bit_length() - 1
     branch = (pms[first] | pms[second]) & ~forbidden
+    if left == 1:
+        # The children are leaves: each one's node is settled here, without a call.
+        while branch:
+            low = branch & -branch
+            child = alive & ~holding[low.bit_length() - 1]
+            if child:
+                tick()
+                if not child & (child - 1):
+                    found.append(removed | low)
+            branch ^= low
+        return
     while branch:
         low = branch & -branch
         child = alive & ~holding[low.bit_length() - 1]
@@ -123,6 +137,46 @@ def _anti_forcing_sets(
             )
         forbidden |= low
         branch ^= low
+
+
+def _swaps(g: Graph, m: Matching) -> int:
+    """How many perfect matchings differ from m in exactly two edges.
+
+    Each swaps matched edges ab, cd for ac, bd or for ad, bc.
+    """
+    edges = g.sorted_edges
+    matched = [edges[i] for i in edge_indices(m)]
+    count = 0
+    for j, (a, b) in enumerate(matched):
+        for c, d in matched[j + 1 :]:
+            count += (edge(a, c) in g.edges and edge(b, d) in g.edges) + (
+                edge(a, d) in g.edges and edge(b, c) in g.edges
+            )
+    return count
+
+
+def _least_packing(g: Graph, pms: list[Matching], budget: Budget) -> int:
+    """A lower bound on af(g) from its perfect matchings ``pms``.
+
+    The least, over the matchings M, of a greedy packing of the
+    differences M' - M, taken smallest first in enumeration order; the
+    proof is in ``af_subset_search``. One node is charged per M. The
+    differences of two edges, M's swaps, are pairwise disjoint and come
+    first, so M's packing is at least its swap count, and a matching with
+    as many swaps as the least so far is skipped without a scan.
+    """
+    least = len(pms)
+    for m in pms:
+        budget.tick()
+        if _swaps(g, m) >= least:
+            continue
+        taken = count = 0
+        for rest in sorted((b & ~m for b in pms if b != m), key=int.bit_count):
+            if not rest & taken:
+                count += 1
+                taken |= rest
+        least = min(least, count)
+    return least
 
 
 def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResult:
@@ -137,13 +191,25 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     two lowest-indexed survivors, so the tree, its node count and the
     sets it finds are those of a rescan of the list of survivors. The
     witness is the smallest sorted edge list among those of the first
-    size that has any. Raises BudgetExceededError carrying the verified
-    lower bound (0 if the budget runs out while enumerating) when the
-    search cannot finish.
+    size that has any.
+
+    The deepening starts at a lower bound, not at 0. Let S be an
+    anti-forcing set and M the one matching of g - S. S avoids M and meets
+    every other matching M', so it meets each difference M' - M, and
+    pairwise disjoint differences need one edge of S each. Hence af(g) is
+    at least the least, over M, of a greedy packing of those differences,
+    and no size below it holds an anti-forcing set. A swap, a difference
+    ac, bd or ad, bc of matched edges ab, cd, is fixed by either of its
+    edges, so the swaps are pairwise disjoint.
+
+    Raises BudgetExceededError carrying the verified lower bound (0 if
+    the budget runs out while the matchings are listed or the bound is
+    computed) when the search cannot finish.
     """
     budget = budget or Budget()
     try:
         pms = enumerate_perfect_matchings(g, budget=budget)
+        least = _least_packing(g, pms, budget)
     except BudgetExceededError as exc:
         exc.lower = 0
         raise
@@ -157,7 +223,7 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     alive = (1 << len(pms)) - 1
     found: list[int] = []
     try:
-        for size in range(len(edges) + 1):
+        for size in range(least, len(edges) + 1):
             _anti_forcing_sets(pms, holding, alive, 0, 0, size, budget.tick, found)
             if found:
                 break
@@ -166,8 +232,15 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     except BudgetExceededError as exc:
         exc.lower = size
         raise
-    picks = min(map(edge_indices, found))
-    return AntiForcingResult(size, frozenset(edges[i] for i in picks), "subset_search")
+    # Every set found has size edges, and of two such sets the smaller
+    # sorted edge list holds the lowest edge where they differ.
+    witness = found[0]
+    for s in found:
+        diff = s ^ witness
+        if diff & -diff & s:
+            witness = s
+    picks = frozenset(edges[i] for i in edge_indices(witness))
+    return AntiForcingResult(size, picks, "subset_search")
 
 
 # Exact minimum hitting set over bitmask-encoded edge sets. Bit i stands

@@ -71,10 +71,10 @@ class Budget:
 
 def parse_budget(text: str) -> Budget:
     """Parse ``NODES`` or ``NODES:SECONDS`` into a Budget."""
-    parts = text.split(":")
-    if len(parts) > 2 or not parts[0]:
-        raise ValueError(f"bad budget spec {text!r}, expected NODES[:SECONDS]")
-    nodes = int(parts[0])
-    seconds = float(parts[1]) if len(parts) == 2 else DEFAULT_MAX_SECONDS
-    return Budget(max_nodes=nodes, max_seconds=seconds)
+    nodes, colon, seconds = text.partition(":")
+    try:
+        caps = int(nodes), float(seconds) if colon else DEFAULT_MAX_SECONDS
+    except ValueError:
+        raise ValueError("bad --budget, expected NODES[:SECONDS], an integer and a number") from None
+    return Budget(*caps)
 

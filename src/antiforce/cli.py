@@ -39,8 +39,35 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # No message repeats an argument's text, which may be unbounded:
+    # argparse's own messages for a bad choice or a stray argument do.
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
+
+    def _check_value(self, action: argparse.Action, value: object) -> None:
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(str, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice, expected one of: {choices}")
+
+    def parse_args(self, args=None, namespace=None):  # type: ignore[override]
+        parsed, extra = self.parse_known_args(args, namespace)
+        if extra:
+            raise UsageError(f"{len(extra)} unrecognized argument(s), see --help")
+        return parsed
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer") from None
+
+
+def _range(text: str) -> tuple[int, ...]:
+    try:
+        return parse_range(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> _Parser:
@@ -57,16 +84,16 @@ def _build_parser() -> _Parser:
 
     p_gen = sub.add_parser("gen", help="emit a family graph as JSON")
     p_gen.add_argument("family", choices=sorted(FAMILIES))
-    p_gen.add_argument("--k", type=int, required=True)
+    p_gen.add_argument("--k", type=_integer, required=True)
 
     p_pow = sub.add_parser("power", help="raise the stdin graph to a distance power")
-    p_pow.add_argument("--m", type=int, required=True)
+    p_pow.add_argument("--m", type=_integer, required=True)
 
     p_pm = sub.add_parser("pm", parents=[budget_flag], help="perfect matchings of the stdin graph")
     mode = p_pm.add_mutually_exclusive_group()
     mode.add_argument("--count", action="store_true")
     mode.add_argument("--unique", action="store_true")
-    p_pm.add_argument("--cap", type=int, default=None)
+    p_pm.add_argument("--cap", type=_integer, default=None)
 
     p_af = sub.add_parser(
         "af", parents=[budget_flag], help="anti-forcing number of the stdin graph"
@@ -75,18 +102,18 @@ def _build_parser() -> _Parser:
 
     p_formula = sub.add_parser("formula", help="closed-form value for a family")
     p_formula.add_argument("family", choices=sorted(FAMILIES))
-    p_formula.add_argument("--k", type=int, required=True)
-    p_formula.add_argument("--m", type=int, required=True)
+    p_formula.add_argument("--k", type=_integer, required=True)
+    p_formula.add_argument("--m", type=_integer, required=True)
 
     p_verify = sub.add_parser(
         "verify", parents=[budget_flag], help="sweep a family against the oracle"
     )
     p_verify.add_argument("family", choices=sorted(FAMILIES))
-    p_verify.add_argument("--k-range", type=str, default=None, metavar="A[:B[:STEP]]")
-    p_verify.add_argument("--m-range", type=str, default=None, metavar="A[:B[:STEP]]")
+    p_verify.add_argument("--k-range", type=_range, default=None, metavar="A[:B[:STEP]]")
+    p_verify.add_argument("--m-range", type=_range, default=None, metavar="A[:B[:STEP]]")
     p_verify.add_argument("--format", choices=("csv", "json"), default="csv")
     p_verify.add_argument("--out", type=str, default=None)
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument("--workers", type=_integer, default=1)
 
     p_report = sub.add_parser("report", help="re-emit a JSON record array from stdin")
     p_report.add_argument("--format", choices=("csv", "json"), required=True)
@@ -178,8 +205,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     default = default_sweep_spec(args.family)
     spec = replace(
         default,
-        k_values=parse_range(args.k_range) if args.k_range else default.k_values,
-        m_values=parse_range(args.m_range) if args.m_range else default.m_values,
+        k_values=args.k_range or default.k_values,
+        m_values=args.m_range or default.m_values,
         budget=parse_budget(args.budget),
     )
     records = run_sweep(spec, workers=args.workers)
@@ -201,10 +228,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if missing:
             raise UsageError(f"record missing keys: {missing}")
         if doc["status"] not in STATUSES:
-            raise UsageError(f"unknown record status {doc['status']!r}")
+            raise UsageError("record column 'status' is not a known status")
         bad = [c for c, t in COLUMNS.items() if type(doc[c]) is bool or not isinstance(doc[c], t)]
         if bad:
-            raise UsageError(f"record column {bad[0]!r} has a bad value: {doc[bad[0]]!r}")
+            raise UsageError(
+                f"record column {bad[0]!r} has a bad value: {graphio._shown(doc[bad[0]])}"
+            )
     text = emit_report(docs, fmt=args.format, path=args.out)
     if args.out is None:
         sys.stdout.write(text)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .graph import MAX_ORDER
+from .graph import MAX_ORDER, _shown
 
 KINDS = ("exact", "edge_count", "bounds")
 IN_RANGE = "in_range"
@@ -59,11 +59,11 @@ class FormulaResult:
 
 def _check_km(k: int, m: int, k_min: int) -> None:
     if not isinstance(k, int) or isinstance(k, bool) or k < k_min:
-        raise ValueError(f"k must be an integer >= {k_min}, got {k!r}")
+        raise ValueError(f"k must be an integer >= {k_min}, got {_shown(k)}")
     # The recurrences step up to m. Every m >= n - 1 gives the complete
     # graph, and no graph has more than MAX_ORDER vertices.
     if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= MAX_ORDER:
-        raise ValueError(f"m must be an integer from 1 to {MAX_ORDER}, got {m!r}")
+        raise ValueError(f"m must be an integer from 1 to {MAX_ORDER}, got {_shown(m)}")
 
 
 def af_path_power(k: int, m: int) -> FormulaResult:
@@ -149,7 +149,7 @@ def af_triangular_chain_power(k: int, m: int) -> FormulaResult:
 
 def _require_even_k(k: int, family: str) -> None:
     if k % 2:
-        raise ValueError(f"{family} formula needs even k, got {k}")
+        raise ValueError(f"{family} formula needs even k, got {_shown(k)}")
 
 
 def af_ortho_power(k: int, m: int) -> FormulaResult:

@@ -36,7 +36,7 @@ from .formulas import (
     af_para_power_closed_form,
     evaluate_formula,
 )
-from .graph import power
+from .graph import _shown, power
 
 STATUSES = (
     "MATCH",
@@ -147,17 +147,19 @@ class SweepSpec:
 
 def parse_range(text: str) -> tuple[int, ...]:
     """Inclusive integer range A, A:B, or A:B:STEP."""
-    parts = text.split(":")
-    if len(parts) > 3 or any(not p for p in parts):
-        raise ValueError(f"bad range {text!r}, expected A[:B[:STEP]]")
-    nums = [int(p) for p in parts]
+    try:
+        nums = [int(p) for p in text.split(":")]
+    except ValueError:
+        nums = []
+    if not 1 <= len(nums) <= 3:
+        raise ValueError("bad range, expected integers A[:B[:STEP]]")
     if len(nums) == 1:
         return (nums[0],)
     step = nums[2] if len(nums) == 3 else 1
     if step < 1:
-        raise ValueError(f"range step must be >= 1, got {step}")
+        raise ValueError(f"range step must be >= 1, got {_shown(step)}")
     if nums[1] < nums[0]:
-        raise ValueError(f"empty range {text!r}")
+        raise ValueError("empty range, B is below A")
     return tuple(range(nums[0], nums[1] + 1, step))
 
 
@@ -199,7 +201,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict[str, object]]:
     points = spec.points()
     if workers <= 1:
         return [point(k, m) for k, m in points]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # Under fork, the pool starts all its workers at once.
+    with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
         return list(pool.map(point, *zip(*points)))
 
 

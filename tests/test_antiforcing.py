@@ -31,6 +31,7 @@ from antiforce.antiforcing import (
     _exists_cover,
     _four_cycle_bound,
     _four_cycle_pairs,
+    _least_packing,
     _lex_min_cover,
     _lex_min_lazily,
     _lowest_outside,
@@ -162,6 +163,87 @@ def subset_scan(g, budget=None):
 def test_subset_search_equals_scan_on_atlas(atlas):
     for g in atlas:
         assert af_subset_search(g) == subset_scan(g), sorted(g.edges)
+
+
+def least_of(g):
+    return _least_packing(g, enumerate_perfect_matchings(g), Budget())
+
+
+def plain_least(pms):
+    """The least greedy packing of the differences M' - M, every M scanned."""
+    least = len(pms)
+    for m in pms:
+        taken = count_ = 0
+        for rest in sorted((b & ~m for b in pms if b != m), key=int.bit_count):
+            if not rest & taken:
+                count_ += 1
+                taken |= rest
+        least = min(least, count_)
+    return least
+
+
+def test_least_packing_bounds_the_value_on_atlas(atlas):
+    for g in atlas:
+        pms = enumerate_perfect_matchings(g)
+        least = _least_packing(g, pms, Budget())
+        # The swap shortcut skips no matching that would lower the least.
+        assert least == plain_least(pms), sorted(g.edges)
+        assert least <= subset_scan(g).value, sorted(g.edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(min_n=0, max_n=8))
+def test_least_packing_bounds_the_value_sampled_n8(g):
+    try:
+        ref = subset_scan(g, Budget(max_nodes=2_000, max_seconds=60.0))
+    except BudgetExceededError:
+        assume(False)
+    assert least_of(g) <= ref.value
+
+
+@pytest.mark.parametrize(
+    "g,least", [(complete(8), 12), (power(cycle(8), 3), 9)], ids=["K8", "C8^3"]
+)
+def test_least_packing_dense_n8(g, least):
+    assert least_of(g) == least
+
+
+def test_subset_search_out_of_budget_in_the_packing_pass():
+    g = complete(8)
+    listing = Budget()
+    pms = enumerate_perfect_matchings(g, budget=listing)
+    # One node per matching: the pass runs out at its last matching.
+    with pytest.raises(BudgetExceededError) as exc:
+        af_subset_search(g, Budget(max_nodes=listing.nodes + len(pms) - 1, max_seconds=60.0))
+    assert exc.value.lower == 0
+
+
+def test_subset_search_deepens_from_the_least_packing():
+    # K_10 has 945 perfect matchings and af = 20: one node past the
+    # listing and the pass, the search is already at size 20.
+    g = complete(10)
+    listing = Budget()
+    pms = enumerate_perfect_matchings(g, budget=listing)
+    with pytest.raises(BudgetExceededError) as exc:
+        af_subset_search(g, Budget(max_nodes=listing.nodes + len(pms) + 1, max_seconds=60.0))
+    assert exc.value.lower == 20
+
+
+def test_subset_search_calls_nothing_of_route_two(atlas, monkeypatch):
+    want = [af_subset_search(g) for g in atlas]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the subset search called route two")
+
+    for name in (
+        "alternating_cycles",
+        "_exists_cover",
+        "_packing_bound",
+        "_four_cycle_pairs",
+        "pm_orbits",
+    ):
+        monkeypatch.setattr(antiforce.antiforcing, name, boom)
+    assert [af_subset_search(g) for g in atlas] == want
 
 
 def holding_of(pms):

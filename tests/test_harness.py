@@ -274,6 +274,29 @@ def test_recheck_out_of_budget_skips_the_row():
     assert row["status"] != "SKIPPED" and row["oracle_value"] == value
 
 
+def test_run_sweep_starts_no_more_workers_than_points(monkeypatch):
+    # A stand-in pool that runs in process: no worker is started.
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *args):
+            return map(fn, *args)
+
+    monkeypatch.setattr("antiforce.harness.ProcessPoolExecutor", Pool)
+    spec = SweepSpec("path", (2, 3), (2,))
+    assert run_sweep(spec, workers=10**6) == run_sweep(spec)
+    assert sizes == [2]
+
+
 def test_run_sweep_workers_agree():
     spec = SweepSpec(family="path", k_values=(2, 3, 4), m_values=(2, 3))
     assert run_sweep(spec, workers=1) == run_sweep(spec, workers=2)
