@@ -117,24 +117,18 @@ def _anti_forcing_sets(
     first = (alive ^ rest).bit_length() - 1
     second = (rest & -rest).bit_length() - 1
     branch = (pms[first] | pms[second]) & ~forbidden
-    if left == 1:
-        # The children are leaves: each one's node is settled here, without a call.
-        while branch:
-            low = branch & -branch
-            child = alive & ~holding[low.bit_length() - 1]
-            if child:
-                tick()
-                if not child & (child - 1):
-                    found.append(removed | low)
-            branch ^= low
-        return
     while branch:
         low = branch & -branch
         child = alive & ~holding[low.bit_length() - 1]
         if child:
-            _anti_forcing_sets(
-                pms, holding, child, removed | low, forbidden, left - 1, tick, found
-            )
+            if left > 1:
+                _anti_forcing_sets(
+                    pms, holding, child, removed | low, forbidden, left - 1, tick, found
+                )
+            else:  # a leaf: its node is settled here, without a call
+                tick()
+                if not child & (child - 1):
+                    found.append(removed | low)
         forbidden |= low
         branch ^= low
 
@@ -255,12 +249,11 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
 #
 # Invariant: every mask list the engine handles is duplicate-free and
 # sorted by size (bit count). Filtering keeps a list sorted, so lists are
-# sorted only where masks are gathered: from the cycles of a matching,
-# when a family grows, and by the refinement step of _lex_min_cover.
-# masks[0] is then a smallest set, which makes it the branching pivot,
-# and the greedy packing takes sets smallest first. A matching's cycles
-# have distinct free sides, which go through a set all the same: ties in
-# size keep the set's order, and the search trees depend on it.
+# sorted only where masks are gathered: from the cycles of a matching and
+# when a family grows. masks[0] is then a smallest set, which makes it
+# the branching pivot, and the greedy packing takes sets smallest first.
+# A matching's cycles have distinct free sides; ties in size keep the
+# walk's order.
 
 
 def _packing_bound(masks: Sequence[int]) -> int:
@@ -331,11 +324,9 @@ def _lex_min_cover(
     (the floor ``above``). A candidate that is the cover's lowest bit is
     taken without a search: the other bits lie above it and hit every
     set it misses. A candidate below that bit needs a search, and a
-    found completion becomes the new cover. Only the search gets the
-    sets cut to the bits above its candidate, deduplicated and re-sorted.
-    The cut changes no result: a minimum cover has no spare element, so
-    a completion using a lower bit outside the prefix would have made
-    that bit an earlier pick. It only keeps the search off such bits.
+    found completion becomes the new cover. No completion uses a bit
+    below its candidate outside the prefix: a minimum cover has no spare
+    element, so that bit would have been an earlier pick.
     """
     chosen: list[int] = []
     tied = beat is not None
@@ -354,7 +345,6 @@ def _lex_min_cover(
             if cover & -cover == low:
                 found: int | None = cover ^ low
             else:
-                rest = sorted({s & -(low << 1) for s in rest}, key=int.bit_count)
                 found = _exists_cover(rest, value - len(chosen) - 1, budget)
             if found is not None:
                 tied = tied and e == beat[len(chosen)]
@@ -399,7 +389,7 @@ def _cover_lazily(
     as af(G, M) is known to be at least ``below``; the proof is in
     ``af_via_matchings``.
     """
-    family = sorted(set(alternating_cycles(g, m, budget, SEED_LENGTH)), key=int.bit_count)
+    family = sorted(alternating_cycles(g, m, budget, SEED_LENGTH), key=int.bit_count)
     while True:
         found = _min_cover_size(family, budget, below)
         if found is None:
@@ -451,8 +441,8 @@ def af_of_matching(g: Graph, m: Matching, budget: Budget | None = None) -> Match
     edges = g.sorted_edges
     # Each vertex of an m-alternating cycle meets the cycle's m-edge there.
     ends = [{v for i in edge_indices(c) for v in edges[i]} for c in cycles]
-    matched = {sum(1 << i for i in edge_indices(m) if edges[i][0] in e) for e in ends}
-    af = _min_cover_size(sorted(set(cycles), key=int.bit_count), budget)
+    matched = dict.fromkeys(sum(1 << i for i in edge_indices(m) if edges[i][0] in e) for e in ends)
+    af = _min_cover_size(sorted(cycles, key=int.bit_count), budget)
     f = _min_cover_size(sorted(matched, key=int.bit_count), budget)
     assert af is not None and f is not None
     return MatchingAnalysis(m, af[0], f[0])

@@ -39,10 +39,16 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # No message repeats an argument's text, which may be unbounded:
-    # argparse's own messages for a bad choice or a stray argument do.
+    # No message repeats an argument's text, which may be unbounded: argparse's
+    # own do for a bad choice, an ambiguous prefix or a stray argument.
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
+
+    def _get_option_tuples(self, option_string: str) -> list:  # type: ignore[override]
+        matches = super()._get_option_tuples(option_string)
+        if len(matches) > 1:
+            raise UsageError("ambiguous option, could match " + ", ".join(t[1] for t in matches))
+        return matches
 
     def _check_value(self, action: argparse.Action, value: object) -> None:
         if action.choices is not None and value not in action.choices:
@@ -209,11 +215,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         m_values=args.m_range or default.m_values,
         budget=parse_budget(args.budget),
     )
-    records = run_sweep(spec, workers=args.workers)
-    text = emit_report(records, fmt=args.format, path=args.out)
-    if args.out is None:
-        sys.stdout.write(text)
-    return 0
+    return _emit(run_sweep(spec, workers=args.workers), args)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -234,7 +236,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
             raise UsageError(
                 f"record column {bad[0]!r} has a bad value: {graphio._shown(doc[bad[0]])}"
             )
-    text = emit_report(docs, fmt=args.format, path=args.out)
+    return _emit(docs, args)
+
+
+def _emit(records: list[dict[str, object]], args: argparse.Namespace) -> int:
+    try:
+        text = emit_report(records, fmt=args.format, path=args.out)
+    except OSError as exc:  # named by its option: the path may be unbounded
+        raise UsageError(f"cannot write --out: {exc.strerror}") from None
     if args.out is None:
         sys.stdout.write(text)
     return 0

@@ -36,7 +36,7 @@ from .formulas import (
     af_para_power_closed_form,
     evaluate_formula,
 )
-from .graph import _shown, power
+from .graph import MAX_ORDER, _shown, power
 
 STATUSES = (
     "MATCH",
@@ -146,7 +146,7 @@ class SweepSpec:
 
 
 def parse_range(text: str) -> tuple[int, ...]:
-    """Inclusive integer range A, A:B, or A:B:STEP."""
+    """Inclusive integer range A, A:B, or A:B:STEP, of at most MAX_ORDER values."""
     try:
         nums = [int(p) for p in text.split(":")]
     except ValueError:
@@ -158,8 +158,8 @@ def parse_range(text: str) -> tuple[int, ...]:
     step = nums[2] if len(nums) == 3 else 1
     if step < 1:
         raise ValueError(f"range step must be >= 1, got {_shown(step)}")
-    if nums[1] < nums[0]:
-        raise ValueError("empty range, B is below A")
+    if not 0 <= (nums[1] - nums[0]) // step < MAX_ORDER:
+        raise ValueError(f"range must hold 1 to {MAX_ORDER} values")
     return tuple(range(nums[0], nums[1] + 1, step))
 
 
@@ -255,9 +255,9 @@ def emit_report(
     """Serialize report rows as CSV or JSON.
 
     Both formats write each row's ``COLUMNS`` cells in column order and
-    drop any other key. Per-status counts go to stderr in ``STATUSES``
-    order; the text is written to ``path`` when given and returned
-    either way.
+    drop any other key. The text is written to ``path`` when given and
+    returned either way; then per-status counts go to stderr in
+    ``STATUSES`` order.
     """
     if fmt == "csv":
         buf = io.StringIO()
@@ -269,12 +269,12 @@ def emit_report(
         text = json.dumps([{c: rec[c] for c in COLUMNS} for rec in records], indent=2) + "\n"
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    counts = Counter(rec["status"] for rec in records)
-    summary = " ".join(f"{s}={counts[s]}" for s in STATUSES if counts[s])
-    print(f"records={len(records)} {summary}".rstrip(), file=sys.stderr)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    counts = Counter(rec["status"] for rec in records)
+    summary = " ".join(f"{s}={counts[s]}" for s in STATUSES if counts[s])
+    print(f"records={len(records)} {summary}".rstrip(), file=sys.stderr)
     return text
 
 

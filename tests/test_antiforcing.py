@@ -429,6 +429,21 @@ def test_lazy_loop_equals_the_full_cycle_family(atlas):
     assert grown and checked > 5000
 
 
+def test_lazy_family_keeps_the_walk_order(atlas):
+    # A family that did not grow is the seed cycles' free sides, sorted by
+    # size: ties keep the order the walk yields them in.
+    kept = 0
+    for g in atlas:
+        pms = enumerate_perfect_matchings(g)
+        for m in pms:
+            seed = sorted(alternating_cycles(g, m, longest=SEED_LENGTH), key=int.bit_count)
+            family = _cover_lazily(g, m, pms, Budget())[0]
+            if len(family) == len(seed):
+                assert family == seed, (sorted(g.edges), m)
+                kept += 1
+    assert kept
+
+
 ELEMENTS = 10
 
 
@@ -485,12 +500,11 @@ def test_lex_refinement_from_smallest_cover_runs_no_search():
     assert budget.nodes > 0
 
 
-def test_lex_refinement_searches_the_cut_sets(monkeypatch):
+def test_lex_refinement_searches_the_remaining_sets(monkeypatch):
     # Started from [0, 3, 5], the first pick, 0, is the cover's lowest
     # bit and is taken without a search. The second is searched: 1 has
-    # no completion, and 2 is completed by 3. The sets 2 leaves are
-    # {3, 4} and {1, 3}; its search sees them cut to the bits above 2,
-    # and never branches on 1, which no completion uses.
+    # no completion, and 2 is completed by 3. Each search gets the sets
+    # its candidate leaves as they stand: 2 leaves {3, 4} and {1, 3}.
     masks = encode([{0, 4}, {2, 5}, {3, 4}, {1, 3}])
     searched = []
 
@@ -502,7 +516,7 @@ def test_lex_refinement_searches_the_cut_sets(monkeypatch):
     assert _lex_min_cover(masks, 3, bits([0, 3, 5]), Budget()) == [0, 2, 3]
     assert searched == [
         (sorted([bits([2, 5]), bits([3, 4])]), 1),  # candidate 1
-        (sorted([bits([3]), bits([3, 4])]), 1),  # candidate 2
+        (sorted([bits([1, 3]), bits([3, 4])]), 1),  # candidate 2
         ([], 0),  # the search's own branch on 3
     ]
 

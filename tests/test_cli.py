@@ -239,6 +239,8 @@ def test_af_rejects_malformed_json(text, monkeypatch, capsys):
 
 
 _RECORD = dict.fromkeys(COLUMNS, "x") | {"k": 1, "m": 1, "n": 2, "status": "MATCH"}
+# A file name past every system's limit, in a directory that is not there.
+_MISSING = "missing/" + "x" * 3000
 
 
 @pytest.mark.parametrize(
@@ -250,6 +252,14 @@ _RECORD = dict.fromkeys(COLUMNS, "x") | {"k": 1, "m": 1, "n": 2, "status": "MATC
         pytest.param(["af", "--budget", "5:" + "x" * 5000], "2 1\n0 1\n", id="af-budget-seconds"),
         pytest.param(["verify", "path", "--k-range", ":" + "1" * 3000], "", id="verify-k-range"),
         pytest.param(["verify", "path", "--m-range", "2:4:-" + "9" * 4000], "", id="range-step"),
+        pytest.param(["verify", "path", "--k-range", "1:1000000000000"], "", id="range-length"),
+        pytest.param(
+            ["verify", "path", "--k-range", "2", "--m-range", "2", "--out", _MISSING],
+            "",
+            id="verify-out",
+        ),
+        pytest.param(["report", "--format", "csv", "--out", _MISSING], "[]", id="report-out"),
+        pytest.param(["pm", "--c=" + "x" * 3000], "2 1\n0 1\n", id="pm-ambiguous-prefix"),
         pytest.param(["formula", "path", "--k", "2", "--m", "9" * 4000], "", id="formula-m"),
         pytest.param(["gen", "x" * 5000, "--k", "4"], "", id="gen-family"),
         pytest.param(["x" * 5000], "", id="command"),

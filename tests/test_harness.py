@@ -23,6 +23,7 @@ from antiforce import (
     run_sweep,
 )
 from antiforce.formulas import FORMULAS, IN_RANGE, OUT_OF_RANGE, FormulaResult, af_para_power
+from antiforce.graph import MAX_ORDER
 from antiforce.harness import (
     COLUMNS,
     DEFAULT_CROSS_CHECK_N_LIMIT,
@@ -144,9 +145,15 @@ def test_parse_range():
     assert parse_range("4:10") == (4, 5, 6, 7, 8, 9, 10)
     assert parse_range("4:10:2") == (4, 6, 8, 10)
     assert parse_range("3:3") == (3,)
+    assert len(parse_range(f"1:{2 * MAX_ORDER}:2")) == MAX_ORDER
 
 
-@pytest.mark.parametrize("text", ["", "4:", ":4", "4:10:0", "10:4", "1:2:3:4"])
+# No family accepts k or m past MAX_ORDER, so a longer range is refused
+# before it is built.
+@pytest.mark.parametrize(
+    "text",
+    ["", "4:", ":4", "4:10:0", "10:4", "1:2:3:4", f"1:{MAX_ORDER + 1}", f"0:{10**30}:7"],
+)
 def test_parse_range_rejects(text):
     with pytest.raises(ValueError):
         parse_range(text)
