@@ -34,14 +34,10 @@ from .formulas import (
 )
 from .graph import (
     Graph,
-    all_pairs_distances,
-    diameter,
     edge,
     from_edgelist,
     from_json,
-    is_complete,
     loads,
-    max_degree,
     power,
     to_edgelist,
     to_json,

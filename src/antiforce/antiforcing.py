@@ -573,8 +573,8 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     pair count p, ``lower`` is min(best, p): every earlier representative
     has a value of at least best, and this one and every later one have
     af(G, M) >= p. Once phase 2 has begun the value is proven, and
-    ``lower`` carries it too. While the PMs are listed or their orbits
-    closed, ``lower`` stays None.
+    ``lower`` carries it too. While the PMs are listed, their orbits
+    closed or the representatives ordered by p(M), ``lower`` stays None.
     """
     budget = budget or Budget()
     pms = enumerate_perfect_matchings(g, budget=budget)
@@ -585,9 +585,12 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     solved: dict[int, tuple[list[int], int]] = {}  # optimal representative: family, cover
     try:
         orbit = pm_orbits(g, pms, budget) if len(pms) > g.n else range(len(pms))
-        order = sorted(
-            (len(_four_cycle_pairs(g, m)[0]), i) for i, m in enumerate(pms) if orbit[i] == i
-        )
+        order = []
+        for i, m in enumerate(pms):
+            if orbit[i] == i:
+                budget.tick()
+                order.append((len(_four_cycle_pairs(g, m)[0]), i))
+        order.sort()
         for p, i in order:
             if best is not None and p > best:
                 break

@@ -1,4 +1,4 @@
-"""Core graph type, BFS distances, and the distance power operation.
+"""Core graph type and the distance power operation.
 
 Graphs are simple and undirected, on vertices 0..n-1, with edges stored as
 a frozenset of (u, v) pairs normalized to u < v. An optional label tuple
@@ -8,15 +8,14 @@ maps each index to a display name (position i labels vertex i).
 from __future__ import annotations
 
 import json
-import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 Edge = tuple[int, int]
 
-# The largest vertex count the parsers accept. The power and the solvers
-# cost at least n^2, so a short input must not declare a huge n.
+# The largest vertex count the parsers accept. A power may hold n(n - 1)/2
+# edges and the solvers cost at least n^2, so a short input must not
+# declare a huge n.
 MAX_ORDER = 4096
 
 
@@ -96,66 +95,33 @@ class Graph:
         return {lab: i for i, lab in enumerate(self.labels)}
 
 
-def all_pairs_distances(g: Graph) -> tuple[tuple[int | None, ...], ...]:
-    """Hop counts by BFS from every vertex: row u, column v; None marks unreachable pairs."""
-    adj = g.adjacency
-    rows: list[tuple[int | None, ...]] = []
-    for src in range(g.n):
-        dist: list[int | None] = [None] * g.n
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            assert du is not None
-            for w in adj[u]:
-                if dist[w] is None:
-                    dist[w] = du + 1
-                    queue.append(w)
-        rows.append(tuple(dist))
-    return tuple(rows)
-
-
-def diameter(g: Graph) -> int | float:
-    """Largest hop count; math.inf when disconnected, 0 when n <= 1."""
-    if g.n <= 1:
-        return 0
-    best = 0
-    for row in all_pairs_distances(g):
-        for d in row:
-            if d is None:
-                return math.inf
-            if d > best:
-                best = d
-    return best
-
-
 def power(g: Graph, m: int) -> Graph:
     """Distance power: same vertices, edge iff 1 <= d_g(u, v) <= m.
 
-    Unreachable pairs never become edges, so powers of a disconnected
-    graph stay disconnected.
+    One BFS per vertex, cut off past depth m or when it has reached
+    every vertex it can, so any m returns at once. Unreachable pairs
+    never become edges, so powers of a disconnected graph stay
+    disconnected.
     """
     if not _is_int(m) or m < 1:
         raise ValueError(f"power exponent must be an integer >= 1, got {_shown(m)}")
-    dist = all_pairs_distances(g)
+    adj = g.adjacency
     edges = set(g.edges)
     if m > 1:
-        for u in range(g.n):
-            row = dist[u]
-            for v in range(u + 1, g.n):
-                d = row[v]
-                if d is not None and d <= m:
-                    edges.add((u, v))
+        for src in range(g.n):
+            depth = [-1] * g.n
+            depth[src] = 0
+            reached = [src]
+            for u in reached:  # the BFS queue: the loop visits what it appends
+                d = depth[u] + 1
+                if d > m:
+                    break
+                for w in adj[u]:
+                    if depth[w] < 0:
+                        depth[w] = d
+                        reached.append(w)
+            edges.update((src, v) for v in reached if v > src)
     return Graph(g.n, frozenset(edges), g.labels)
-
-
-def is_complete(g: Graph) -> bool:
-    return len(g.edges) == g.n * (g.n - 1) // 2
-
-
-def max_degree(g: Graph) -> int:
-    return max(map(len, g.adjacency), default=0)
 
 
 # Serialization. JSON is the canonical form; a bare "n m" edge list is

@@ -148,13 +148,17 @@ def pm_orbits(g: Graph, pms: Sequence[Matching], budget: Budget | None = None) -
     matching not yet placed, in index order, a stack search maps the
     matchings it reaches through every generator, edge by edge, and
     labels them with its index, which is the least of its orbit. It
-    stops once every matching is placed, and charges the budget one
-    node per matching it expands.
+    stops once every matching is placed. The budget is charged one node
+    per matching in each pass: the colouring, the index of the matchings,
+    and each matching the search expands.
     """
     edges = g.sorted_edges
     index = g.edge_index
     budget = budget or Budget()
-    through = Counter(i for m in pms for i in edge_indices(m))
+    through: Counter[int] = Counter()
+    for m in pms:
+        budget.tick()
+        through.update(edge_indices(m))
     colours = [
         sorted(through[index[edge(u, w)]] for w in nbrs) for u, nbrs in enumerate(g.adjacency)
     ]
@@ -162,7 +166,10 @@ def pm_orbits(g: Graph, pms: Sequence[Matching], budget: Budget | None = None) -
     if not gens:
         return list(range(len(pms)))
     moves = [[1 << index[edge(perm[u], perm[v])] for u, v in edges] for perm in gens]
-    at = {m: k for k, m in enumerate(pms)}
+    at: dict[int, int] = {}
+    for k, m in enumerate(pms):
+        budget.tick()
+        at[m] = k
     first = [-1] * len(pms)
     unplaced = len(pms)
     for k in range(len(pms)):

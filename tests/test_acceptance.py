@@ -14,6 +14,8 @@ import random
 import time
 from contextlib import redirect_stderr
 
+import networkx as nx
+
 from antiforce import (
     BudgetExceededError,
     SweepSpec,
@@ -21,18 +23,14 @@ from antiforce import (
     af_para_power,
     af_subset_search,
     af_via_matchings,
-    all_pairs_distances,
     build,
     check_closed_form_consistency,
     complete,
     cycle,
-    diameter,
     edge,
     enumerate_perfect_matchings,
     has_perfect_matching,
     is_anti_forcing_set,
-    is_complete,
-    max_degree,
     ortho_square_chain,
     para_square_chain,
     path,
@@ -41,7 +39,7 @@ from antiforce import (
 )
 from antiforce import FAMILIES
 from antiforce.harness import default_sweep_spec, emit_report
-from conftest import connected_atlas, random_connected_graph
+from conftest import connected_atlas, graph_to_nx, random_connected_graph
 from criterion1_witnesses import (
     family_instances,
     instance_budget,
@@ -198,7 +196,7 @@ def test_criterion_07_sandwich_inequality():
     for g in connected_atlas():
         if g.n % 2:
             continue
-        delta = max_degree(g)
+        delta = max(map(len, g.adjacency), default=0)
         for m in enumerate_perfect_matchings(g):
             analysis = af_of_matching(g, m)
             f = analysis.f_of_m
@@ -209,7 +207,7 @@ def test_criterion_07_sandwich_inequality():
     for m in enumerate_perfect_matchings(k4):
         analysis = af_of_matching(k4, m)
         assert analysis.f_of_m == 1
-        assert analysis.af_of_m == 2 == (max_degree(k4) - 1) * analysis.f_of_m
+        assert analysis.af_of_m == 2 == (max(map(len, k4.adjacency)) - 1) * analysis.f_of_m
     assert checked > 200
     print(f"criterion 7: sandwich held on {checked} matchings, tight at complete(4)")
 
@@ -219,13 +217,13 @@ def test_criterion_08_power_law_properties():
     for _ in range(500):
         n = rng.randint(1, 12)
         g = random_connected_graph(rng, n)
-        d = diameter(g)
-        assert is_complete(power(g, max(int(d), 1)))
+        h = power(g, max(nx.diameter(graph_to_nx(g)), 1))
+        assert len(h.edges) == h.n * (h.n - 1) // 2
         a, b = rng.randint(2, 3), rng.randint(2, 3)
         assert power(power(g, a), b).edges == power(g, a * b).edges
         j = rng.randint(2, 4)
-        base = all_pairs_distances(g)
-        quot = all_pairs_distances(power(g, j))
+        base = dict(nx.all_pairs_shortest_path_length(graph_to_nx(g)))
+        quot = dict(nx.all_pairs_shortest_path_length(graph_to_nx(power(g, j))))
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 assert quot[u][v] == math.ceil(base[u][v] / j)
@@ -245,7 +243,7 @@ def test_criterion_09_chain_distance_patterns():
     k = 8
     g = ortho_square_chain(k)
     idx = {lab: i for i, lab in enumerate(g.labels)}
-    dist = all_pairs_distances(g)
+    dist = dict(nx.all_pairs_shortest_path_length(graph_to_nx(g)))
     for m in range(4, k + 2):
         cases = [
             ("x", "x", m - 2, k - m + 2),
@@ -269,7 +267,7 @@ def test_criterion_09_chain_distance_patterns():
 
     g = para_square_chain(k)
     idx = {lab: i for i, lab in enumerate(g.labels)}
-    dist = all_pairs_distances(g)
+    dist = dict(nx.all_pairs_shortest_path_length(graph_to_nx(g)))
     for m in range(3, 2 * k + 2):
         s = m // 2
         if m % 2 == 0:

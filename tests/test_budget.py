@@ -61,6 +61,38 @@ def test_exception_carries_bounds():
     assert exc.lower == 3 and exc.upper == 7 and exc.nodes_used == 42
 
 
+def _pass_charged(info) -> str:
+    """The pass over the PMs whose own tick went past the cap, or '' for any other tick."""
+    entry = info.traceback[-2]  # the frame that called Budget.tick
+    if entry.name == "af_via_matchings":
+        return "order by p(M)"
+    if entry.name == "pm_orbits" and "colours" not in entry.locals:
+        return "colouring"
+    if entry.name == "pm_orbits" and "first" not in entry.locals:
+        return "index"
+    return ""
+
+
+def test_each_pass_over_the_pms_stops_at_the_node_cap():
+    # C_8^2 has 14 PMs in 3 orbits, so its orbits are closed and 3
+    # representatives are ordered. A cap that lands inside one of the
+    # three passes over every PM stops it there, before any bound exists.
+    g = power(cycle(8), 2)
+    listing, whole = Budget(), Budget()
+    enumerate_perfect_matchings(g, budget=listing)
+    af_via_matchings(g, whole)
+    stopped = set()
+    for cap in range(listing.nodes, whole.nodes):
+        with pytest.raises(BudgetExceededError) as info:
+            af_via_matchings(g, Budget(max_nodes=cap))
+        where = _pass_charged(info)
+        if where:
+            stopped.add(where)
+            assert info.value.nodes_used == cap + 1
+            assert info.value.lower is None and info.value.upper is None
+    assert stopped == {"colouring", "index", "order by p(M)"}
+
+
 def test_budget_is_uncapped_by_default():
     b = Budget()
     assert b.max_nodes == math.inf and b.max_seconds == math.inf

@@ -5,7 +5,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import antiforce.harness as harness
@@ -379,18 +379,6 @@ def _run_in_process(argv, text):
     return rc, out.getvalue(), err.getvalue()
 
 
-def _declares_small_order(text):
-    """False when text parses as a graph header of more than 64 vertices."""
-    try:
-        if text.lstrip().startswith("{"):
-            n = json.loads(text)["n"]
-        else:
-            n = int(text.split()[0])
-    except Exception:
-        return True
-    return not isinstance(n, int) or n <= 64
-
-
 _SMALL_INTS = st.integers(-1, 16)
 _ATOMS = st.none() | st.booleans() | _SMALL_INTS | st.floats(-5, 70) | st.text(max_size=4)
 _INT_PAIRS = st.lists(_SMALL_INTS, min_size=2, max_size=2)
@@ -425,9 +413,7 @@ _JSON_DOCS = st.one_of(
     text=st.one_of(st.text(max_size=200), _EDGE_LISTS, _JSON_DOCS),
 )
 def test_cli_fuzz_exits_cleanly(argv, text):
-    # The solvers take every order the parsers accept, up to MAX_ORDER;
-    # the power's all-pairs BFS is quadratic, so it gets 64 vertices.
-    assume(argv[0] != "power" or _declares_small_order(text))
+    # Every command takes every order the parsers accept, up to MAX_ORDER.
     rc, _, err = _run_in_process(argv, text)
     assert rc in (0, 1, 2)
     assert "Traceback" not in err

@@ -1,25 +1,22 @@
 import math
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antiforce import (
     Graph,
-    all_pairs_distances,
-    diameter,
     edge,
     from_edgelist,
     from_json,
-    is_complete,
     loads,
-    max_degree,
     power,
     to_edgelist,
     to_json,
 )
-from antiforce.families import cycle, path
-from conftest import connected_graphs, graphs
+from antiforce.families import FAMILIES, cycle, path
+from conftest import connected_graphs, graph_to_nx, graphs, nx_to_graph
 
 
 def test_edge_normalizes():
@@ -123,25 +120,6 @@ def test_label_index_roundtrip():
     assert Graph(2).label_index() == {}
 
 
-def test_distances_on_path():
-    d = all_pairs_distances(path(4))
-    assert d[0][3] == 3 and d[3][0] == 3 and d[1][1] == 0
-
-
-def test_distances_disconnected():
-    g = Graph(3, frozenset({(0, 1)}))
-    d = all_pairs_distances(g)
-    assert d[0][2] is None
-    assert diameter(g) == math.inf
-
-
-def test_diameter_small():
-    assert diameter(Graph(0)) == 0
-    assert diameter(Graph(1)) == 0
-    assert diameter(path(5)) == 4
-    assert diameter(cycle(6)) == 3
-
-
 def test_power_of_path():
     g = power(path(4), 2)
     assert g.edges == {(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)}
@@ -168,36 +146,58 @@ def test_power_keeps_components():
     assert h.edges == g.edges
 
 
+def test_power_stops_when_the_frontier_empties():
+    # Each BFS ends when its queue runs out, so any m returns at once.
+    assert power(path(5), 10**18).edges == {(u, v) for u in range(5) for v in range(u + 1, 5)}
+
+
+def test_power_at_the_order_cap():
+    assert len(power(cycle(4096), 4).edges) == 16384
+    assert len(power(path(4096), 2).edges) == 8189
+
+
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs(max_n=7), st.integers(min_value=1, max_value=8))
 def test_power_at_diameter_is_complete(g, m):
-    if m >= diameter(g):
-        assert is_complete(power(g, m))
+    if m >= nx.diameter(graph_to_nx(g)):
+        h = power(g, m)
+        assert len(h.edges) == h.n * (h.n - 1) // 2
 
 
-@settings(max_examples=60, deadline=None)
-@given(graphs(max_n=6), st.integers(1, 3), st.integers(1, 3))
-def test_power_composes(g, a, b):
-    assert power(power(g, a), b).edges == power(g, a * b).edges
+def _nx_power(g, m):
+    return {edge(u, v) for u, v in nx.power(graph_to_nx(g), m).edges()}
+
+
+def test_power_composes():
+    """power is networkx's power, which shares no code with it, and it composes.
+
+    The check runs over every graph of the atlas, disconnected ones too,
+    and over every family for k <= 64, each for m <= 6.
+    """
+    for g in map(nx_to_graph, nx.graph_atlas_g()):
+        for m in range(1, 7):
+            assert power(g, m).edges == _nx_power(g, m)
+        for a in (2, 3):
+            for b in (2, 3):
+                assert power(power(g, a), b).edges == power(g, a * b).edges
+    for factory in FAMILIES.values():
+        for k in range(3 if factory is cycle else 1, 65):
+            g = factory(k)
+            want: set = set()
+            for m in range(1, 7):
+                if len(want) < g.n * (g.n - 1) // 2:  # a complete power stays complete
+                    want = _nx_power(g, m)
+                assert power(g, m).edges == want
 
 
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs(max_n=7), st.integers(1, 4))
 def test_power_distance_is_ceil(g, j):
-    base = all_pairs_distances(g)
-    quot = all_pairs_distances(power(g, j))
+    base = dict(nx.all_pairs_shortest_path_length(graph_to_nx(g)))
+    quot = dict(nx.all_pairs_shortest_path_length(graph_to_nx(power(g, j))))
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            d = base[u][v]
-            assert quot[u][v] == math.ceil(d / j)
-
-
-def test_is_complete_and_max_degree():
-    assert is_complete(power(path(4), 3))
-    assert not is_complete(path(4))
-    assert max_degree(path(4)) == 2
-    assert max_degree(Graph(0)) == 0
-    assert max_degree(Graph(3)) == 0
+            assert quot[u][v] == math.ceil(base[u][v] / j)
 
 
 def test_json_roundtrip():

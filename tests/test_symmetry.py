@@ -177,23 +177,26 @@ def test_orbit_closure_matches_union_find(atlas):
 
 
 def test_orbit_closure_charges_the_budget():
-    # The generator search alone fits in the budget; the closure's second
+    # The two passes over the matchings, one node per matching each, and
+    # the generator search fit in the budget; the closure's second
     # expanded matching does not.
     g = complete(8)
     pms = enumerate_perfect_matchings(g)
     search = Budget()
     automorphism_generators(g, [0] * g.n, search)  # pm_orbits' colouring of K_8 is uniform too
+    before = 2 * len(pms) + search.nodes
     with pytest.raises(BudgetExceededError) as exc:
-        pm_orbits(g, pms, Budget(max_nodes=search.nodes + 1))
-    assert exc.traceback[-2].name == "pm_orbits"
-    assert exc.value.nodes_used == search.nodes + 2
+        pm_orbits(g, pms, Budget(max_nodes=before + 1))
+    assert exc.traceback[-2].name == "pm_orbits" and "first" in exc.traceback[-2].locals
+    assert exc.value.nodes_used == before + 2
 
 
 def test_pm_count_colouring_spares_the_search_on_regular_graphs():
     # On a regular graph with no symmetry, refinement from one colour
     # stays uniform, so the search individualises a vertex per level;
     # the counts of matchings through each vertex's edges split the
-    # vertices at once.
+    # vertices at once. Only the colouring's pass over the matchings is
+    # charged: one node per matching.
     checked = 0
     for g in benchmark_random_graphs(1):
         if len(set(map(len, g.adjacency))) != 1 or generators(g):
@@ -202,7 +205,7 @@ def test_pm_count_colouring_spares_the_search_on_regular_graphs():
         coloured, uniform = Budget(), Budget()
         assert pm_orbits(g, pms, coloured) == list(range(len(pms)))
         automorphism_generators(g, [0] * g.n, uniform)
-        assert (coloured.nodes, uniform.nodes) == (0, g.n)
+        assert (coloured.nodes, uniform.nodes) == (len(pms), g.n)
         checked += 1
     assert checked == 62  # of the 92 regular graphs, regular(n=14,d=4)#5 among them
 
