@@ -39,7 +39,6 @@ from .graph import (
     from_json,
     loads,
     power,
-    to_edgelist,
     to_json,
 )
 from .harness import (

@@ -74,7 +74,6 @@ class AntiForcingResult:
 
 @dataclass(frozen=True)
 class MatchingAnalysis:
-    matching: Matching
     af_of_m: int
     f_of_m: int
 
@@ -445,7 +444,7 @@ def af_of_matching(g: Graph, m: Matching, budget: Budget | None = None) -> Match
     af = _min_cover_size(sorted(cycles, key=int.bit_count), budget)
     f = _min_cover_size(sorted(matched, key=int.bit_count), budget)
     assert af is not None and f is not None
-    return MatchingAnalysis(m, af[0], f[0])
+    return MatchingAnalysis(af[0], f[0])
 
 
 def _lowest_outside(g: Graph, m: Matching, size: int) -> list[int]:

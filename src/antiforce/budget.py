@@ -15,22 +15,13 @@ DEFAULT_MAX_SECONDS = 10.0
 class BudgetExceededError(Exception):
     """Raised when an exact search runs out of nodes or wall-clock time.
 
-    Carries the best bounds established before the search stopped, so a
-    caller can still report a partial result.
+    A solver sets the best bounds it established before the search
+    stopped, so a caller can still report a partial result; a bound
+    stays None when none is known.
     """
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        lower: int | None = None,
-        upper: int | None = None,
-        nodes_used: int = 0,
-    ) -> None:
-        super().__init__(message)
-        self.lower = lower
-        self.upper = upper
-        self.nodes_used = nodes_used
+    lower: int | None = None
+    upper: int | None = None
 
 
 @dataclass
@@ -59,14 +50,10 @@ class Budget:
         """Charge one node; raise once either cap is exhausted."""
         self.nodes += 1
         if self.nodes > self.max_nodes:
-            raise BudgetExceededError(
-                f"node budget exhausted ({self.max_nodes})", nodes_used=self.nodes
-            )
+            raise BudgetExceededError(f"node budget exhausted ({self.max_nodes})")
         # Time checks are comparatively expensive; amortize them.
         if self.nodes % 256 == 0 and time.monotonic() > self._deadline:
-            raise BudgetExceededError(
-                f"time budget exhausted ({self.max_seconds}s)", nodes_used=self.nodes
-            )
+            raise BudgetExceededError(f"time budget exhausted ({self.max_seconds}s)")
 
 
 def parse_budget(text: str) -> Budget:

@@ -88,12 +88,6 @@ class Graph:
             pairs[v].append((u, 1 << i))
         return tuple(map(tuple, pairs))
 
-    def label_index(self) -> dict[str, int]:
-        """Inverse of the label tuple; empty when unlabeled."""
-        if self.labels is None:
-            return {}
-        return {lab: i for i, lab in enumerate(self.labels)}
-
 
 def power(g: Graph, m: int) -> Graph:
     """Distance power: same vertices, edge iff 1 <= d_g(u, v) <= m.
@@ -170,12 +164,6 @@ def from_json(text: str) -> Graph:
     if len(g.edges) != len(pairs):
         raise ValueError("duplicate edges in graph JSON 'edges'")
     return g
-
-
-def to_edgelist(g: Graph) -> str:
-    lines = [f"{g.n} {len(g.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in g.sorted_edges)
-    return "\n".join(lines) + "\n"
 
 
 def _ints(tokens: list[str]) -> list[int]:

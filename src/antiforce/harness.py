@@ -224,8 +224,8 @@ def run_edge_count_audit(
     return records
 
 
-def check_closed_form_consistency(k_max: int = 12) -> list[tuple[str, int, int, Value, Value]]:
-    """Compare chain recurrences against their closed-form counterparts.
+def check_closed_form_consistency() -> list[tuple[str, int, int, Value, Value]]:
+    """Compare chain recurrences against their closed-form counterparts, k even up to 12.
 
     Returns every in-range disagreement as (family, k, m, recurrence,
     closed form); an empty list means the algebra is consistent. The
@@ -233,7 +233,7 @@ def check_closed_form_consistency(k_max: int = 12) -> list[tuple[str, int, int, 
     m >= 5); those rows are findings this function reports.
     """
     bad: list[tuple[str, int, int, Value, Value]] = []
-    for k in range(2, k_max + 1, 2):
+    for k in range(2, 13, 2):
         for m in range(3, k + 2):
             rec = af_ortho_power(k, m)
             closed = af_ortho_power_closed_form(k, m)

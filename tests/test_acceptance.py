@@ -175,7 +175,7 @@ def test_criterion_05_expected_findings_goldens():
 
 def test_criterion_06_recurrence_vs_closed_forms():
     start = time.perf_counter()
-    findings = check_closed_form_consistency(12)
+    findings = check_closed_form_consistency()
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     assert not [f for f in findings if f[0] == "ortho-chain"]

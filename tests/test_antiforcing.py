@@ -121,7 +121,6 @@ def test_matching_level_numbers_hexagon():
     m = mask_of(g, {(0, 1), (2, 3), (4, 5)})
     analysis = af_of_matching(g, m)
     assert analysis.af_of_m == 1 and analysis.f_of_m == 1
-    assert analysis.matching == m
 
 
 def test_subset_search_budget_carries_lower_bound(k8_subset_search):
@@ -375,11 +374,12 @@ def test_via_matchings_budget_carries_upper_bound():
     # One node short: the budget runs out while the witness is refined,
     # after the value was proven on the one orbit of K_6's matchings, so
     # both bounds are exact.
+    short = Budget(max_nodes=full.nodes - 1, max_seconds=60.0)
     with pytest.raises(BudgetExceededError) as exc:
-        af_via_matchings(g, Budget(max_nodes=full.nodes - 1, max_seconds=60.0))
+        af_via_matchings(g, short)
     assert exc.value.upper == value
     assert exc.value.lower == value
-    assert exc.value.nodes_used == full.nodes
+    assert short.nodes == full.nodes
 
 
 def test_via_matchings_budget_bounds_bracket_the_value():

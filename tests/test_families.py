@@ -49,11 +49,11 @@ def test_friendship_shape(k):
 def test_triangular_chain_shape(k):
     g = triangular_chain(k)
     assert g.n == 2 * k + 1 and len(g.edges) == 3 * k
-    idx = g.label_index()
+    at = g.labels.index
     for i in range(1, k + 1):
-        assert edge(idx[f"c{i - 1}"], idx[f"c{i}"]) in g.edges
-        assert edge(idx[f"c{i - 1}"], idx[f"t{i}"]) in g.edges
-        assert edge(idx[f"c{i}"], idx[f"t{i}"]) in g.edges
+        assert edge(at(f"c{i - 1}"), at(f"c{i}")) in g.edges
+        assert edge(at(f"c{i - 1}"), at(f"t{i}")) in g.edges
+        assert edge(at(f"c{i}"), at(f"t{i}")) in g.edges
 
 
 @pytest.mark.parametrize("factory", [ortho_square_chain, para_square_chain])
@@ -74,10 +74,10 @@ def test_square_chain_shape(factory, k):
 
 def test_ortho_square_structure():
     g = ortho_square_chain(3)
-    idx = g.label_index()
+    at = g.labels.index
     for i in range(1, 4):
-        y, y_next = idx[f"y{i}"], idx[f"y{i + 1}"]
-        x, z = idx[f"x{i}"], idx[f"z{i}"]
+        y, y_next = at(f"y{i}"), at(f"y{i + 1}")
+        x, z = at(f"x{i}"), at(f"z{i}")
         # Square i with the two cut vertices adjacent.
         assert edge(y, x) in g.edges and edge(x, z) in g.edges
         assert edge(z, y_next) in g.edges and edge(y, y_next) in g.edges
@@ -85,10 +85,10 @@ def test_ortho_square_structure():
 
 def test_para_square_structure():
     g = para_square_chain(3)
-    idx = g.label_index()
+    at = g.labels.index
     for i in range(1, 4):
-        y, y_next = idx[f"y{i}"], idx[f"y{i + 1}"]
-        x, z = idx[f"x{i}"], idx[f"z{i}"]
+        y, y_next = at(f"y{i}"), at(f"y{i + 1}")
+        x, z = at(f"x{i}"), at(f"z{i}")
         # Square i with the two cut vertices opposite.
         assert edge(y, x) in g.edges and edge(x, y_next) in g.edges
         assert edge(y, z) in g.edges and edge(z, y_next) in g.edges
@@ -98,16 +98,16 @@ def test_para_square_structure():
 def test_spine_distances():
     g = ortho_square_chain(4)
     d = dict(nx.all_pairs_shortest_path_length(graph_to_nx(g)))
-    idx = g.label_index()
+    at = g.labels.index
     for i in range(1, 5):
         for j in range(i + 1, 6):
-            assert d[idx[f"y{i}"]][idx[f"y{j}"]] == j - i
+            assert d[at(f"y{i}")][at(f"y{j}")] == j - i
     h = para_square_chain(4)
     d = dict(nx.all_pairs_shortest_path_length(graph_to_nx(h)))
-    idx = h.label_index()
+    at = h.labels.index
     for i in range(1, 5):
         for j in range(i + 1, 6):
-            assert d[idx[f"y{i}"]][idx[f"y{j}"]] == 2 * (j - i)
+            assert d[at(f"y{i}")][at(f"y{j}")] == 2 * (j - i)
 
 
 @pytest.mark.parametrize(

@@ -330,7 +330,7 @@ def test_edge_count_audit_ignores_exact_rows():
 
 def test_closed_form_consistency_findings():
     start = time.perf_counter()
-    findings = check_closed_form_consistency(12)
+    findings = check_closed_form_consistency()
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     assert not [f for f in findings if f[0] == "ortho-chain"]

@@ -185,10 +185,11 @@ def test_orbit_closure_charges_the_budget():
     search = Budget()
     automorphism_generators(g, [0] * g.n, search)  # pm_orbits' colouring of K_8 is uniform too
     before = 2 * len(pms) + search.nodes
+    capped = Budget(max_nodes=before + 1)
     with pytest.raises(BudgetExceededError) as exc:
-        pm_orbits(g, pms, Budget(max_nodes=before + 1))
+        pm_orbits(g, pms, capped)
     assert exc.traceback[-2].name == "pm_orbits" and "first" in exc.traceback[-2].locals
-    assert exc.value.nodes_used == before + 2
+    assert capped.nodes == before + 2
 
 
 def test_pm_count_colouring_spares_the_search_on_regular_graphs():
