@@ -48,7 +48,6 @@ from .harness import (
     classify_status,
     default_sweep_spec,
     emit_report,
-    parse_range,
     run_edge_count_audit,
     run_sweep,
 )

@@ -55,13 +55,3 @@ class Budget:
         if self.nodes % 256 == 0 and time.monotonic() > self._deadline:
             raise BudgetExceededError(f"time budget exhausted ({self.max_seconds}s)")
 
-
-def parse_budget(text: str) -> Budget:
-    """Parse ``NODES`` or ``NODES:SECONDS`` into a Budget."""
-    nodes, colon, seconds = text.partition(":")
-    try:
-        caps = int(nodes), float(seconds) if colon else DEFAULT_MAX_SECONDS
-    except ValueError:
-        raise ValueError("bad --budget, expected NODES[:SECONDS], an integer and a number") from None
-    return Budget(*caps)
-

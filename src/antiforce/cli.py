@@ -12,15 +12,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 from . import graph as graphio
 from .antiforcing import af_subset_search, af_via_matchings, is_anti_forcing_set
-from .budget import DEFAULT_MAX_NODES, DEFAULT_MAX_SECONDS, BudgetExceededError, parse_budget
+from .budget import DEFAULT_MAX_NODES, DEFAULT_MAX_SECONDS, Budget, BudgetExceededError
 from .families import FAMILIES, build
 from .formulas import evaluate_formula
-from .graph import MAX_ORDER, power
+from .graph import MAX_ORDER, _shown, power
 from .harness import (
     COLUMNS,
     STATUSES,
@@ -28,7 +29,6 @@ from .harness import (
     default_sweep_spec,
     emit_report,
     format_value,
-    parse_range,
     run_sweep,
 )
 from .matching import count_pms_excluding, edge_indices, enumerate_perfect_matchings
@@ -69,11 +69,36 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError("expected an integer") from None
 
 
-def _range(text: str) -> tuple[int, ...]:
+def parse_range(text: str) -> tuple[int, ...]:
+    """Inclusive integer range A, A:B, or A:B:STEP, of at most MAX_ORDER values."""
     try:
-        return parse_range(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        nums = [int(p) for p in text.split(":")]
+    except ValueError:
+        nums = []
+    if not 1 <= len(nums) <= 3:
+        raise argparse.ArgumentTypeError("bad range, expected integers A[:B[:STEP]]")
+    if len(nums) == 1:
+        return (nums[0],)
+    step = nums[2] if len(nums) == 3 else 1
+    if step < 1:
+        raise argparse.ArgumentTypeError(f"range step must be >= 1, got {_shown(step)}")
+    if not 0 <= (nums[1] - nums[0]) // step < MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"range must hold 1 to {MAX_ORDER} values")
+    return tuple(range(nums[0], nums[1] + 1, step))
+
+
+def parse_budget(text: str) -> tuple[int, float]:
+    """The caps of ``NODES`` or ``NODES:SECONDS``; a command builds its Budget from them."""
+    nodes, colon, seconds = text.partition(":")
+    try:
+        caps = int(nodes), float(seconds) if colon else DEFAULT_MAX_SECONDS
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "bad budget, expected NODES[:SECONDS], an integer and a number"
+        ) from None
+    if not (caps[0] > 0 and caps[1] > 0):  # as Budget checks them; rejects NaN too
+        raise argparse.ArgumentTypeError("budget caps must be positive")
+    return caps
 
 
 def _build_parser() -> _Parser:
@@ -83,6 +108,7 @@ def _build_parser() -> _Parser:
     budget_flag = argparse.ArgumentParser(add_help=False)
     budget_flag.add_argument(
         "--budget",
+        type=parse_budget,
         default=f"{DEFAULT_MAX_NODES}:{DEFAULT_MAX_SECONDS}",
         metavar="NODES[:SECONDS]",
         help="search allowance of each solve (default: %(default)s)",
@@ -115,8 +141,8 @@ def _build_parser() -> _Parser:
         "verify", parents=[budget_flag], help="sweep a family against the oracle"
     )
     p_verify.add_argument("family", choices=sorted(FAMILIES))
-    p_verify.add_argument("--k-range", type=_range, default=None, metavar="A[:B[:STEP]]")
-    p_verify.add_argument("--m-range", type=_range, default=None, metavar="A[:B[:STEP]]")
+    p_verify.add_argument("--k-range", type=parse_range, default=None, metavar="A[:B[:STEP]]")
+    p_verify.add_argument("--m-range", type=parse_range, default=None, metavar="A[:B[:STEP]]")
     p_verify.add_argument("--format", choices=("csv", "json"), default="csv")
     p_verify.add_argument("--out", type=str, default=None)
     p_verify.add_argument("--workers", type=_integer, default=1)
@@ -149,7 +175,7 @@ def _cmd_pm(args: argparse.Namespace) -> int:
     if args.cap is not None and (args.count or args.unique):
         raise UsageError("--cap applies only to the matching list; drop it")
     g = _read_graph()
-    budget = parse_budget(args.budget)
+    budget = Budget(*args.budget)
     if args.unique:
         doc = {"unique": count_pms_excluding(g, cap=2, budget=budget) == 1}
     elif args.count:
@@ -163,7 +189,7 @@ def _cmd_pm(args: argparse.Namespace) -> int:
 
 def _cmd_af(args: argparse.Namespace) -> int:
     g = _read_graph()
-    budget = parse_budget(args.budget)
+    budget = Budget(*args.budget)
     run = af_subset_search if args.method == "subset" else af_via_matchings
     result = run(g, budget)
     if result.method != "convention_no_pm":
@@ -213,7 +239,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         default,
         k_values=args.k_range or default.k_values,
         m_values=args.m_range or default.m_values,
-        budget=parse_budget(args.budget),
+        budget=Budget(*args.budget),
     )
     return _emit(run_sweep(spec, workers=args.workers), args)
 
@@ -240,12 +266,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _emit(records: list[dict[str, object]], args: argparse.Namespace) -> int:
-    try:
-        text = emit_report(records, fmt=args.format, path=args.out)
-    except OSError as exc:  # named by its option: the path may be unbounded
-        raise UsageError(f"cannot write --out: {exc.strerror}") from None
+    """Write the report to stdout or --out, then its per-status counts to stderr."""
+    text = emit_report(records, args.format)
     if args.out is None:
         sys.stdout.write(text)
+    else:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # named by its option: the path may be unbounded
+            raise UsageError(f"cannot write --out: {exc.strerror}") from None
+    counts = Counter(rec["status"] for rec in records)
+    summary = " ".join(f"{s}={counts[s]}" for s in STATUSES if counts[s])
+    print(f"records={len(records)} {summary}".rstrip(), file=sys.stderr)
     return 0
 
 

@@ -76,16 +76,17 @@ class Graph:
         return {e: i for i, e in enumerate(self.sorted_edges)}
 
     @cached_property
-    def edge_bits(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """For each vertex, its (neighbour, edge mask bit) pairs, neighbours ascending.
+    def incident_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each vertex, its (neighbour, edge index) pairs, neighbours ascending.
 
         Edge (u, x) with u < x comes before every (x, v) in sorted order,
-        so each vertex meets its neighbours in ascending order.
+        so each vertex meets its neighbours in ascending order. An index,
+        not its mask bit: one bit per edge would cost E^2/16 bytes.
         """
         pairs: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for i, (u, v) in enumerate(self.sorted_edges):
-            pairs[u].append((v, 1 << i))
-            pairs[v].append((u, 1 << i))
+            pairs[u].append((v, i))
+            pairs[v].append((u, i))
         return tuple(map(tuple, pairs))
 
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import sys
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -36,7 +34,7 @@ from .formulas import (
     af_para_power_closed_form,
     evaluate_formula,
 )
-from .graph import MAX_ORDER, _shown, power
+from .graph import power
 
 STATUSES = (
     "MATCH",
@@ -145,24 +143,6 @@ class SweepSpec:
         return [(k, m) for k in _family_ks(self.family, self.k_values) for m in self.m_values]
 
 
-def parse_range(text: str) -> tuple[int, ...]:
-    """Inclusive integer range A, A:B, or A:B:STEP, of at most MAX_ORDER values."""
-    try:
-        nums = [int(p) for p in text.split(":")]
-    except ValueError:
-        nums = []
-    if not 1 <= len(nums) <= 3:
-        raise ValueError("bad range, expected integers A[:B[:STEP]]")
-    if len(nums) == 1:
-        return (nums[0],)
-    step = nums[2] if len(nums) == 3 else 1
-    if step < 1:
-        raise ValueError(f"range step must be >= 1, got {_shown(step)}")
-    if not 0 <= (nums[1] - nums[0]) // step < MAX_ORDER:
-        raise ValueError(f"range must hold 1 to {MAX_ORDER} values")
-    return tuple(range(nums[0], nums[1] + 1, step))
-
-
 def sweep_point(spec: SweepSpec, k: int, m: int) -> dict[str, object]:
     """Grade the formula for spec.family at (k, m) against the oracle."""
     family = spec.family
@@ -247,17 +227,11 @@ def check_closed_form_consistency() -> list[tuple[str, int, int, Value, Value]]:
     return bad
 
 
-def emit_report(
-    records: list[dict[str, object]],
-    fmt: str = "csv",
-    path: str | None = None,
-) -> str:
-    """Serialize report rows as CSV or JSON.
+def emit_report(records: list[dict[str, object]], fmt: str = "csv") -> str:
+    """Serialize report rows as CSV or JSON text.
 
     Both formats write each row's ``COLUMNS`` cells in column order and
-    drop any other key. The text is written to ``path`` when given and
-    returned either way; then per-status counts go to stderr in
-    ``STATUSES`` order.
+    drop any other key.
     """
     if fmt == "csv":
         buf = io.StringIO()
@@ -269,12 +243,6 @@ def emit_report(
         text = json.dumps([{c: rec[c] for c in COLUMNS} for rec in records], indent=2) + "\n"
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    counts = Counter(rec["status"] for rec in records)
-    summary = " ".join(f"{s}={counts[s]}" for s in STATUSES if counts[s])
-    print(f"records={len(records)} {summary}".rstrip(), file=sys.stderr)
     return text
 
 

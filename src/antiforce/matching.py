@@ -23,7 +23,7 @@ from .graph import Edge, Graph
 # The empty matching is 0, so a search for one compares with None.
 Matching = int
 
-# Each vertex's (neighbour, edge mask bit) pairs, as ``Graph.edge_bits``.
+# Each vertex's (neighbour, edge index) pairs, as ``Graph.incident_edges``.
 Pairs = Sequence[Sequence[tuple[int, int]]]
 
 
@@ -81,11 +81,11 @@ def _pms_from(
     if not _components_all_even(n, pairs, used):
         return
     used[u] = True
-    for w, bit in pairs[u]:
+    for w, i in pairs[u]:
         if used[w]:
             continue
         used[w] = True
-        yield from _pms_from(u + 1, n, pairs, used, chosen | bit, tick)
+        yield from _pms_from(u + 1, n, pairs, used, chosen | 1 << i, tick)
         used[w] = False
     used[u] = False
 
@@ -109,7 +109,7 @@ def has_perfect_matching(g: Graph, budget: Budget | None = None) -> bool:
     the question never runs unbounded. Here and in every other solver
     entry point, no budget means a fresh uncapped ``Budget()``.
     """
-    return next(_iter_pms(g.n, g.edge_bits, budget or Budget()), None) is not None
+    return next(_iter_pms(g.n, g.incident_edges, budget or Budget()), None) is not None
 
 
 def enumerate_perfect_matchings(
@@ -125,7 +125,7 @@ def enumerate_perfect_matchings(
     budget = budget or Budget()
     if not has_perfect_matching(g, budget):
         return []
-    return list(islice(_iter_pms(g.n, g.edge_bits, budget), cap))
+    return list(islice(_iter_pms(g.n, g.incident_edges, budget), cap))
 
 
 def count_pms_excluding(
@@ -138,13 +138,13 @@ def count_pms_excluding(
 
     The package's one PM counter; cap=2 asks whether exactly one is left,
     the uniqueness probe behind ``is_anti_forcing_set``. The search runs
-    on ``g.edge_bits`` with the removed edges' bits filtered out: the tree
+    on ``g.incident_edges`` with the removed edges filtered out: the tree
     the enumerator walks on g minus them, without building that graph.
     """
-    gone = sum(1 << i for i, e in enumerate(g.sorted_edges) if e in removed)
-    pairs = g.edge_bits
+    gone = {i for i, e in enumerate(g.sorted_edges) if e in removed}
+    pairs = g.incident_edges
     if gone:
-        pairs = [tuple(p for p in nbrs if not p[1] & gone) for nbrs in pairs]
+        pairs = [tuple(p for p in nbrs if p[1] not in gone) for nbrs in pairs]
     return sum(1 for _ in islice(_iter_pms(g.n, pairs, budget or Budget()), cap))
 
 
@@ -170,15 +170,15 @@ def _extend(
         out.append(free | closing[cur])
     if not room:
         return
-    for w, mw, free_bit in steps[cur]:
+    for w, mw, i in steps[cur]:
         if blocked[w]:
             continue
         if room == 1:
             if closing[mw]:
-                out.append(free | free_bit | closing[mw])
+                out.append(free | 1 << i | closing[mw])
             continue
         blocked[w] = blocked[mw] = True
-        _extend(mw, free | free_bit, room - 1, steps, closing, blocked, tick, out)
+        _extend(mw, free | 1 << i, room - 1, steps, closing, blocked, tick, out)
         blocked[w] = blocked[mw] = False
 
 
@@ -204,12 +204,12 @@ def alternating_cycles(
     for i in edge_indices(m):
         u, v = edges[i]
         mate[u], mate[v] = v, u
-    # steps[u]: each free edge u-w, with w's mate and the bit of u-w.
+    # steps[u]: each free edge u-w, with w's mate and the index of u-w.
     # Matched edges are left out, so a path that gets back to its start
     # has closed a cycle of length >= 4.
     steps = [
-        [(w, mate[w], free_bit) for w, free_bit in nbrs if w != mate[u]]
-        for u, nbrs in enumerate(g.edge_bits)
+        [(w, mate[w], i) for w, i in nbrs if w != mate[u]]
+        for u, nbrs in enumerate(g.incident_edges)
     ]
     # A path holds one matched edge when the walk starts; it closes as a
     # cycle of twice as many edges as it holds matched ones.
@@ -227,8 +227,8 @@ def alternating_cycles(
     for s in range(g.n):
         if mate[s] > s:
             blocked[s] = blocked[mate[s]] = True
-            for w, _, free_bit in steps[s]:
-                closing[w] = free_bit
+            for w, _, i in steps[s]:
+                closing[w] = 1 << i
             _extend(mate[s], 0, room, steps, closing, blocked, tick, out)
             for w, *_ in steps[s]:
                 closing[w] = 0

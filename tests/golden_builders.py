@@ -12,8 +12,6 @@ change:
 
 from __future__ import annotations
 
-import io
-from contextlib import redirect_stderr
 from pathlib import Path
 
 from antiforce import SweepSpec, run_edge_count_audit, run_sweep
@@ -22,48 +20,43 @@ from antiforce.harness import emit_report
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
-def _csv(records) -> str:
-    with redirect_stderr(io.StringIO()):
-        return emit_report(records, "csv")
-
-
 def build_path_sweep() -> str:
     spec = SweepSpec(family="path", k_values=(4, 6, 8), m_values=(2, 3))
-    return _csv(run_sweep(spec))
+    return emit_report(run_sweep(spec), "csv")
 
 
 def build_cycle_sweep() -> str:
     spec = SweepSpec(family="cycle", k_values=(4, 6, 8, 10), m_values=(2,))
-    return _csv(run_sweep(spec))
+    return emit_report(run_sweep(spec), "csv")
 
 
 def build_ortho_audit() -> str:
     records = []
     for k in (2, 4, 6, 8):
         records.extend(run_edge_count_audit("ortho-chain", (k,), tuple(range(2, k + 2))))
-    return _csv(records)
+    return emit_report(records, "csv")
 
 
 def build_para_audit() -> str:
     records = []
     for k in (2, 4, 6, 8):
         records.extend(run_edge_count_audit("para-chain", (k,), tuple(range(2, 2 * k + 2))))
-    return _csv(records)
+    return emit_report(records, "csv")
 
 
 def build_tri_chain_audit() -> str:
     records = []
     for k in range(2, 9):
         records.extend(run_edge_count_audit("tri-chain", (k,), tuple(range(2, k + 1))))
-    return _csv(records)
+    return emit_report(records, "csv")
 
 
 def build_odd_path_audit() -> str:
-    return _csv(run_edge_count_audit("path", (3, 5, 7, 9), tuple(range(1, 9))))
+    return emit_report(run_edge_count_audit("path", (3, 5, 7, 9), tuple(range(1, 9))), "csv")
 
 
 def build_odd_cycle_audit() -> str:
-    return _csv(run_edge_count_audit("cycle", (3, 5, 7, 9), tuple(range(1, 9))))
+    return emit_report(run_edge_count_audit("cycle", (3, 5, 7, 9), tuple(range(1, 9))), "csv")
 
 
 BUILDERS = {

@@ -12,7 +12,6 @@ import io
 import math
 import random
 import time
-from contextlib import redirect_stderr
 
 import networkx as nx
 
@@ -121,8 +120,7 @@ def test_criterion_02_exact_spot_values():
 
 def test_criterion_03_no_pm_convention():
     spec = SweepSpec(family="friendship", k_values=(1, 2, 3, 4), m_values=(2, 3, 4, 5))
-    with redirect_stderr(io.StringIO()):
-        records = run_sweep(spec)
+    records = run_sweep(spec)
     assert len(records) == 16
     for r in records:
         assert r["status"] == "MATCH", (r["k"], r["m"], r["status"])
@@ -305,9 +303,8 @@ def test_criterion_10_report_determinism():
     for _ in range(2):
         chunks = []
         for fam in FAMILIES:
-            with redirect_stderr(io.StringIO()):
-                records = run_sweep(default_sweep_spec(fam))
-                chunks.append(emit_report(records, "csv"))
+            records = run_sweep(default_sweep_spec(fam))
+            chunks.append(emit_report(records, "csv"))
         outputs.append("".join(chunks))
     assert outputs[0] == outputs[1]
     print("criterion 10: two full default sweeps byte-identical")

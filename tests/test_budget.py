@@ -1,4 +1,5 @@
 import math
+from argparse import ArgumentTypeError
 
 import pytest
 
@@ -15,7 +16,7 @@ from antiforce import (
     has_perfect_matching,
     power,
 )
-from antiforce.budget import parse_budget
+from antiforce.cli import parse_budget
 from antiforce.symmetry import automorphism_generators, pm_orbits
 
 
@@ -44,15 +45,13 @@ def test_invalid_caps():
 
 
 def test_parse_budget_forms():
-    b = parse_budget("1000")
-    assert b.max_nodes == 1000 and b.max_seconds == 10.0
-    b = parse_budget("500:2.5")
-    assert b.max_nodes == 500 and b.max_seconds == 2.5
+    assert parse_budget("1000") == (1000, 10.0)
+    assert parse_budget("500:2.5") == (500, 2.5)
 
 
 @pytest.mark.parametrize("text", ["", ":", "a", "1:2:3", "5:x", "100:nan"])
 def test_parse_budget_rejects(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentTypeError):
         parse_budget(text)
 
 

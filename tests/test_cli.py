@@ -302,6 +302,42 @@ def test_pm_bad_budget_reads_as_af(monkeypatch, capsys):
     assert run_cli(["af", "--budget", "x"], g, monkeypatch, capsys) == (rc, out, err)
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["af", "--budget", "x"], "--budget"),
+        (["af", "--budget", "5:0"], "--budget"),
+        (["pm", "--budget", "0"], "--budget"),
+        (["verify", "path", "--budget", "100:nan"], "--budget"),
+        (["verify", "path", "--k-range", "4:"], "--k-range"),
+        (["verify", "path", "--m-range", "4:10:0"], "--m-range"),
+    ],
+)
+def test_range_and_budget_errors_name_the_option(argv, option, monkeypatch, capsys):
+    rc, out, err = run_cli(argv, to_json(path(4)), monkeypatch, capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith(f"antiforce: argument {option}: ") and err.count("\n") == 1
+
+
+def test_dense_graph_under_an_address_space_cap_exits_2():
+    # One mask bit per edge of K_400 would take E^2/16 bytes, about 400 MB;
+    # the search makes each bit as it uses it, so the budget stops it first.
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "antiforce.cli", "af", "--budget", "200:10"],
+        input=to_json(complete(400)),
+        capture_output=True,
+        text=True,
+        preexec_fn=cap,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "antiforce: budget exhausted\n")
+
+
 def test_sweep_gives_each_oracle_call_its_own_budget(monkeypatch, capsys):
     seen = []
 
@@ -495,6 +531,18 @@ def test_verify_writes_file(tmp_path, capsys):
     assert rc == 0 and out == ""
     lines = out_file.read_text().splitlines()
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_out_writes_the_file_then_one_status_line(command, tmp_path, monkeypatch, capsys):
+    sweep = ["verify", "path", "--k-range", "2:4", "--m-range", "2", "--format", "json"]
+    rc, rows, status = run_cli(sweep, "", monkeypatch, capsys)
+    assert rc == 0 and status.count("\n") == 1
+    argv = sweep if command == "verify" else ["report", "--format", "json"]
+    out_file = tmp_path / "report.json"
+    rc, out, err = run_cli([*argv, "--out", str(out_file)], rows, monkeypatch, capsys)
+    assert (rc, out, err) == (0, "", status)
+    assert out_file.read_text() == rows
 
 
 def test_verify_json_format(capsys):

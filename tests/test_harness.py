@@ -1,5 +1,6 @@
 import json
 import time
+from argparse import ArgumentTypeError
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -16,12 +17,12 @@ from antiforce import (
     classify_status,
     emit_report,
     evaluate_formula,
-    parse_range,
     path,
     power,
     run_edge_count_audit,
     run_sweep,
 )
+from antiforce.cli import parse_range
 from antiforce.formulas import FORMULAS, IN_RANGE, OUT_OF_RANGE, FormulaResult, af_para_power
 from antiforce.graph import MAX_ORDER
 from antiforce.harness import (
@@ -155,7 +156,7 @@ def test_parse_range():
     ["", "4:", ":4", "4:10:0", "10:4", "1:2:3:4", f"1:{MAX_ORDER + 1}", f"0:{10**30}:7"],
 )
 def test_parse_range_rejects(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ArgumentTypeError):
         parse_range(text)
 
 
@@ -350,19 +351,18 @@ def test_emit_report_csv(capsys):
     assert lines[0] == ",".join(COLUMNS)
     assert len(lines) == 3
     assert text == emit_report(records, fmt="csv")
-    err = capsys.readouterr().err
-    assert "records=2" in err and "MATCH=1" in err and "MISMATCH=1" in err
+    assert capsys.readouterr() == ("", "")
 
 
-def test_emit_report_json(tmp_path):
+def test_emit_report_json(tmp_path, monkeypatch, capsys):
+    # The text is only returned: nothing reaches a stream or the disk.
+    monkeypatch.chdir(tmp_path)
     records = [_row()]
-    out = tmp_path / "r.json"
-    text = emit_report(records, fmt="json", path=str(out))
-    docs = json.loads(text)
+    docs = json.loads(emit_report(records, fmt="json"))
     assert docs[0]["family"] == "path" and docs[0]["k"] == 4
-    assert out.read_text() == text
     with pytest.raises(ValueError):
         emit_report(records, fmt="yaml")
+    assert capsys.readouterr() == ("", "") and not any(tmp_path.iterdir())
 
 
 def test_golden_check_exits_1_when_stale(tmp_path, monkeypatch, capsys):
