@@ -5,11 +5,14 @@ deepening over edge subsets S, where S is anti-forcing exactly when one
 perfect matching is disjoint from it. The matchings S leaves are one
 bitset over their enumeration indices, and adding an edge to S clears
 the bits of the matchings holding it, one precomputed mask per edge.
-The search tree is the one a rescan of the list of surviving matchings
-walks, node for node. It deepens from a lower bound proven from the
-matchings alone: the least, over the matchings M, of a greedy packing
-of the differences M' - M, each of which an anti-forcing set leaving M
-must meet. Route two (af_via_matchings) minimizes, over perfect
+Below the value, the search tree is the one a rescan of the list of
+surviving matchings walks, node for node. At the value, it is a
+branch-and-bound search for the lexicographically smallest set: a
+branch is cut once the least set it could hold does not come before the
+set in hand. It deepens from a lower bound proven from the matchings
+alone: the least, over the matchings M, of a greedy packing of the
+differences M' - M, each of which an anti-forcing set leaving M must
+meet. Route two (af_via_matchings) minimizes, over perfect
 matchings M, the smallest set of non-M edges meeting every M-alternating
 cycle; af_of_matching also gives the forcing number of M, from the
 matched sides of the same cycles, which it alone derives.
@@ -101,12 +104,13 @@ def _anti_forcing_sets(
 ) -> None:
     # alive: bit j set for each perfect matching pms[j] disjoint from
     # removed, at least one; holding[i]: bit j set when pms[j] holds
-    # edge i. Module-level, not a closure: a closure that calls itself is
-    # a reference cycle, left behind for the cyclic collector.
+    # edge i; found: the lexicographically smallest set so far, if any.
+    # Module-level, not a closure: a closure that calls itself is a
+    # reference cycle, left behind for the cyclic collector.
     tick()
     rest = alive & (alive - 1)
     if not rest:
-        found.append(removed)
+        found[:] = [removed]
         return
     if not left:
         return
@@ -119,7 +123,7 @@ def _anti_forcing_sets(
     while branch:
         low = branch & -branch
         child = alive & ~holding[low.bit_length() - 1]
-        if child:
+        if child and (not found or _may_beat(removed | low, forbidden, left - 1, found[0])):
             if left > 1:
                 _anti_forcing_sets(
                     pms, holding, child, removed | low, forbidden, left - 1, tick, found
@@ -127,9 +131,24 @@ def _anti_forcing_sets(
             else:  # a leaf: its node is settled here, without a call
                 tick()
                 if not child & (child - 1):
-                    found.append(removed | low)
+                    found[:] = [removed | low]
         forbidden |= low
         branch ^= low
+
+
+def _may_beat(removed: int, forbidden: int, left: int, best: int) -> bool:
+    """True iff the least set below a node comes before ``best``.
+
+    Every set below the node is ``removed`` plus ``left`` edges outside
+    ``forbidden`` and ``removed``, so none comes before the one holding
+    the ``left`` lowest of them; the proof is in ``af_subset_search``.
+    """
+    free = rest = ~(forbidden | removed)
+    for _ in range(left):
+        rest &= rest - 1
+    least = removed | (free ^ rest)
+    diff = least ^ best
+    return bool(diff & -diff & least)
 
 
 def _swaps(g: Graph, m: Matching) -> int:
@@ -181,10 +200,26 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     matchings S leaves are one int, cut by one mask per added edge. The
     search deepens over sizes 0, 1, 2, ..., reaching every set of at most
     that size that leaves one matching. It branches on the edges of the
-    two lowest-indexed survivors, so the tree, its node count and the
-    sets it finds are those of a rescan of the list of survivors. The
-    witness is the smallest sorted edge list among those of the first
-    size that has any.
+    two lowest-indexed survivors, so below the value the tree and its
+    node count are those of a rescan of the list of survivors. The
+    witness is the smallest sorted edge list among the sets of the first
+    size that has any, and at that size the search is a branch and bound
+    for it:
+
+    - Every set found there has exactly that many edges: a smaller one
+      would have been found at an earlier size, and the deepening starts
+      at a lower bound on af(g).
+    - Of two edge masks with the same number of bits, the first has the
+      smaller sorted edge list exactly when the lowest bit of their XOR
+      is in it.
+    - Every set below a node with ``removed`` R, ``forbidden`` F and
+      ``left`` edges still to add is R plus ``left`` edges outside F and
+      R. Element by element in ascending order, it is at least R plus
+      the ``left`` lowest edges outside F and R, so it does not come
+      before that set.
+    - Once a set is in hand, a child, a leaf included, whose least
+      possible set does not come before it is skipped: it holds no
+      smaller set. The last set found is then the witness.
 
     The deepening starts at a lower bound, not at 0. Let S be an
     anti-forcing set and M the one matching of g - S. S avoids M and meets
@@ -225,14 +260,7 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     except BudgetExceededError as exc:
         exc.lower = size
         raise
-    # Every set found has size edges, and of two such sets the smaller
-    # sorted edge list holds the lowest edge where they differ.
-    witness = found[0]
-    for s in found:
-        diff = s ^ witness
-        if diff & -diff & s:
-            witness = s
-    picks = frozenset(edges[i] for i in edge_indices(witness))
+    picks = frozenset(edges[i] for i in edge_indices(found[0]))
     return AntiForcingResult(size, picks, "subset_search")
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -311,7 +312,14 @@ def _run(argv: list[str] | None) -> int:
         if args.command is None:
             parser.print_help(sys.stderr)
             return 1
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Nobody reads stdout any more: the exit flush goes to the null
+        # device, and there is nothing to tell.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (UsageError, ValueError, OSError) as exc:
         print(f"antiforce: {exc}", file=sys.stderr)
         return 1

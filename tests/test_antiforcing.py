@@ -272,23 +272,37 @@ def list_anti_forcing_sets(pms, removed, forbidden, left, tick, found):
         branch ^= low
 
 
+def lex_min(masks):
+    """The edge mask with the smallest sorted edge list among equal-sized ``masks``."""
+    return min(masks, key=lambda s: [i for i in range(s.bit_length()) if s >> i & 1])
+
+
 def test_subset_search_walks_the_list_search_tree(atlas):
-    # Same sets in the same order, and one tick per node of the same
-    # tree, at every deepening size up to the value.
+    # Below the value: same sets in the same order, and one tick per node
+    # of the same tree. At the value the bound prunes the tree: one set,
+    # the smallest the list search finds, in no more ticks.
     for g in (*atlas, power(cycle(8), 3)):
         pms = enumerate_perfect_matchings(g)
         if not pms:
             continue
         holding, alive = holding_of(pms), (1 << len(pms)) - 1
-        for size in range(af_subset_search(g).value + 1):
+        value = af_subset_search(g).value
+        for size in range(value + 1):
             ref_ticks, ref_found = count(), []
             list_anti_forcing_sets(pms, 0, 0, size, lambda: next(ref_ticks), ref_found)
             ticks, found = count(), []
             _anti_forcing_sets(pms, holding, alive, 0, 0, size, lambda: next(ticks), found)
-            assert (found, next(ticks)) == (ref_found, next(ref_ticks)), (sorted(g.edges), size)
+            where = (sorted(g.edges), size)
+            if size < value:
+                assert (found, next(ticks)) == (ref_found, next(ref_ticks)), where
+            else:
+                assert found == [lex_min(ref_found)], where
+                assert next(ticks) <= next(ref_ticks), where
 
 
-def test_subset_search_reaches_each_minimum_set_once(atlas):
+def test_subset_search_keeps_the_smallest_minimum_set(atlas):
+    # The pruned search returns the lexicographically smallest of every
+    # anti-forcing set of the value's size, as a scan of them all gives it.
     for g in atlas:
         edges = g.sorted_edges
         pms = enumerate_perfect_matchings(g)
@@ -304,7 +318,7 @@ def test_subset_search_reaches_each_minimum_set_once(atlas):
             for s in combinations(edges, value)
             if is_anti_forcing_set(g, set(s))
         ]
-        assert sorted(found) == sorted(want), sorted(g.edges)
+        assert found == [lex_min(want)], sorted(g.edges)
 
 
 @settings(max_examples=200, deadline=None)
@@ -340,8 +354,10 @@ def test_subset_search_finishes_dense_n8(g, value):
         (power(cycle(10), 3), 9),
         (power(para_square_chain(3), 3), 9),
         (power(path(12), 4), 8),
+        (complete(10), 20),
+        (power(cycle(10), 4), 16),
     ],
-    ids=["C10^3", "para-chain3^3", "P12^4"],
+    ids=["C10^3", "para-chain3^3", "P12^4", "K10", "C10^4"],
 )
 def test_subset_search_agrees_with_matchings_n10_to_12(g, value):
     a = af_subset_search(g, Budget())

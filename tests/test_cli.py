@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -336,6 +337,24 @@ def test_dense_graph_under_an_address_space_cap_exits_2():
         timeout=120,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "antiforce: budget exhausted\n")
+
+
+@pytest.mark.parametrize("k", [4, 4096])
+def test_a_reader_closing_the_pipe_early_exits_1_silently(k):
+    # P_4 fits in stdout's buffer, so its write fails at the flush; P_4096
+    # does not, so it fails inside print. Block buffering is the default
+    # for a pipe, so PYTHONUNBUFFERED is dropped from the child's environment.
+    env = {key: v for key, v in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "antiforce.cli", "gen", "path", "--k", str(k)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (1, b"")
 
 
 def test_sweep_gives_each_oracle_call_its_own_budget(monkeypatch, capsys):
