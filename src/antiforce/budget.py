@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -40,16 +41,20 @@ class Budget:
     max_seconds: float = math.inf
     nodes: int = field(default=0, init=False)
     _deadline: float = field(default=0.0, init=False, compare=False)
+    # max_nodes as an int: the count passes both on the same tick, and
+    # tick compares two ints faster than an int and math.inf.
+    _node_cap: int = field(default=0, init=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.max_nodes > 0 and self.max_seconds > 0):  # rejects NaN too
             raise ValueError("budget caps must be positive")
         self._deadline = time.monotonic() + self.max_seconds
+        self._node_cap = sys.maxsize if self.max_nodes == math.inf else int(self.max_nodes)
 
     def tick(self) -> None:
         """Charge one node; raise once either cap is exhausted."""
         self.nodes += 1
-        if self.nodes > self.max_nodes:
+        if self.nodes > self._node_cap:
             raise BudgetExceededError(f"node budget exhausted ({self.max_nodes})")
         # Time checks are comparatively expensive; amortize them.
         if self.nodes % 256 == 0 and time.monotonic() > self._deadline:

@@ -152,13 +152,15 @@ def _extend(
     cur: int,
     free: int,
     room: int,
-    steps: Sequence[Sequence[tuple[int, int, int]]],
+    pairs: Pairs,
+    mate: list[int],
     closing: list[int],
     blocked: list[bool],
     tick: Callable[[], None],
     out: list[int],
 ) -> None:
-    # cur was entered along a matched edge; the next edge is free, and
+    # cur was entered along a matched edge; the next edge is free (the
+    # matched one leads back onto the path, so blocked skips it), and
     # closing[cur] is the one back to the start. room is how many more
     # matched edges the path may take; a path taking its last one can
     # only close at once, so that is checked here, not in a call. This
@@ -170,15 +172,16 @@ def _extend(
         out.append(free | closing[cur])
     if not room:
         return
-    for w, mw, i in steps[cur]:
+    for w, i in pairs[cur]:
         if blocked[w]:
             continue
+        mw = mate[w]
         if room == 1:
             if closing[mw]:
                 out.append(free | 1 << i | closing[mw])
             continue
         blocked[w] = blocked[mw] = True
-        _extend(mw, free | 1 << i, room - 1, steps, closing, blocked, tick, out)
+        _extend(mw, free | 1 << i, room - 1, pairs, mate, closing, blocked, tick, out)
         blocked[w] = blocked[mw] = False
 
 
@@ -187,49 +190,52 @@ def alternating_cycles(
 ) -> list[int]:
     """All simple m-alternating cycles, one copy each, as their free sides.
 
-    ``m`` is a perfect matching of g as the enumerator yields it; any
-    other mask raises ValueError. A cycle is the mask of its edges
-    outside m, and no two cycles share one. Each cycle is found once:
-    traversal starts at its minimum vertex and leaves along the matched
-    edge, which fixes both rotation and reflection. ``longest`` caps the
-    cycle length, in edges: the walk stops extending a path that could
-    only close a longer cycle, so the result is the uncapped list, in
-    the same order, without the cycles longer than ``longest``. None
-    means no cap.
+    ``m`` is a perfect matching of g as the enumerator yields it; a mask
+    that ``is_perfect_matching`` rejects raises ValueError. A cycle is
+    the mask of its edges outside m, and no two cycles share one. Each
+    cycle is found once: traversal starts at its minimum vertex and
+    leaves along the matched edge, which fixes both rotation and
+    reflection. The walk reads each vertex's ``g.incident_edges``
+    through one array of mates. ``longest`` caps the cycle length, in
+    edges: the walk stops extending a path that could only close a
+    longer cycle, so the result is the uncapped list, in the same order,
+    without the cycles longer than ``longest``. None means no cap.
     """
-    if not is_perfect_matching(g, m):
-        raise ValueError("alternating_cycles requires a perfect matching of g")
     edges = g.sorted_edges
     mate = [-1] * g.n
-    for i in edge_indices(m):
-        u, v = edges[i]
-        mate[u], mate[v] = v, u
-    # steps[u]: each free edge u-w, with w's mate and the index of u-w.
-    # Matched edges are left out, so a path that gets back to its start
-    # has closed a cycle of length >= 4.
-    steps = [
-        [(w, mate[w], i) for w, i in nbrs if w != mate[u]]
-        for u, nbrs in enumerate(g.incident_edges)
-    ]
+    # n/2 edges of g are a perfect matching exactly when every vertex
+    # gets a mate: is_perfect_matching's check, made while mate is built.
+    fits = m >= 0 and not m >> len(edges) and m.bit_count() * 2 == g.n
+    if fits:
+        for i in edge_indices(m):
+            u, v = edges[i]
+            mate[u], mate[v] = v, u
+    if not fits or -1 in mate:
+        raise ValueError("alternating_cycles requires a perfect matching of g")
     # A path holds one matched edge when the walk starts; it closes as a
     # cycle of twice as many edges as it holds matched ones.
     room = max((g.n if longest is None else longest) // 2 - 1, 0)
     # blocked[v]: v is on the path, or v's matched edge was an earlier
     # start, all of whose cycles (those through a smaller vertex) are found.
     # Every vertex below the start s is blocked, so s would come first
-    # among the live neighbours in a step list: closing a cycle before
-    # the steps are tried keeps the order of a walk that reaches s.
+    # among the live neighbours of a vertex: closing a cycle before they
+    # are tried keeps the order of a walk that reaches s.
     blocked = [False] * g.n
     # closing[v]: the bit of the free edge v-s back to the start s, or 0.
+    # The matched edge s-mate[s] is left out, so a path that gets back to
+    # s has closed a cycle of length >= 4.
     closing = [0] * g.n
+    pairs = g.incident_edges
     tick = (budget or Budget()).tick
     out: list[int] = []
     for s in range(g.n):
-        if mate[s] > s:
-            blocked[s] = blocked[mate[s]] = True
-            for w, _, i in steps[s]:
-                closing[w] = 1 << i
-            _extend(mate[s], 0, room, steps, closing, blocked, tick, out)
-            for w, *_ in steps[s]:
+        t = mate[s]
+        if t > s:
+            blocked[s] = blocked[t] = True
+            for w, i in pairs[s]:
+                if w != t:
+                    closing[w] = 1 << i
+            _extend(t, 0, room, pairs, mate, closing, blocked, tick, out)
+            for w, _ in pairs[s]:
                 closing[w] = 0
     return out

@@ -268,11 +268,46 @@ def test_capped_walk_is_the_uncapped_list_filtered_by_length(atlas):
     assert checked > 100
 
 
-def test_alternating_cycles_requires_pm():
+def test_alternating_cycles_requires_pm(atlas):
+    c6 = cycle(6)
     with pytest.raises(ValueError):
-        alternating_cycles(cycle(6), 0b1)  # the edge (0, 1) alone
+        alternating_cycles(c6, 0b1)  # the edge (0, 1) alone
     with pytest.raises(ValueError):
         alternating_cycles(cycle(4), 1 << 4)  # a bit past the last edge
+    with pytest.raises(ValueError):
+        alternating_cycles(c6, -1)
+    with pytest.raises(ValueError):
+        alternating_cycles(c6, mask_of(c6, {(0, 1), (1, 2), (3, 4)}))  # 1 met twice
+    with pytest.raises(ValueError):
+        alternating_cycles(c6, mask_of(c6, {(0, 1), (2, 3), (4, 5), (1, 2)}))  # n/2 + 1
+    # Sampled masks, from a negative one to bits past the last edge: any
+    # int, any n/2 bits, or a PM with two bits flipped or none. ValueError
+    # is raised exactly when the mask is not a PM.
+    rng = random.Random(300)
+    raised = passed = 0
+    for g in atlas:
+        if g.n > 6:
+            continue
+        width = len(g.sorted_edges) + 2
+        pms = enumerate_perfect_matchings(g) or [0]
+        for _ in range(30):
+            kind = rng.randrange(3)
+            if kind == 0:
+                m = rng.randrange(-3, 1 << width)
+            elif kind == 1:
+                m = sum(1 << i for i in rng.sample(range(width), min(g.n // 2, width)))
+            else:
+                flips = 1 << rng.randrange(width) | 1 << rng.randrange(width)
+                m = rng.choice(pms) ^ rng.choice((0, flips))
+            try:
+                alternating_cycles(g, m)
+            except ValueError:
+                raised += 1
+                assert not is_perfect_matching(g, m), (sorted(g.edges), m)
+            else:
+                passed += 1
+                assert is_perfect_matching(g, m), (sorted(g.edges), m)
+    assert raised > 2000 and passed > 400
 
 
 def test_unique_iff_no_alternating_cycle_on_atlas(atlas):
