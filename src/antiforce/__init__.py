@@ -57,7 +57,6 @@ from .matching import (
     count_pms_excluding,
     enumerate_perfect_matchings,
     has_perfect_matching,
-    is_perfect_matching,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

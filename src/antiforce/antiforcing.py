@@ -19,18 +19,23 @@ matched sides of the same cycles, which it alone derives.
 The two routes share nothing past the enumeration of perfect matchings,
 so their agreement is a meaningful cross-check.
 
-Route two runs in two phases. Phase 1 proves the value on one perfect
-matching per automorphism orbit (see ``symmetry``), since af(G, M) is
-the same across an orbit. It visits them in ascending order of their
-count of alternating 4-cycles, a lower bound on their value, and stops
-once that count passes the best value found. Phase 2 refines the
-lexicographically smallest witness over the members of the optimal
-orbits, in order of a cheap lower bound on each member's smallest cover,
-and stops once that bound passes the witness in hand. A sharper bound,
-from the member's alternating 4-cycles, skips a member before it is
-solved. The orbits are only searched for when there are more perfect
-matchings than vertices: the search costs about one refinement per
-vertex, which fewer matchings cannot pay back.
+Route two runs in two phases. Phase 1 proves the value. Each perfect
+matching's count of alternating 4-cycles, a lower bound on its value,
+comes from two masks per edge. The matching with the fewest is solved
+first, and its value bounds the rest: only the matchings with fewer
+4-cycles can do better. They are a union of automorphism orbits (see
+``symmetry``), since af(G, M) and the count are the same across an
+orbit, so only their orbits are closed, and one matching per orbit is
+solved in ascending order of its count. The pass stops once that count
+reaches the best value found. Phase 2 refines the lexicographically
+smallest witness over the members of the optimal orbits and the
+matchings whose count equals the value, in order of a cheap lower bound
+on each one's smallest cover, and stops once that bound passes the
+witness in hand. The witness starts as a cover phase 1 solved. A
+sharper bound, from the matching's alternating 4-cycles, skips a
+matching before it is solved. The orbits are only searched for when
+more matchings than vertices would be closed: the search costs about
+one refinement per vertex, which fewer matchings cannot pay back.
 
 Neither phase lists all of a matching's alternating cycles. Both start
 from the free sides of its short cycles, cover them, and check the
@@ -510,6 +515,49 @@ def _four_cycle_pairs(g: Graph, m: Matching) -> tuple[list[int], list[int]]:
     return smaller, other
 
 
+def _pair_counts(g: Graph, pms: Sequence[Matching], budget: Budget) -> list[int]:
+    """p(M), ``_four_cycle_pairs``' pair count, of every matching in ``pms``.
+
+    For matched edges e = au and f = bw, the alternating 4-cycles through
+    both number q(e, f): one when uw and ab are edges, one when ub and aw
+    are. With q1[e] the edges f with q(e, f) >= 1 and q2[e] those with
+    q(e, f) = 2, 2·p(M) is the sum over e in M of |M ∩ q1[e]| + |M ∩ q2[e]|.
+    ``q[e]`` holds q1[e] in its low |E| bits and q2[e] above them, so one
+    AND with M | M << |E| counts both. One node is charged per matching.
+    """
+    pairs = g.incident_edges
+    edges = g.sorted_edges
+    near = [0] * g.n  # each vertex's neighbours, as a vertex mask
+    for a, u in edges:
+        near[a] |= 1 << u
+        near[u] |= 1 << a
+    width = len(edges)
+    q = []
+    for a, u in edges:
+        once = twice = 0
+        # Each f = bw with u ~ w and a ~ b, once per way to place it so.
+        for w, _ in pairs[u]:
+            if w != a:
+                for b, f in pairs[w]:
+                    if b != u and near[a] >> b & 1:
+                        bit = 1 << f
+                        twice |= once & bit
+                        once |= bit
+        q.append(once | twice << width)
+    out = []
+    for m in pms:
+        budget.tick()
+        both = m | m << width
+        double = 0  # 2·p(m), over m's edges read off low bit first
+        rest = m
+        while rest:
+            low = rest & -rest
+            double += (both & q[low.bit_length() - 1]).bit_count()
+            rest ^= low
+        out.append(double // 2)
+    return out
+
+
 def _four_cycle_bound(g: Graph, m: Matching, size: int) -> list[int]:
     """A lower bound on m's lexicographically smallest cover, of ``size`` = af(G, m).
 
@@ -546,82 +594,108 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
       larger than M's. When it leaves M unique the two are equal, and
       when it exceeds the witness in hand, so does M's.
 
-    af(G, M) is the same for every PM M in one orbit of Aut(G), so the
+    af(G, M) is the same for every PM M in one orbit of Aut(G). The
     solve runs in two phases:
 
-    1. The value is the minimum over one representative per orbit, the
-       first PM of each. A free edge uw lies on at most one M-alternating
+    1. The value. A free edge uw lies on at most one M-alternating
        4-cycle, u-w-b-a-u with a and b the mates of u and w, so the free
        sides {uw, ab} of these cycles are disjoint pairs, and every cover
        holds an edge of each. Alternating cycles that share no free edge
        need one cover edge each, so M's pair count p(M) is at most
-       af(G, M). The representatives are visited in ascending order of
-       (p(M), index), keeping the best value so far; a PM is dropped as
-       soon as its family's minimum exceeds it, and the pass stops at
-       the first representative whose p(M) exceeds it, since it and
-       every later one have af(G, M) >= p(M) > best. An optimal
-       representative has p(M) <= value <= best, so each is still
-       solved, to the same cover. The order is what makes the stop
-       bite: the first PMs in enumeration order tend to have high
-       values, and a low best comes early from the PMs with few pairs.
-    2. The reported witness is the lexicographically smallest cover over
-       every optimal PM, so repeated runs agree byte for byte. Only the
-       members of optimal orbits can give it. Let L(M) be the ``value``
-       smallest edge indices not in M. A cover of M is a ``value``-subset
-       of the edges outside M, and the i-th smallest element of a subset
-       is at least the i-th smallest of the whole set, so M's smallest
-       cover is at least L(M), element by element. The members are
-       refined in order of L(M), each against the witness so far, and
-       the pass stops at the first one whose L(M) exceeds it. That order
-       is the enumeration order reversed. The PMs come in lexicographic
-       order, so the least edge where a later PM differs from an earlier
-       one is in the earlier one and free in the later one: L of the
-       later PM is no larger. A member that phase 1 did not solve is
-       solved from its own short cycles first, so that its family's
-       minimum is ``value`` when the refinement starts.
+       af(G, M), and the same across an orbit. ``_pair_counts`` takes it
+       for every PM.
 
-       A member whose 4-cycle bound L4(M) exceeds the witness is skipped
-       before it is solved. L4(M) is the smaller edge of each 4-cycle
-       pair, together with the ``value`` - p(M) smallest other edges
-       outside M. From M's smallest cover C, pick one edge per pair, the
-       smaller one whenever C holds it: each pick is at least its pair's
-       smaller edge, and the rest of C are edges outside M that are no
-       pair's smaller edge, so they are at least the fill. Hence C is at
-       least L4(M) element by element, and L4(M) is at least L(M). L
-       stays the stop: unlike L4, it only falls along the visit order.
+       The PM M0 least in (p(M), index) is solved first, without a
+       bound, to the value B. Only the PMs with p(M) < B can have a
+       smaller value. They are a union of orbits, and only their orbits
+       are closed. Their representatives, the first PM of each orbit,
+       are visited in ascending order of (p(M), index), M0 first, and
+       each is dropped as soon as its family's minimum exceeds the best
+       value so far. The pass stops at the first with p(M) >= best: it
+       and every later one have af(G, M) >= p(M) >= best. The order is
+       what makes the stop bite: the first PMs in enumeration order
+       tend to have high values, and a low best comes early from the
+       PMs with few pairs. When p(M0) = B, no orbit is closed at all.
+       An optimal PM with p(M) < value lies in a closed orbit whose
+       representative came before the stop, so it was solved to the
+       value: those are the optimal orbits.
+    2. The reported witness is the lexicographically smallest cover over
+       every optimal PM, so repeated runs agree byte for byte. The
+       candidates are the members of the optimal orbits and every PM with
+       p(M) = value. A candidate phase 1 did not solve is solved from
+       its own short cycles when visited, so that its family's minimum
+       is ``value`` when the refinement starts. A PM with p(M) = value
+       is dropped when that proves af(G, M) > value.
+
+       Let L(M) be the ``value`` smallest edge indices not in M. A cover
+       of M is a ``value``-subset of the edges outside M, and the i-th
+       smallest element of a subset is at least the i-th smallest of the
+       whole set, so M's smallest cover is at least L(M), element by
+       element. The candidates are refined in order of L(M), each against
+       the witness so far, and the pass stops at the first one whose L(M)
+       exceeds it. That order is the enumeration order reversed. The PMs
+       come in lexicographic order, so the least edge where a later PM
+       differs from an earlier one is in the earlier one and free in the
+       later one: L of the later PM is no larger.
+
+       A candidate whose 4-cycle bound L4(M) exceeds the witness is
+       skipped before it is solved. L4(M) is the smaller edge of each
+       4-cycle pair, together with the ``value`` - p(M) smallest other
+       edges outside M. From M's smallest cover C, pick one edge per
+       pair, the smaller one whenever C holds it: each pick is at least
+       its pair's smaller edge, and the rest of C are edges outside M
+       that are no pair's smaller edge, so they are at least the fill.
+       Hence C is at least L4(M) element by element, and L4(M) is at
+       least L(M). L stays the stop: unlike L4, it only falls along the
+       visit order.
+
+       The witness starts as the smallest sorted edge list among the
+       optimal covers phase 1 solved. Each leaves its PM the only one,
+       so it is an anti-forcing set of size ``value``, no smaller than
+       the reported witness. Both bounds so cut before any refinement.
 
     The orbits come from the automorphism search in ``symmetry`` only
-    when there are more PMs than vertices. The search costs about one
-    refinement per vertex of its first target cell, so on fewer PMs it
-    cannot pay back; each PM is then its own orbit.
+    when more PMs than vertices have p(M) < B. The search costs about
+    one refinement per vertex of its first target cell, so on fewer PMs
+    it cannot pay back; each PM is then its own orbit.
 
     When the budget runs out, BudgetExceededError carries the best value
-    so far as ``upper``. While phase 1 solves the representative with
-    pair count p, ``lower`` is min(best, p): every earlier representative
-    has a value of at least best, and this one and every later one have
-    af(G, M) >= p. Once phase 2 has begun the value is proven, and
-    ``lower`` carries it too. While the PMs are listed, their orbits
-    closed or the representatives ordered by p(M), ``lower`` stays None.
+    so far as ``upper``. While the PMs are listed or their pair counts
+    taken, both bounds stay None. While phase 1 solves a PM with pair
+    count p, ``lower`` is min(best, p), or p for M0: every earlier
+    representative has a value of at least best, and every PM not yet
+    passed has af(G, M) >= p. While the orbits are closed or the
+    representatives ordered, ``lower`` is p(M0) and ``upper`` is B.
+    Once phase 2 has begun the value is proven, and ``lower`` carries it
+    too.
     """
     budget = budget or Budget()
     pms = enumerate_perfect_matchings(g, budget=budget)
     if not pms:
         return AntiForcingResult(len(g.edges), frozenset(), "convention_no_pm")
     best: int | None = None
-    p: int | None = None  # p(M) of the representative being solved
-    solved: dict[int, tuple[list[int], int]] = {}  # optimal representative: family, cover
+    p: int | None = None  # p(M) of the matching being solved
     try:
-        orbit = pm_orbits(g, pms, budget) if len(pms) > g.n else range(len(pms))
+        pairs = _pair_counts(g, pms, budget)
+        p = min(pairs)
+        first = pairs.index(p)
+        family, best, cover = _cover_lazily(g, pms[first], pms, budget)
+        solved = {first: (family, cover)}  # optimal representative: family, cover
+        below = [i for i, c in enumerate(pairs) if c < best]
+        orbit = list(range(len(pms)))
+        if len(below) > g.n:
+            for i, k in zip(below, pm_orbits(g, [pms[i] for i in below], budget)):
+                orbit[i] = below[k]
         order = []
-        for i, m in enumerate(pms):
-            if orbit[i] == i:
+        for i in below:
+            if orbit[i] == i and i != first:
                 budget.tick()
-                order.append((len(_four_cycle_pairs(g, m)[0]), i))
+                order.append((pairs[i], i))
         order.sort()
         for p, i in order:
-            if best is not None and p > best:
+            if p >= best:
                 break
-            found = _cover_lazily(g, pms[i], pms, budget, None if best is None else best + 1)
+            found = _cover_lazily(g, pms[i], pms, budget, best + 1)
             if found is None:
                 continue
             family, value, cover = found
@@ -633,22 +707,22 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
         if p is not None:
             exc.lower = p if best is None else min(best, p)
         raise
-    assert best is not None
-    witness: list[int] | None = None
+    witness = min(edge_indices(cover) for _, cover in solved.values())
     try:
         for i in reversed(range(len(pms))):
-            if orbit[i] not in solved:
+            if orbit[i] not in solved and pairs[i] != best:
                 continue
-            if witness is not None:
-                if _lowest_outside(g, pms[i], best) > witness:
-                    break
-                if _four_cycle_bound(g, pms[i], best) > witness:
-                    continue
+            if _lowest_outside(g, pms[i], best) > witness:
+                break
+            if _four_cycle_bound(g, pms[i], best) > witness:
+                continue
             if i in solved:
                 family, cover = solved[i]
             else:
-                found = _cover_lazily(g, pms[i], pms, budget)
-                assert found is not None and found[1] == best
+                found = _cover_lazily(g, pms[i], pms, budget, best + 1)
+                if found is None:  # p(M) = best < af(G, M)
+                    assert orbit[i] not in solved, "an orbit shares its representative's value"
+                    continue
                 family, _, cover = found
             picks = _lex_min_lazily(pms[i], pms, family, best, cover, budget, witness)
             if picks is not None:
@@ -656,7 +730,6 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     except BudgetExceededError as exc:
         exc.lower = exc.upper = best
         raise
-    assert witness is not None
     edges = g.sorted_edges
     return AntiForcingResult(best, frozenset(edges[i] for i in witness), "via_matchings")
 

@@ -37,14 +37,6 @@ def edge_indices(mask: int) -> list[int]:
     return out
 
 
-def is_perfect_matching(g: Graph, m: Matching) -> bool:
-    """Whether the mask holds edges of g only, and n/2 of them that cover every vertex."""
-    edges = g.sorted_edges
-    if m < 0 or m >> len(edges) or m.bit_count() * 2 != g.n:
-        return False
-    return len({v for i in edge_indices(m) for v in edges[i]}) == g.n
-
-
 def _components_all_even(n: int, pairs: Pairs, used: list[bool]) -> bool:
     """Every residual component must have even order to extend to a PM."""
     seen = [False] * n
@@ -190,12 +182,11 @@ def alternating_cycles(
 ) -> list[int]:
     """All simple m-alternating cycles, one copy each, as their free sides.
 
-    ``m`` is a perfect matching of g as the enumerator yields it; a mask
-    that ``is_perfect_matching`` rejects raises ValueError. A cycle is
-    the mask of its edges outside m, and no two cycles share one. Each
-    cycle is found once: traversal starts at its minimum vertex and
-    leaves along the matched edge, which fixes both rotation and
-    reflection. The walk reads each vertex's ``g.incident_edges``
+    ``m`` is a perfect matching of g as the enumerator yields it; any
+    other mask raises ValueError. A cycle is the mask of its edges
+    outside m, and no two cycles share one. Each cycle is found once:
+    traversal starts at its minimum vertex and leaves along the matched
+    edge, which fixes both rotation and reflection. The walk reads each vertex's ``g.incident_edges``
     through one array of mates. ``longest`` caps the cycle length, in
     edges: the walk stops extending a path that could only close a
     longer cycle, so the result is the uncapped list, in the same order,
@@ -204,7 +195,7 @@ def alternating_cycles(
     edges = g.sorted_edges
     mate = [-1] * g.n
     # n/2 edges of g are a perfect matching exactly when every vertex
-    # gets a mate: is_perfect_matching's check, made while mate is built.
+    # gets a mate, a check made while mate is built.
     fits = m >= 0 and not m >> len(edges) and m.bit_count() * 2 == g.n
     if fits:
         for i in edge_indices(m):

@@ -138,10 +138,12 @@ def _join(parent: list[int], i: int, j: int) -> None:
 def pm_orbits(g: Graph, pms: Sequence[Matching], budget: Budget | None = None) -> list[int]:
     """For each perfect matching, the index of the first one in its orbit.
 
-    The matchings are edge masks, as the enumerator yields them. The
-    search starts from the colouring that gives each vertex the sorted
-    counts of matchings through its edges: automorphisms permute the
-    matchings, so they all keep it. The colouring pays for its pass over
+    The matchings are edge masks, as the enumerator yields them, and
+    every automorphism must map the list onto itself: all of a graph's
+    perfect matchings, or a union of their orbits. The search starts
+    from the colouring that gives each vertex the sorted counts of
+    matchings through its edges: automorphisms permute the matchings,
+    so they all keep it. The colouring pays for its pass over
     the matchings on regular graphs, where refinement from one colour
     stays uniform and the search would have to individualise vertex
     after vertex. The orbits are then closed one at a time: from each

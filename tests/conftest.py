@@ -53,6 +53,13 @@ def mask_of(g: Graph, edges) -> int:
     return sum(1 << g.edge_index[e] for e in edges)
 
 
+def is_perfect_matching(g: Graph, m: int) -> bool:
+    """Whether the mask holds edges of g only, and n/2 of them that cover every vertex."""
+    if m < 0 or m >> len(g.edges) or m.bit_count() * 2 != g.n:
+        return False
+    return len({v for e in edges_of(g, m) for v in e}) == g.n
+
+
 def edges_of(g: Graph, mask: int) -> set[tuple[int, int]]:
     """The edges of g whose bits are set in ``mask``."""
     return {e for i, e in enumerate(g.sorted_edges) if mask >> i & 1}

@@ -35,6 +35,7 @@ from antiforce.antiforcing import (
     _lex_min_lazily,
     _lowest_outside,
     _min_cover_size,
+    _pair_counts,
 )
 from antiforce.matching import alternating_cycles, count_pms_excluding
 from conftest import benchmark_random_graphs, graphs, mask_of, random_connected_graph
@@ -572,6 +573,21 @@ def test_four_cycle_scan_agrees_with_the_walk(atlas):
             assert smaller == sorted((c & -c).bit_length() - 1 for c in squares)
             assert sorted(smaller + other) == _lowest_outside(g, m, len(g.edges))
             pairs += len(smaller)
+    assert pairs == 728 + 20848  # the atlas, then the random graphs
+
+
+def test_pair_table_counts_the_four_cycle_pairs(atlas):
+    # p(M) from the two per-edge masks is the scan's pair count on every
+    # matching, and the pass charges one node per matching.
+    graphs = [g for g in (*atlas, *benchmark_random_graphs(0)) if g.n % 2 == 0]
+    pairs = 0
+    for g in graphs:
+        pms = enumerate_perfect_matchings(g)
+        budget = Budget()
+        counts = _pair_counts(g, pms, budget)
+        assert counts == [len(_four_cycle_pairs(g, m)[0]) for m in pms]
+        assert budget.nodes == len(pms)
+        pairs += sum(counts)
     assert pairs == 728 + 20848  # the atlas, then the random graphs
 
 

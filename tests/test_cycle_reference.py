@@ -15,10 +15,9 @@ from antiforce import (
     BudgetExceededError,
     alternating_cycles,
     enumerate_perfect_matchings,
-    is_perfect_matching,
 )
 from antiforce.matching import edge_indices
-from conftest import benchmark_random_graphs
+from conftest import benchmark_random_graphs, is_perfect_matching
 
 LONGEST = (None, 4, 6, 8)
 

@@ -20,7 +20,6 @@ from antiforce import (
     enumerate_perfect_matchings,
     friendship,
     has_perfect_matching,
-    is_perfect_matching,
     path,
     power,
 )
@@ -29,6 +28,7 @@ from conftest import (
     edges_of,
     graph_to_nx,
     graphs,
+    is_perfect_matching,
     mask_of,
     random_connected_graph,
 )

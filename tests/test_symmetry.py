@@ -22,6 +22,7 @@ from antiforce import (
     af_of_matching,
     af_via_matchings,
     alternating_cycles,
+    build,
     complete,
     cycle,
     edge,
@@ -30,10 +31,10 @@ from antiforce import (
     path,
     power,
 )
-from antiforce.antiforcing import _lex_min_cover, _min_cover_size
+from antiforce.antiforcing import _lex_min_cover, _min_cover_size, _pair_counts
 from antiforce.symmetry import _join, _root, automorphism_generators, pm_orbits
-from conftest import benchmark_random_graphs, graph_to_nx, random_connected_graph
-from criterion1_witnesses import family_instances
+from conftest import benchmark_random_graphs, connected_atlas, graph_to_nx, random_connected_graph
+from criterion1_witnesses import family_instances, instance_name, load_pin, pin_entry
 
 MAX_ORDER = 10**5
 
@@ -271,7 +272,12 @@ SHAPED = [
 ]
 
 
-@pytest.mark.parametrize("g", SHAPED + random_above_gate())
+def atlas_above_gate():
+    """The connected-atlas graphs with more PMs than vertices."""
+    return [g for g in connected_atlas() if len(enumerate_perfect_matchings(g)) > g.n]
+
+
+@pytest.mark.parametrize("g", SHAPED + random_above_gate() + atlas_above_gate())
 def test_reduced_route_matches_unreduced(g):
     r = af_via_matchings(g)
     assert (r.value, r.witness) == unreduced(g)
@@ -316,10 +322,41 @@ def test_four_cycle_bound_skips_refinements(monkeypatch):
 
 
 def test_phase_one_stops_at_pair_count(monkeypatch):
-    # P_10^4 has 57 orbit representatives. Two have 6 alternating 4-cycle
-    # pairs and the rest more. The first of the two has the optimal value
-    # 6, so phase 1 makes 2 cycle passes, where in index order it made
-    # 57; phase 2 makes one more.
+    # On P_10^4 the matching with the fewest alternating 4-cycle pairs
+    # has 6 of them and the optimal value 6. No matching has fewer, so
+    # no orbit is closed and phase 1 makes that one cycle pass, where in
+    # index order it made 57; phase 2 makes one more.
     cycles = counting(monkeypatch, "alternating_cycles")
     assert af_via_matchings(power(path(10), 4)).value == 6
-    assert len(cycles) == 3
+    assert len(cycles) == 2
+
+
+@pytest.mark.parametrize(
+    "fam, k, m",
+    [("cycle", 8, 4), ("complete", 10, 1), ("path", 10, 4), ("ortho-chain", 3, 4)],
+)
+def test_tight_graphs_close_no_orbit(monkeypatch, fam, k, m):
+    # K_8 (pinned as C_8^4), K_10, P_10^4 and ortho-chain(3)^4. On each,
+    # the matching with the fewest alternating 4-cycle pairs has a value
+    # equal to its pair count. No matching has fewer pairs, so no orbit
+    # can hold a better value or witness, and none is closed.
+    def boom(*args):
+        raise AssertionError("pm_orbits called on a tight graph")
+
+    monkeypatch.setattr(antiforce.antiforcing, "pm_orbits", boom)
+    r = af_via_matchings(power(build(fam, k), m))
+    assert pin_entry(r.value, r.witness) == load_pin()[instance_name(fam, k, m)]
+
+
+def test_orbits_are_closed_only_below_the_first_value(monkeypatch):
+    # On C_12^4 the matching with the fewest pairs has value B = 17, one
+    # above the optimum. pm_orbits gets the matchings with fewer than 17
+    # pairs, a union of orbits, and no other: 1,522 of 1,716.
+    g = power(cycle(12), 4)
+    calls = counting(monkeypatch, "pm_orbits")
+    assert af_via_matchings(g).value == 16
+    pms = enumerate_perfect_matchings(g)
+    pairs = _pair_counts(g, pms, Budget())
+    [(_, below, _)] = calls
+    assert (len(below), len(pms)) == (1522, 1716)
+    assert below == [m for m, p in zip(pms, pairs) if p < 17]
