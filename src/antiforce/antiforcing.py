@@ -679,8 +679,8 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
         pairs = _pair_counts(g, pms, budget)
         p = min(pairs)
         first = pairs.index(p)
-        family, best, cover = _cover_lazily(g, pms[first], pms, budget)
-        solved = {first: (family, cover)}  # optimal representative: family, cover
+        solved = {first: _cover_lazily(g, pms[first], pms, budget)}  # optimal representatives
+        best = solved[first][1]
         below = [i for i, c in enumerate(pairs) if c < best]
         orbit = list(range(len(pms)))
         if len(below) > g.n:
@@ -698,16 +698,15 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
             found = _cover_lazily(g, pms[i], pms, budget, best + 1)
             if found is None:
                 continue
-            family, value, cover = found
-            if value != best:
-                best, solved = value, {}
-            solved[i] = (family, cover)
+            if found[1] != best:
+                best, solved = found[1], {}
+            solved[i] = found
     except BudgetExceededError as exc:
         exc.upper = best
         if p is not None:
             exc.lower = p if best is None else min(best, p)
         raise
-    witness = min(edge_indices(cover) for _, cover in solved.values())
+    witness = min(edge_indices(cover) for _, _, cover in solved.values())
     try:
         for i in reversed(range(len(pms))):
             if orbit[i] not in solved and pairs[i] != best:
@@ -716,15 +715,11 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
                 break
             if _four_cycle_bound(g, pms[i], best) > witness:
                 continue
-            if i in solved:
-                family, cover = solved[i]
-            else:
-                found = _cover_lazily(g, pms[i], pms, budget, best + 1)
-                if found is None:  # p(M) = best < af(G, M)
-                    assert orbit[i] not in solved, "an orbit shares its representative's value"
-                    continue
-                family, _, cover = found
-            picks = _lex_min_lazily(pms[i], pms, family, best, cover, budget, witness)
+            found = solved.get(i) or _cover_lazily(g, pms[i], pms, budget, best + 1)
+            if found is None:  # p(M) = best < af(G, M)
+                assert orbit[i] not in solved, "an orbit shares its representative's value"
+                continue
+            picks = _lex_min_lazily(pms[i], pms, *found, budget, witness)
             if picks is not None:
                 witness = picks
     except BudgetExceededError as exc:

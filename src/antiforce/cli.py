@@ -40,10 +40,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # No message repeats an argument's text, which may be unbounded: argparse's
-    # own do for a bad choice, an ambiguous prefix or a stray argument.
+    # No message repeats an argument's text, which may be unbounded: argparse's own do
+    # for a bad choice, an ambiguous prefix, a stray argument or a value on a bare flag.
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise UsageError(message)
+        head, ignored, _ = message.partition(": ignored explicit argument ")
+        raise UsageError(head + ": takes no value" if ignored else message)
 
     def _get_option_tuples(self, option_string: str) -> list:  # type: ignore[override]
         matches = super()._get_option_tuples(option_string)

@@ -58,15 +58,6 @@ class Graph:
             object.__setattr__(self, "labels", labels)
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbor lists, each sorted ascending."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
-
-    @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edges))
 
@@ -100,7 +91,7 @@ def power(g: Graph, m: int) -> Graph:
     """
     if not _is_int(m) or m < 1:
         raise ValueError(f"power exponent must be an integer >= 1, got {_shown(m)}")
-    adj = g.adjacency
+    incident = g.incident_edges
     edges = set(g.edges)
     if m > 1:
         for src in range(g.n):
@@ -111,7 +102,7 @@ def power(g: Graph, m: int) -> Graph:
                 d = depth[u] + 1
                 if d > m:
                     break
-                for w in adj[u]:
+                for w, _ in incident[u]:
                     if depth[w] < 0:
                         depth[w] = d
                         reached.append(w)

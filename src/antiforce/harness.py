@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -181,8 +182,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict[str, object]]:
     points = spec.points()
     if workers <= 1:
         return [point(k, m) for k, m in points]
-    # Under fork, the pool starts all its workers at once.
-    with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
+    # Under fork, the pool starts all its workers at once: no more than points or processors.
+    size = min(workers, len(points), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(point, *zip(*points)))
 
 

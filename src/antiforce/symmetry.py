@@ -99,7 +99,7 @@ def automorphism_generators(
     vertex's orbit; an automorphism found there fixes the levels above.
     A permutation maps vertex v to ``perm[v]``.
     """
-    adj = g.adjacency
+    adj = [[w for w, _ in pairs] for pairs in g.incident_edges]
     tick = (budget or Budget()).tick
     path = [_refine(adj, list(colours))]
     cells = []
@@ -161,9 +161,7 @@ def pm_orbits(g: Graph, pms: Sequence[Matching], budget: Budget | None = None) -
     for m in pms:
         budget.tick()
         through.update(edge_indices(m))
-    colours = [
-        sorted(through[index[edge(u, w)]] for w in nbrs) for u, nbrs in enumerate(g.adjacency)
-    ]
+    colours = [sorted(through[i] for _, i in pairs) for pairs in g.incident_edges]
     gens = automorphism_generators(g, colours, budget)
     if not gens:
         return list(range(len(pms)))

@@ -11,8 +11,8 @@ it after a deliberate change:
     python tests/criterion1_witnesses.py
     python tests/criterion1_witnesses.py --write
 
-Both solve all 99 instances and print the seconds spent solving, about
-1 s on a 2-core Xeon.
+Both solve all 99 instances and print the seconds spent solving, 0.2 to
+0.3 s on a 2-core Xeon.
 """
 
 from __future__ import annotations

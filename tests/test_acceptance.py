@@ -194,7 +194,7 @@ def test_criterion_07_sandwich_inequality():
     for g in connected_atlas():
         if g.n % 2:
             continue
-        delta = max(map(len, g.adjacency), default=0)
+        delta = max(map(len, g.incident_edges), default=0)
         for m in enumerate_perfect_matchings(g):
             analysis = af_of_matching(g, m)
             f = analysis.f_of_m
@@ -205,7 +205,7 @@ def test_criterion_07_sandwich_inequality():
     for m in enumerate_perfect_matchings(k4):
         analysis = af_of_matching(k4, m)
         assert analysis.f_of_m == 1
-        assert analysis.af_of_m == 2 == (max(map(len, k4.adjacency)) - 1) * analysis.f_of_m
+        assert analysis.af_of_m == 2 == (max(map(len, k4.incident_edges)) - 1) * analysis.f_of_m
     assert checked > 200
     print(f"criterion 7: sandwich held on {checked} matchings, tight at complete(4)")
 

@@ -655,7 +655,7 @@ def test_zero_iff_unique_pm(g):
 @settings(max_examples=30, deadline=None)
 @given(graphs(min_n=2, max_n=6))
 def test_sandwich_per_matching(g):
-    slack = max(map(len, g.adjacency), default=0) - 1
+    slack = max(map(len, g.incident_edges), default=0) - 1
     for m in enumerate_perfect_matchings(g):
         analysis = af_of_matching(g, m)
         assert analysis.f_of_m <= analysis.af_of_m <= slack * analysis.f_of_m

@@ -261,6 +261,9 @@ _MISSING = "missing/" + "x" * 3000
         ),
         pytest.param(["report", "--format", "csv", "--out", _MISSING], "[]", id="report-out"),
         pytest.param(["pm", "--c=" + "x" * 3000], "2 1\n0 1\n", id="pm-ambiguous-prefix"),
+        pytest.param(["pm", "--count=" + "x" * 3000], "2 1\n0 1\n", id="pm-count-value"),
+        pytest.param(["pm", "--unique=" + "x" * 3000], "2 1\n0 1\n", id="pm-unique-value"),
+        pytest.param(["gen", "path", "--k", "3", "--help=" + "x" * 3000], "", id="help-value"),
         pytest.param(["formula", "path", "--k", "2", "--m", "9" * 4000], "", id="formula-m"),
         pytest.param(["gen", "x" * 5000, "--k", "4"], "", id="gen-family"),
         pytest.param(["x" * 5000], "", id="command"),
@@ -283,6 +286,12 @@ def test_long_bad_argument_exits_1_with_a_short_line(argv, text, monkeypatch, ca
     assert rc == 1 and out == ""
     assert err.startswith("antiforce: ") and err.count("\n") == 1
     assert len(err.encode()) <= 200
+
+
+def test_value_given_to_a_flag_is_named_not_echoed(monkeypatch, capsys):
+    rc, out, err = run_cli(["pm", "--co=3"], "2 1\n0 1\n", monkeypatch, capsys)
+    assert rc == 1 and out == ""
+    assert err == "antiforce: argument --count: takes no value\n"
 
 
 def test_af_rejects_negative_edge_count(monkeypatch, capsys):

@@ -28,7 +28,7 @@ def test_path_shape(k):
 def test_cycle_shape(k):
     g = cycle(k)
     assert g.n == k and len(g.edges) == k
-    assert all(len(nbrs) == 2 for nbrs in g.adjacency)
+    assert all(len(nbrs) == 2 for nbrs in g.incident_edges)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
@@ -41,8 +41,8 @@ def test_complete_shape(n):
 def test_friendship_shape(k):
     g = friendship(k)
     assert g.n == 2 * k + 1 and len(g.edges) == 3 * k
-    assert len(g.adjacency[0]) == 2 * k
-    assert all(len(nbrs) == 2 for nbrs in g.adjacency[1:])
+    assert len(g.incident_edges[0]) == 2 * k
+    assert all(len(nbrs) == 2 for nbrs in g.incident_edges[1:])
 
 
 @pytest.mark.parametrize("k", [1, 3, 6])

@@ -105,10 +105,16 @@ def test_graph_label_validation():
         Graph(2, frozenset(), ("a", "a"))
 
 
-def test_adjacency_sorted():
-    g = Graph(4, frozenset({(0, 3), (0, 1), (0, 2)}))
-    assert g.adjacency[0] == (1, 2, 3)
-    assert len(g.adjacency[0]) == 3 and len(g.adjacency[1]) == 1
+def test_incident_edges_sorted():
+    # Each vertex's neighbours ascending, each with its edge's position in sorted_edges.
+    g = Graph(4, frozenset({(0, 3), (2, 3), (0, 1), (0, 2)}))
+    assert g.sorted_edges == ((0, 1), (0, 2), (0, 3), (2, 3))
+    assert g.incident_edges == (
+        ((1, 0), (2, 1), (3, 2)),
+        ((0, 0),),
+        ((0, 1), (3, 3)),
+        ((0, 2), (2, 3)),
+    )
     assert edge(3, 0) in g.edges and edge(1, 2) not in g.edges
 
 

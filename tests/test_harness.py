@@ -300,9 +300,14 @@ def test_run_sweep_starts_no_more_workers_than_points(monkeypatch):
             return map(fn, *args)
 
     monkeypatch.setattr("antiforce.harness.ProcessPoolExecutor", Pool)
+    monkeypatch.setattr("antiforce.harness.os.cpu_count", lambda: 3)
     spec = SweepSpec("path", (2, 3), (2,))
     assert run_sweep(spec, workers=10**6) == run_sweep(spec)
     assert sizes == [2]
+    # Nor more than the host has processors.
+    wide = SweepSpec("path", (2, 3, 4, 5, 6), (2,))
+    assert run_sweep(wide, workers=10**6) == run_sweep(wide)
+    assert sizes == [2, 3]
 
 
 def test_run_sweep_workers_agree():

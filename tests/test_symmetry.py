@@ -154,9 +154,7 @@ def pm_orbits_union_find(g, pms):
     index = g.edge_index
     in_pm = [[i for i in range(len(edges)) if m >> i & 1] for m in pms]
     through = Counter(i for m in in_pm for i in m)
-    colours = [
-        sorted(through[index[edge(u, w)]] for w in nbrs) for u, nbrs in enumerate(g.adjacency)
-    ]
+    colours = [sorted(through[i] for _, i in pairs) for pairs in g.incident_edges]
     at = {m: k for k, m in enumerate(pms)}
     first = list(range(len(pms)))
     for perm in automorphism_generators(g, colours):
@@ -201,7 +199,7 @@ def test_pm_count_colouring_spares_the_search_on_regular_graphs():
     # charged: one node per matching.
     checked = 0
     for g in benchmark_random_graphs(1):
-        if len(set(map(len, g.adjacency))) != 1 or generators(g):
+        if len(set(map(len, g.incident_edges))) != 1 or generators(g):
             continue
         pms = enumerate_perfect_matchings(g)
         coloured, uniform = Budget(), Budget()
