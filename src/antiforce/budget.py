@@ -29,9 +29,10 @@ class BudgetExceededError(Exception):
 class Budget:
     """Node-count plus wall-clock cap for one exact computation.
 
-    ``max_nodes`` counts search-tree nodes, of whichever searches the
-    solver runs: perfect-matching enumeration, alternating cycles, the
-    hitting set, the subset search. ``max_seconds`` is a soft deadline
+    ``max_nodes`` counts search nodes, of whichever searches the solver
+    runs: the perfect-matching walk (a node per state, and per matching
+    a state's list gains), alternating cycles, the hitting set, the
+    subset search. ``max_seconds`` is a soft deadline
     checked alongside the node counter; the clock starts when the budget
     is made. Both caps default to ``math.inf``: a solver called without
     a budget charges a fresh uncapped one.
@@ -51,12 +52,14 @@ class Budget:
         self._deadline = time.monotonic() + self.max_seconds
         self._node_cap = sys.maxsize if self.max_nodes == math.inf else int(self.max_nodes)
 
-    def tick(self) -> None:
-        """Charge one node; raise once either cap is exhausted."""
-        self.nodes += 1
+    def tick(self, nodes: int = 1) -> None:
+        """Charge ``nodes`` nodes; raise once either cap is exhausted."""
+        self.nodes += nodes
         if self.nodes > self._node_cap:
             raise BudgetExceededError(f"node budget exhausted ({self.max_nodes})")
-        # Time checks are comparatively expensive; amortize them.
-        if self.nodes % 256 == 0 and time.monotonic() > self._deadline:
+        # Time checks are comparatively expensive; amortize them to one
+        # each time the count crosses a multiple of 256: the count has
+        # crossed one when its remainder is below the charge.
+        if self.nodes % 256 < nodes and time.monotonic() > self._deadline:
             raise BudgetExceededError(f"time budget exhausted ({self.max_seconds}s)")
 

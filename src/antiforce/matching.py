@@ -3,18 +3,20 @@
 A perfect matching is an edge mask, the one format every consumer takes:
 bit i stands for ``g.sorted_edges[i]``, and ``edge_indices`` lists a
 mask's edges. An alternating cycle is the mask of its edges outside the
-matching. Desk-scale exact code: enumeration branches on the
-lowest-indexed unsaturated vertex, which yields matchings in
-lexicographic order of their sorted edge lists, so uniqueness checks and
-witness selection are deterministic. Every perfect-matching question,
-existence included, is answered by this one enumerator, charged to the
-caller's budget.
+matching. Desk-scale exact code: every perfect-matching question,
+existence, count and list, is answered by one walk, charged to the
+caller's budget. It branches on the lowest-indexed unused vertex, which
+yields matchings in lexicographic order of their sorted edge lists, so
+uniqueness checks and witness selection are deterministic. A state of
+the walk is its set of used vertices. Many partial matchings leave the
+same set, and each set is expanded once: it keeps its completions, as a
+list of masks or, for a count, their number.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Callable, Iterator, Sequence
+import math
+from typing import Callable, Sequence
 
 from .budget import Budget
 from .graph import Edge, Graph
@@ -58,50 +60,85 @@ def _components_all_even(n: int, pairs: Pairs, used: list[bool]) -> bool:
     return True
 
 
-def _pms_from(
-    lowest: int, n: int, pairs: Pairs, used: list[bool], chosen: int, tick: Callable[[], None]
-) -> Iterator[Matching]:
-    # Module-level, not a closure: a generator that calls itself through
-    # a closure is a reference cycle, left behind for the cyclic collector.
-    tick()
-    u = lowest
-    while u < n and used[u]:
-        u += 1
+def _walk(
+    key: int,
+    n: int,
+    pairs: Pairs,
+    used: list[bool],
+    memo: dict[int, list[Matching] | int],
+    cap: float,
+    listing: bool,
+    tick: Callable[..., None],
+) -> list[Matching] | int:
+    # The first cap completions of the residual state whose used
+    # vertices are the bits of key, mirrored in used: as edge masks, in
+    # lexicographic order, when listing, else their number. A state is
+    # expanded once: its result is kept in memo, which the caller looks
+    # up before it calls. This is a module-level function, not a
+    # closure: a closure that calls itself is a reference cycle, left
+    # behind for the cyclic collector.
+    u = ((key + 1) & ~key).bit_length() - 1  # the lowest unused vertex
     if u == n:
-        yield chosen
-        return
-    if not _components_all_even(n, pairs, used):
-        return
-    used[u] = True
-    for w, i in pairs[u]:
-        if used[w]:
-            continue
-        used[w] = True
-        yield from _pms_from(u + 1, n, pairs, used, chosen | 1 << i, tick)
-        used[w] = False
-    used[u] = False
+        return [0] if listing else 1
+    tick()
+    out: list[Matching] | int = [] if listing else 0
+    if _components_all_even(n, pairs, used):
+        used[u] = True
+        for w, i in pairs[u]:
+            if used[w]:
+                continue
+            child = key | 1 << u | 1 << w
+            sub = memo.get(child)
+            if sub is None:
+                used[w] = True
+                sub = _walk(child, n, pairs, used, memo, cap, listing, tick)
+                used[w] = False
+            if listing:
+                bit = 1 << i
+                out += [bit | c for c in sub]
+                if len(out) >= cap:
+                    del out[cap:]
+                    break
+            else:
+                out += sub
+                if out >= cap:
+                    out = cap
+                    break
+        used[u] = False
+        if listing:
+            # Each matching a list gains is one node, so a pass over the
+            # matchings pays one node per matching, as every pass does.
+            tick(len(out))
+    memo[key] = out
+    return out
 
 
-def _iter_pms(n: int, pairs: Pairs, budget: Budget) -> Iterator[Matching]:
-    """Yield the perfect matchings of the graph whose edges ``pairs`` lists."""
+def _completions(n: int, pairs: Pairs, cap: int | None, listing: bool, budget: Budget):
+    """The perfect matchings of the graph whose edges ``pairs`` lists, up to cap.
+
+    A list of edge masks when ``listing``, else their number. The memo
+    lives for one call, so it is dropped when the answer returns.
+    """
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be a positive integer or None")
     if n % 2:
-        return iter(())
-    if n == 0:
-        return iter((0,))
-    return _pms_from(0, n, pairs, [False] * n, 0, budget.tick)
+        return [] if listing else 0
+    limit = math.inf if cap is None else cap
+    return _walk(0, n, pairs, [False] * n, {}, limit, listing, budget.tick)
 
 
 def has_perfect_matching(g: Graph, budget: Budget | None = None) -> bool:
-    """Whether g has a perfect matching: the enumerator yields a first one.
+    """Whether g has a perfect matching: the count walk, capped at one, finds one.
 
-    Exponential in the worst case: a graph without one whose odd
-    components appear only deep in the search (K_2k joined to a star
-    K_1,3 by one edge, say) is searched in full before the answer is
-    no. Every search node is charged to ``budget``, so under a capped one
-    the question never runs unbounded. Here and in every other solver
-    entry point, no budget means a fresh uncapped ``Budget()``.
+    The walk expands each residual vertex set once, so a graph without
+    one whose odd components appear only deep in the search (K_2k joined
+    to a star K_1,3 by one edge, say) costs one node per reachable set
+    rather than one per path to it; that is still exponential in the
+    worst case. Every expanded state is charged to ``budget``, so under a
+    capped one the question never runs unbounded. Here and in every
+    other solver entry point, no budget means a fresh uncapped ``Budget()``.
     """
-    return next(_iter_pms(g.n, g.incident_edges, budget or Budget()), None) is not None
+    return _completions(g.n, g.incident_edges, 1, False, budget or Budget()) > 0
 
 
 def enumerate_perfect_matchings(
@@ -110,14 +147,14 @@ def enumerate_perfect_matchings(
     """All perfect matchings as edge masks, lexicographic by sorted edge list.
 
     ``cap`` stops the enumeration after that many matchings; None means
-    unbounded.
+    unbounded. The list is the first ``cap`` of the full one.
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be a positive integer or None")
     budget = budget or Budget()
     if not has_perfect_matching(g, budget):
         return []
-    return list(islice(_iter_pms(g.n, g.incident_edges, budget), cap))
+    return _completions(g.n, g.incident_edges, cap, True, budget)
 
 
 def count_pms_excluding(
@@ -129,15 +166,16 @@ def count_pms_excluding(
     """Count perfect matchings of g minus the removed edges, up to cap (None: no cap).
 
     The package's one PM counter; cap=2 asks whether exactly one is left,
-    the uniqueness probe behind ``is_anti_forcing_set``. The search runs
-    on ``g.incident_edges`` with the removed edges filtered out: the tree
-    the enumerator walks on g minus them, without building that graph.
+    the uniqueness probe behind ``is_anti_forcing_set``. The count walk
+    runs on ``g.incident_edges`` with the removed edges filtered out,
+    without building that graph: each state keeps a number, not a list,
+    so a count never holds the matchings it counts.
     """
     gone = {i for i, e in enumerate(g.sorted_edges) if e in removed}
     pairs = g.incident_edges
     if gone:
         pairs = [tuple(p for p in nbrs if p[1] not in gone) for nbrs in pairs]
-    return sum(1 for _ in islice(_iter_pms(g.n, pairs, budget or Budget()), cap))
+    return _completions(g.n, pairs, cap, False, budget or Budget())
 
 
 def _extend(
@@ -182,7 +220,7 @@ def alternating_cycles(
 ) -> list[int]:
     """All simple m-alternating cycles, one copy each, as their free sides.
 
-    ``m`` is a perfect matching of g as the enumerator yields it; any
+    ``m`` is a perfect matching of g as the walk lists it; any
     other mask raises ValueError. A cycle is the mask of its edges
     outside m, and no two cycles share one. Each cycle is found once:
     traversal starts at its minimum vertex and leaves along the matched

@@ -1,4 +1,5 @@
 import math
+import time
 from argparse import ArgumentTypeError
 
 import pytest
@@ -35,6 +36,26 @@ def test_time_cap_raises():
         # Time is only polled every 256 ticks.
         for _ in range(10**6):
             b.tick()
+
+
+def test_bulk_charge_checks_the_clock_when_it_crosses_a_multiple_of_256():
+    # A charge that jumps from 255 past 256 lands on no multiple of 256,
+    # but it crossed one, so the clock is read there.
+    b = Budget(max_nodes=10**9, max_seconds=0.0001)
+    b.tick(255)
+    time.sleep(0.001)
+    with pytest.raises(BudgetExceededError, match="time"):
+        b.tick(300)
+    assert b.nodes == 555
+
+
+def test_bulk_charge_raises_past_the_node_cap():
+    # A charge that reaches the cap passes; node cap + 1 raises.
+    b = Budget(max_nodes=10, max_seconds=60.0)
+    b.tick(10)
+    with pytest.raises(BudgetExceededError, match="node"):
+        b.tick()
+    assert b.nodes == 11
 
 
 def test_invalid_caps():

@@ -106,7 +106,7 @@ def test_pm_cap_rejected_with_count_or_unique(mode, monkeypatch, capsys):
 
 @pytest.mark.parametrize("flags", [[], ["--count"], ["--unique"], ["--cap", "2"]])
 def test_pm_budget_exhaustion_exit_2(flags, monkeypatch, capsys):
-    g = complete_joined_to_star(10)
+    g = complete_joined_to_star(14)
     rc, out, err = run_cli(["pm", *flags, "--budget", "100"], to_json(g), monkeypatch, capsys)
     assert rc == 2 and out == ""
     assert err == "antiforce: budget exhausted\n"

@@ -113,7 +113,7 @@ def test_no_pm_behind_a_star():
 def test_no_pm_search_is_charged_to_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_perfect_matchings(
-            complete_joined_to_star(10), budget=Budget(max_nodes=100)
+            complete_joined_to_star(14), budget=Budget(max_nodes=100)
         )
 
 

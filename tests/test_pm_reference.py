@@ -1,10 +1,13 @@
-"""The edge-mask enumerator against the frozenset enumerator it replaced.
+"""The memoised walk against the tree enumerator it replaced.
 
 The reference below is the enumerator as it stood when perfect matchings
-were frozensets of edge tuples: it pushes and pops each chosen edge on a
-list and rebuilds the neighbour lists to drop removed edges. Encoded as
-edge masks, its matchings must be the new list, in the same order, and
-both must charge the budget the same nodes: the search trees are one.
+were frozensets of edge tuples found by a plain search tree: it pushes
+and pops each chosen edge on a list, rebuilds the neighbour lists to
+drop removed edges, and visits one residual vertex set once per path to
+it. Encoded as edge masks, its matchings must be the walk's list, in the
+same order, and its counts the walk's counts. The walk expands each
+residual state once, so an uncapped count never charges more nodes than
+the tree has.
 """
 
 import random
@@ -19,7 +22,7 @@ from antiforce import (
     has_perfect_matching,
     power,
 )
-from conftest import mask_of
+from conftest import benchmark_family_graphs, benchmark_random_graphs, mask_of
 
 
 def ref_components_all_even(n, adj, used):
@@ -95,7 +98,7 @@ def ref_count_excluding(g, removed, cap, budget):
     count = 0
     for _ in ref_iter_pms(g.n, ref_adjacency_without(g, removed), budget):
         count += 1
-        if count >= cap:
+        if count == cap:
             break
     return count
 
@@ -105,29 +108,42 @@ EXTRA = (Graph(0), complete(8), power(cycle(10), 3))
 
 def test_mask_enumerator_is_the_frozenset_enumerator(atlas):
     assert len(atlas) == 996
-    for g in (*atlas, *EXTRA):
-        ref, new = Budget(), Budget()
+    for g in (*atlas, *EXTRA, *benchmark_random_graphs(0)):
+        ref = Budget()
         want = [mask_of(g, m) for m in ref_enumerate(g, ref)]
-        assert enumerate_perfect_matchings(g, budget=new) == want, sorted(g.edges)
-        assert new.nodes == ref.nodes, sorted(g.edges)
+        assert enumerate_perfect_matchings(g) == want, sorted(g.edges)
         assert has_perfect_matching(g) == bool(want)
         ref, new = Budget(), Budget()
         assert count_pms_excluding(g, budget=new) == sum(
             1 for _ in ref_iter_pms(g.n, ref_adjacency(g), ref)
         )
-        assert new.nodes == ref.nodes
+        assert new.nodes <= ref.nodes, sorted(g.edges)
 
 
 def test_count_excluding_is_the_reference_count(atlas):
     # Random removed sets, from none up to every edge, at caps 1, 2 and
-    # unbounded: the same count and the same nodes.
+    # unbounded: the same count. Uncapped, from no more nodes; under a
+    # cap a state seeks cap completions of its own, though the tree may
+    # need fewer there, so a capped walk can charge more.
     rng = random.Random(150415)
-    graphs = [g for g in atlas if g.n % 2 == 0][::4] + list(EXTRA)
+    graphs = [g for g in atlas if g.n % 2 == 0][::4] + list(EXTRA) + benchmark_random_graphs(0)
     for g in graphs:
         for _ in range(4):
             removed = frozenset(e for e in g.sorted_edges if rng.random() < rng.random())
-            for cap in (1, 2, 10**9):
+            for cap in (1, 2, None):
                 ref, new = Budget(), Budget()
                 want = ref_count_excluding(g, removed, cap, ref)
                 assert count_pms_excluding(g, removed, cap, new) == want
-                assert new.nodes == ref.nodes, (sorted(g.edges), sorted(removed), cap)
+                if cap is None:
+                    assert new.nodes <= ref.nodes, (sorted(g.edges), sorted(removed))
+
+
+def test_capped_list_is_a_prefix_of_the_full_list():
+    # A state keeps its first cap completions, so the capped walk lists
+    # the first cap matchings of the full list, whatever cap cuts into.
+    rng = random.Random(33)
+    for g in (*benchmark_family_graphs(), *benchmark_random_graphs(0)):
+        full = enumerate_perfect_matchings(g)
+        caps = {1, 2, len(full) + 1, rng.randint(1, len(full) + 1)}
+        for cap in caps:
+            assert enumerate_perfect_matchings(g, cap=cap) == full[:cap], (sorted(g.edges), cap)
