@@ -89,12 +89,11 @@ class MatchingAnalysis:
 def is_anti_forcing_set(
     g: Graph, s: frozenset[Edge] | set[Edge], budget: Budget | None = None
 ) -> bool:
-    """True iff g minus s has exactly one perfect matching; the count is charged to budget."""
-    norm = frozenset(edge(u, v) for u, v in s)
-    extra = norm - g.edges
-    if extra:
-        raise ValueError(f"edges not in graph: {sorted(extra)}")
-    return count_pms_excluding(g, norm, cap=2, budget=budget) == 1
+    """True iff g minus s has exactly one perfect matching; the count is charged to budget.
+
+    An edge of s may be named in either order; a non-edge raises ValueError.
+    """
+    return count_pms_excluding(g, s, cap=2, budget=budget) == 1
 
 
 def _anti_forcing_sets(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 Edge = tuple[int, int]
 
@@ -81,33 +82,41 @@ class Graph:
         return tuple(map(tuple, pairs))
 
 
+def _bfs_within(g: Graph, depth: int) -> Iterator[tuple[int, list[int], list[int]]]:
+    """Each source with the vertices it reaches within ``depth`` steps, and their depths.
+
+    One BFS per vertex, cut off past ``depth`` or when it has reached
+    every vertex it can. It yields ``(src, reached, dist)``: ``reached``
+    lists src and the vertices it reaches in BFS order, and
+    ``dist[v]`` is d_g(src, v) for each of them (-1 for the rest).
+    """
+    incident = g.incident_edges
+    for src in range(g.n):
+        dist = [-1] * g.n
+        dist[src] = 0
+        reached = [src]
+        for u in reached:  # the BFS queue: the loop visits what it appends
+            d = dist[u] + 1
+            if d > depth:
+                break
+            for w, _ in incident[u]:
+                if dist[w] < 0:
+                    dist[w] = d
+                    reached.append(w)
+        yield src, reached, dist
+
+
 def power(g: Graph, m: int) -> Graph:
     """Distance power: same vertices, edge iff 1 <= d_g(u, v) <= m.
 
-    One BFS per vertex, cut off past depth m or when it has reached
-    every vertex it can, so any m returns at once. Unreachable pairs
-    never become edges, so powers of a disconnected graph stay
-    disconnected.
+    One ``_bfs_within`` pass at depth m, so any m returns at once.
+    Unreachable pairs never become edges, so powers of a disconnected
+    graph stay disconnected.
     """
     if not _is_int(m) or m < 1:
         raise ValueError(f"power exponent must be an integer >= 1, got {_shown(m)}")
-    incident = g.incident_edges
-    edges = set(g.edges)
-    if m > 1:
-        for src in range(g.n):
-            depth = [-1] * g.n
-            depth[src] = 0
-            reached = [src]
-            for u in reached:  # the BFS queue: the loop visits what it appends
-                d = depth[u] + 1
-                if d > m:
-                    break
-                for w, _ in incident[u]:
-                    if depth[w] < 0:
-                        depth[w] = d
-                        reached.append(w)
-            edges.update((src, v) for v in reached if v > src)
-    return Graph(g.n, frozenset(edges), g.labels)
+    edges = frozenset((src, v) for src, reached, _ in _bfs_within(g, m) for v in reached if v > src)
+    return Graph(g.n, edges, g.labels)
 
 
 # Serialization. JSON is the canonical form; a bare "n m" edge list is

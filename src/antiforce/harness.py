@@ -17,9 +17,9 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import accumulate
 
 from .antiforcing import af_subset_search, af_via_matchings, is_anti_forcing_set
 from .budget import DEFAULT_MAX_NODES, DEFAULT_MAX_SECONDS, Budget, BudgetExceededError
@@ -35,7 +35,7 @@ from .formulas import (
     af_para_power_closed_form,
     evaluate_formula,
 )
-from .graph import power
+from .graph import _bfs_within, power
 
 STATUSES = (
     "MATCH",
@@ -180,10 +180,13 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict[str, object]]:
     """One record per sweep point, in (k, m) iteration order."""
     point = partial(sweep_point, spec)
     points = spec.points()
-    if workers <= 1:
-        return [point(k, m) for k, m in points]
     # Under fork, the pool starts all its workers at once: no more than points or processors.
     size = min(workers, len(points), os.cpu_count() or 1)
+    if size <= 1:
+        return [point(k, m) for k, m in points]
+    # Imported here, not at the top: it loads multiprocessing, which one worker never needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(point, *zip(*points)))
 
@@ -194,15 +197,28 @@ def run_edge_count_audit(
     """Grade edge-count formulas against directly counted |E(family(k)^m)|.
 
     Only rows whose formula is an edge-count claim participate; exact
-    and bound rows (even paths and cycles) are outside this audit.
+    and bound rows (even paths and cycles) are outside this audit. Each
+    k's formulas are evaluated first, then one BFS pass over the base
+    graph, cut off at the largest graded m (or n - 1, past which no
+    pair lies), counts the vertex pairs at each distance: |E(G^m)| is
+    the number at distance 1 to m, so no power graph is built.
     """
     records: list[dict[str, object]] = []
     for k in _family_ks(family, k_values):
         base = build(family, k)
-        for m in m_values:
-            res = evaluate_formula(family, k, m)
-            if res is not None and res.kind == "edge_count":
-                records.append(_record(family, k, m, base.n, res, len(power(base, m).edges)))
+        claims = [(m, evaluate_formula(family, k, m)) for m in m_values]
+        graded = [(m, res) for m, res in claims if res is not None and res.kind == "edge_count"]
+        if not graded:
+            continue
+        top = min(max(m for m, _ in graded), base.n - 1)
+        at = [0] * (top + 1)  # at[d]: vertex pairs at distance d
+        for src, reached, dist in _bfs_within(base, top):
+            for v in reached:
+                if v > src:
+                    at[dist[v]] += 1
+        within = list(accumulate(at))  # within[d]: pairs at distance 1 to d
+        for m, res in graded:
+            records.append(_record(family, k, m, base.n, res, within[min(m, top)]))
     return records
 
 

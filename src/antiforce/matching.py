@@ -19,7 +19,7 @@ import math
 from typing import Callable, Sequence
 
 from .budget import Budget
-from .graph import Edge, Graph
+from .graph import Edge, Graph, edge
 
 # A perfect matching of a graph g, as an edge mask over g.sorted_edges.
 # The empty matching is 0, so a search for one compares with None.
@@ -159,7 +159,7 @@ def enumerate_perfect_matchings(
 
 def count_pms_excluding(
     g: Graph,
-    removed: frozenset[Edge] = frozenset(),
+    removed: frozenset[Edge] | set[Edge] = frozenset(),
     cap: int | None = None,
     budget: Budget | None = None,
 ) -> int:
@@ -169,9 +169,15 @@ def count_pms_excluding(
     the uniqueness probe behind ``is_anti_forcing_set``. The count walk
     runs on ``g.incident_edges`` with the removed edges filtered out,
     without building that graph: each state keeps a number, not a list,
-    so a count never holds the matchings it counts.
+    so a count never holds the matchings it counts. ``removed`` may
+    name an edge in either order; a pair that is not an edge of g
+    raises ValueError.
     """
-    gone = {i for i, e in enumerate(g.sorted_edges) if e in removed}
+    norm = {edge(u, v) for u, v in removed}
+    extra = norm - g.edges
+    if extra:
+        raise ValueError(f"edges not in graph: {sorted(extra)}")
+    gone = {g.edge_index[e] for e in norm}
     pairs = g.incident_edges
     if gone:
         pairs = [tuple(p for p in nbrs if p[1] not in gone) for nbrs in pairs]

@@ -348,6 +348,12 @@ def test_dense_graph_under_an_address_space_cap_exits_2():
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "antiforce: budget exhausted\n")
 
 
+def test_cli_import_leaves_multiprocessing_out():
+    code = "import sys, antiforce.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 @pytest.mark.parametrize("k", [4, 4096])
 def test_a_reader_closing_the_pipe_early_exits_1_silently(k):
     # P_4 fits in stdout's buffer, so its write fails at the flush; P_4096

@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
+import networkx as nx
 import pytest
 
 from antiforce import (
@@ -13,6 +14,7 @@ from antiforce import (
     SweepSpec,
     af_subset_search,
     af_via_matchings,
+    build,
     check_closed_form_consistency,
     classify_status,
     emit_report,
@@ -28,12 +30,14 @@ from antiforce.graph import MAX_ORDER
 from antiforce.harness import (
     COLUMNS,
     DEFAULT_CROSS_CHECK_N_LIMIT,
+    EVEN_K_FAMILIES,
     STATUSES,
     InternalInvariantError,
     default_sweep_spec,
     format_value,
     sweep_point,
 )
+from conftest import graph_to_nx
 
 
 def test_column_contract():
@@ -299,7 +303,7 @@ def test_run_sweep_starts_no_more_workers_than_points(monkeypatch):
         def map(self, fn, *args):
             return map(fn, *args)
 
-    monkeypatch.setattr("antiforce.harness.ProcessPoolExecutor", Pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
     monkeypatch.setattr("antiforce.harness.os.cpu_count", lambda: 3)
     spec = SweepSpec("path", (2, 3), (2,))
     assert run_sweep(spec, workers=10**6) == run_sweep(spec)
@@ -321,6 +325,27 @@ def test_edge_count_audit_tri_chain():
     assert in_range and all(r["status"] == "MATCH" for r in in_range)
     out = [r for r in records if r["applicability"] == OUT_OF_RANGE]
     assert all(r["status"] == "OUT_OF_RANGE" for r in out)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_edge_count_audit_counts_equal_power_and_networkx(family, monkeypatch):
+    # Every point is made an edge-count claim, so the audit counts the
+    # edges of every power, m = n past the depth cap of n - 1 included.
+    claim = FormulaResult(0, "edge_count", "any", IN_RANGE)
+    monkeypatch.setattr("antiforce.harness.evaluate_formula", lambda family, k, m: claim)
+    ks = [k for k in range(1, 13) if not (family in EVEN_K_FAMILIES and k % 2)]
+    for k in ks:
+        try:
+            base = build(family, k)
+        except ValueError:  # below the family's least k
+            continue
+        ms = (*range(1, 9), base.n)
+        rows = run_edge_count_audit(family, (k,), ms)
+        assert [row["m"] for row in rows] == list(ms)
+        for row in rows:
+            m = row["m"]
+            want = len(power(base, m).edges)
+            assert row["oracle_value"] == want == nx.power(graph_to_nx(base), m).number_of_edges()
 
 
 def test_edge_count_audit_skips_odd_k_chains():

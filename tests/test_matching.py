@@ -167,6 +167,14 @@ def test_unique_pm():
     assert count_pms_excluding(path(3), cap=2) == 0
 
 
+def test_count_excluding_reads_either_edge_order_and_rejects_non_edges():
+    g = cycle(4)
+    assert count_pms_excluding(g, frozenset({(1, 0)})) == 1
+    assert count_pms_excluding(g, {(1, 0), (0, 1)}) == 1
+    with pytest.raises(ValueError, match=r"edges not in graph: \[\(0, 2\)\]"):
+        count_pms_excluding(g, frozenset({(2, 0)}))
+
+
 def test_count_excluding_matches_subgraph():
     g = complete(6)
     removed = frozenset({(0, 1), (2, 3)})
