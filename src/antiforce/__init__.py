@@ -50,6 +50,7 @@ from .harness import (
     emit_report,
     run_edge_count_audit,
     run_sweep,
+    solve_verified,
 )
 from .matching import (
     Matching,

@@ -18,7 +18,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import graph as graphio
-from .antiforcing import af_subset_search, af_via_matchings, is_anti_forcing_set
+from .antiforcing import af_subset_search, af_via_matchings
 from .budget import DEFAULT_MAX_NODES, DEFAULT_MAX_SECONDS, Budget, BudgetExceededError
 from .families import FAMILIES, build
 from .formulas import evaluate_formula
@@ -31,6 +31,7 @@ from .harness import (
     emit_report,
     format_value,
     run_sweep,
+    solve_verified,
 )
 from .matching import count_pms_excluding, edge_indices, enumerate_perfect_matchings
 
@@ -191,19 +192,8 @@ def _cmd_pm(args: argparse.Namespace) -> int:
 
 def _cmd_af(args: argparse.Namespace) -> int:
     g = _read_graph()
-    budget = Budget(*args.budget)
     run = af_subset_search if args.method == "subset" else af_via_matchings
-    result = run(g, budget)
-    if result.method != "convention_no_pm":
-        # The re-check charges the solve's budget; running out there still
-        # leaves the value the solve found as both bounds.
-        try:
-            verified = is_anti_forcing_set(g, result.witness, budget)
-        except BudgetExceededError as exc:
-            exc.lower = exc.upper = result.value
-            raise
-        if not verified:
-            raise InternalInvariantError(f"unverifiable witness from {result.method}")
+    result = solve_verified(g, run, Budget(*args.budget))
     print(
         json.dumps(
             {

@@ -16,36 +16,37 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .graph import Edge, Graph, _check_order, _shown
+from .graph import Edge, Graph, _check_order, _is_int, _shown
 
 
-def _order(builder: str, k: int, least: int, n: int, arg: str = "k") -> int:
-    """Check k against its least value and n against MAX_ORDER, before any edge is built; give n."""
-    if k < least:
+def _order(builder: str, k: int, least: int, per_k: int = 1, extra: int = 0, arg: str = "k") -> int:
+    """Check the integer k >= least, then n = per_k * k + extra against MAX_ORDER; give n."""
+    if not _is_int(k) or k < least:
         raise ValueError(f"{builder} needs {arg} >= {least}, got {_shown(k)}")
+    n = per_k * k + extra
     _check_order(n)
     return n
 
 
 def path(k: int) -> Graph:
-    n = _order("path", k, 1, k)
+    n = _order("path", k, 1)
     edges = frozenset((i, i + 1) for i in range(n - 1))
     return Graph(n, edges, tuple(f"v{i + 1}" for i in range(n)))
 
 
 def cycle(k: int) -> Graph:
-    n = _order("cycle", k, 3, k)
+    n = _order("cycle", k, 3)
     edges = frozenset((i, (i + 1) % n) for i in range(n))
     return Graph(n, edges, tuple(f"v{i + 1}" for i in range(n)))
 
 
 def complete(n: int) -> Graph:
-    _order("complete", n, 1, n, arg="n")
+    _order("complete", n, 1, arg="n")
     return Graph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def friendship(k: int) -> Graph:
-    n = _order("friendship", k, 1, 2 * k + 1)
+    n = _order("friendship", k, 1, 2, 1)
     edges: set[Edge] = set()
     for i in range(1, k + 1):
         a, b = 2 * i - 1, 2 * i
@@ -54,7 +55,7 @@ def friendship(k: int) -> Graph:
 
 
 def triangular_chain(k: int) -> Graph:
-    n = _order("triangular_chain", k, 1, 2 * k + 1)
+    n = _order("triangular_chain", k, 1, 2, 1)
     edges: set[Edge] = set()
     for i in range(1, k + 1):
         c_prev, c_cur, t = i - 1, i, k + i
@@ -67,7 +68,7 @@ def _square_chain(
     builder: str, k: int, square: Callable[[int, int, int, int], tuple[int, ...]]
 ) -> Graph:
     """k squares on 3k+1 vertices: square i is the vertex cycle square(y_i, x_i, z_i, y_(i+1))."""
-    n = _order(builder, k, 1, 3 * k + 1)
+    n = _order(builder, k, 1, 3, 1)
     edges: set[Edge] = set()
     for i in range(1, k + 1):
         cyc = square(i - 1, k + i, 2 * k + i, i)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .graph import MAX_ORDER, _shown
+from .graph import MAX_ORDER, _is_int, _shown
 
 KINDS = ("exact", "edge_count", "bounds")
 IN_RANGE = "in_range"
@@ -58,11 +58,11 @@ class FormulaResult:
 
 
 def _check_km(k: int, m: int, k_min: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < k_min:
+    if not _is_int(k) or k < k_min:
         raise ValueError(f"k must be an integer >= {k_min}, got {_shown(k)}")
     # The recurrences step up to m. Every m >= n - 1 gives the complete
     # graph, and no graph has more than MAX_ORDER vertices.
-    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= MAX_ORDER:
+    if not _is_int(m) or not 1 <= m <= MAX_ORDER:
         raise ValueError(f"m must be an integer from 1 to {MAX_ORDER}, got {_shown(m)}")
 
 
@@ -106,12 +106,7 @@ def af_cycle_power_bounds(k: int, m: int) -> FormulaResult:
     """
     _check_km(k, m, 3)
     if k % 2:
-        if m == 1:
-            case = "m=1"
-        elif m < k // 2:
-            case = "odd"
-        else:
-            case = "odd-complete"
+        case = "m=1" if m == 1 else "odd" if m < k // 2 else "odd-complete"
         value = m * k if m < k // 2 else k * (k // 2)
         return FormulaResult(value, "edge_count", case, IN_RANGE)
     if m == 1:
@@ -164,17 +159,8 @@ def af_ortho_power(k: int, m: int) -> FormulaResult:
     _require_even_k(k, "ortho-chain")
     if m == 1:
         return FormulaResult(4 * k, "edge_count", "m=1", IN_RANGE)
-    if m == 2:
-        value = 10 * k - 4
-        case = "base(m=2)"
-    elif m == 3:
-        value = 18 * k - 16
-        case = "base(m=3)"
-    else:
-        value = 18 * k - 16
-        for j in range(4, m + 1):
-            value += 9 * (k - j) + 15
-        case = "recurrence"
+    value = 10 * k - 4 if m == 2 else 18 * k - 16 + sum(9 * (k - j) + 15 for j in range(4, m + 1))
+    case = "base(m=2)" if m == 2 else "base(m=3)" if m == 3 else "recurrence"
     applicability = IN_RANGE if m <= k + 1 else OUT_OF_RANGE
     return FormulaResult(value, "edge_count", case, applicability)
 
@@ -207,12 +193,7 @@ def af_para_power(k: int, m: int) -> FormulaResult:
             value += 4 * (k - j // 2)
         else:
             value += 5 * (k - j // 2) + 1
-    if m == 2:
-        case = "base(m=2)"
-    elif m % 2:
-        case = "odd-step"
-    else:
-        case = "even-step"
+    case = "base(m=2)" if m == 2 else "odd-step" if m % 2 else "even-step"
     applicability = IN_RANGE if m // 2 <= k else OUT_OF_RANGE
     return FormulaResult(value, "edge_count", case, applicability)
 

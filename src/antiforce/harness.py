@@ -3,9 +3,10 @@
 Every comparison lands in one report row per (family, k, m): a document
 keyed by ``COLUMNS``, built by ``_record`` and serialized by
 ``emit_report``. A family with no closed form gives OUT_OF_RANGE rows.
-Oracle budgets never abort a sweep; they become SKIPPED rows. A
-disagreement between the two independent oracles does abort: that is an
-internal invariant failure, not a finding.
+Oracle budgets never abort a sweep; they become SKIPPED rows. A witness
+failing its re-check in ``solve_verified``, the one owner of re-checks,
+or the two independent oracles disagreeing on a value or a witness, does
+abort: that is an internal invariant failure, not a finding.
 
 Reports are deterministic byte for byte: fixed column order, fixed row
 order, exact rational formatting.
@@ -20,8 +21,9 @@ import os
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import accumulate
+from typing import Callable
 
-from .antiforcing import af_subset_search, af_via_matchings, is_anti_forcing_set
+from .antiforcing import AntiForcingResult, af_subset_search, af_via_matchings, is_anti_forcing_set
 from .budget import DEFAULT_MAX_NODES, DEFAULT_MAX_SECONDS, Budget, BudgetExceededError
 from .families import build
 from .formulas import (
@@ -35,7 +37,7 @@ from .formulas import (
     af_para_power_closed_form,
     evaluate_formula,
 )
-from .graph import _bfs_within, power
+from .graph import Graph, _bfs_within, power
 
 STATUSES = (
     "MATCH",
@@ -144,36 +146,53 @@ class SweepSpec:
         return [(k, m) for k in _family_ks(self.family, self.k_values) for m in self.m_values]
 
 
+def solve_verified(g: Graph, route: Callable, budget: Budget) -> AntiForcingResult:
+    """route(g, budget), its witness re-checked to leave g exactly one PM, on the same budget.
+
+    Running out in the re-check still leaves the value found as both
+    bounds. The no-PM convention's empty witness is not checked.
+    """
+    result = route(g, budget)
+    if result.method != "convention_no_pm":
+        try:
+            verified = is_anti_forcing_set(g, result.witness, budget)
+        except BudgetExceededError as exc:
+            exc.lower = exc.upper = result.value
+            raise
+        if not verified:
+            raise InternalInvariantError(f"unverifiable witness from {result.method}")
+    return result
+
+
 def sweep_point(spec: SweepSpec, k: int, m: int) -> dict[str, object]:
-    """Grade the formula for spec.family at (k, m) against the oracle."""
+    """Grade the formula for spec.family at (k, m) against route two's verified value.
+
+    Up to DEFAULT_CROSS_CHECK_N_LIMIT vertices, route one must give the same value and
+    witness, both routes giving the lexicographically smallest, or run out of budget.
+    """
     family = spec.family
     base = build(family, k)
     g = power(base, m)
     res = evaluate_formula(family, k, m)
 
-    # The witness is re-verified inside the oracle's budget: running out
-    # there skips the row, as running out in the solve does.
-    budget = replace(spec.budget)
     try:
-        result = af_via_matchings(g, budget)
-        if result.method == "via_matchings" and not is_anti_forcing_set(g, result.witness, budget):
-            raise InternalInvariantError(f"unverifiable witness on {family}(k={k})^{m}")
-        oracle = result.value
+        result = solve_verified(g, af_via_matchings, replace(spec.budget))
     except BudgetExceededError:
-        oracle = None
+        return _record(family, k, m, base.n, res, None)
 
-    if oracle is not None and g.n <= DEFAULT_CROSS_CHECK_N_LIMIT:
+    if g.n <= DEFAULT_CROSS_CHECK_N_LIMIT:
         try:
             check = af_subset_search(g, replace(spec.budget))
         except BudgetExceededError:
             check = None
-        if check is not None and check.value != oracle:
+        if check is not None and (check.value, check.witness) != (result.value, result.witness):
             raise InternalInvariantError(
                 f"oracle disagreement on {family}(k={k})^{m}: "
-                f"subset={check.value} matchings={oracle}"
+                f"subset={check.value} matchings={result.value}"
+                + (" with different witnesses" if check.value == result.value else "")
             )
 
-    return _record(family, k, m, base.n, res, oracle)
+    return _record(family, k, m, base.n, res, result.value)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[dict[str, object]]:

@@ -19,7 +19,7 @@ import math
 from typing import Callable, Sequence
 
 from .budget import Budget
-from .graph import Edge, Graph, edge
+from .graph import Edge, Graph, _is_int, edge
 
 # A perfect matching of a graph g, as an edge mask over g.sorted_edges.
 # The empty matching is 0, so a search for one compares with None.
@@ -113,14 +113,18 @@ def _walk(
     return out
 
 
+def _check_cap(cap: int | None) -> None:
+    if cap is not None and not (_is_int(cap) and cap >= 1):
+        raise ValueError("cap must be a positive integer or None")
+
+
 def _completions(n: int, pairs: Pairs, cap: int | None, listing: bool, budget: Budget):
     """The perfect matchings of the graph whose edges ``pairs`` lists, up to cap.
 
     A list of edge masks when ``listing``, else their number. The memo
     lives for one call, so it is dropped when the answer returns.
     """
-    if cap is not None and cap < 1:
-        raise ValueError("cap must be a positive integer or None")
+    _check_cap(cap)
     if n % 2:
         return [] if listing else 0
     limit = math.inf if cap is None else cap
@@ -149,8 +153,7 @@ def enumerate_perfect_matchings(
     ``cap`` stops the enumeration after that many matchings; None means
     unbounded. The list is the first ``cap`` of the full one.
     """
-    if cap is not None and cap < 1:
-        raise ValueError("cap must be a positive integer or None")
+    _check_cap(cap)  # before the gate, which answers a graph without a PM itself
     budget = budget or Budget()
     if not has_perfect_matching(g, budget):
         return []

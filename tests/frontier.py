@@ -2,9 +2,10 @@
 
 The instances are P_n^m and C_n^m for even n from 14 to 24 and m from 2
 to 4, ortho-chain(5)^m and para-chain(5)^m for m from 2 to 4, and K_14.
-Each is solved by af_via_matchings under the default budget, in a child
-process of its own, so that one instance's memory cannot weigh on the
-next. The script prints each instance's value, or the bounds it carries
+Each is solved by af_via_matchings under the default budget, and its
+witness re-checked by ``solve_verified`` under the same budget, in a
+child process of its own, so that one instance's memory cannot weigh on
+the next. The script prints each instance's value, or the bounds it carries
 when the budget runs out, and its seconds, then writes them to
 BENCH_frontier_<label>.json at the repository root:
 
@@ -26,7 +27,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from antiforce import BudgetExceededError, af_via_matchings, build, power
+from antiforce import BudgetExceededError, af_via_matchings, build, power, solve_verified
 from criterion1_witnesses import instance_budget, instance_name
 
 ROOT = Path(__file__).parent.parent
@@ -45,7 +46,7 @@ def solve(fam: str, k: int, m: int) -> dict[str, object]:
     g = power(build(fam, k), m)
     start = time.perf_counter()
     try:
-        bounds = {"value": af_via_matchings(g, instance_budget()).value}
+        bounds = {"value": solve_verified(g, af_via_matchings, instance_budget()).value}
     except BudgetExceededError as exc:
         bounds = {"lower": exc.lower, "upper": exc.upper}
     seconds = time.perf_counter() - start

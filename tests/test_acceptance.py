@@ -91,6 +91,7 @@ def test_criterion_01_oracle_cross_equivalence():
                 continue
             crossed += 1
             assert a.value == b.value, (fam, k, m, a.value, b.value)
+            assert a.witness == b.witness, f"witnesses differ on {name}"
 
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0

@@ -82,6 +82,13 @@ def test_pm_count_unique_cap(monkeypatch, capsys):
     assert rc == 1 and "cap" in err
 
 
+@pytest.mark.parametrize("g", [cycle(6), path(3)])
+def test_pm_cap_zero_exits_1_with_or_without_a_perfect_matching(g, monkeypatch, capsys):
+    rc, out, err = run_cli(["pm", "--cap", "0"], to_json(g), monkeypatch, capsys)
+    assert rc == 1 and out == ""
+    assert err == "antiforce: cap must be a positive integer or None\n"
+
+
 def test_pm_count_does_not_list_matchings(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise AssertionError("pm --count built the matching list")

@@ -174,6 +174,14 @@ def test_factories_reject_small_k(factory, k):
         factory(k)
 
 
+@pytest.mark.parametrize("builder", list(FAMILIES.values()))
+@pytest.mark.parametrize("k", ["5", None, 2.5])
+def test_factories_reject_non_integer_k(builder, k):
+    # Checked before anything uses k, so the message names its type.
+    with pytest.raises(ValueError, match=f"needs [kn] >= [0-9]+, got {type(k).__name__}"):
+        builder(k)
+
+
 def test_build_caps_the_order():
     # Each builder refuses more than MAX_ORDER vertices before it builds
     # an edge, so a direct call at k = 10^8 returns at once, as build

@@ -211,6 +211,12 @@ def test_json_roundtrip():
     assert from_json(to_json(bare)) == bare
 
 
+@pytest.mark.parametrize("text", ["[]", "3", '"x"'])
+def test_json_must_be_an_object(text):
+    with pytest.raises(ValueError, match="^graph JSON must be an object$"):
+        from_json(text)
+
+
 def test_json_label_coverage():
     with pytest.raises(ValueError):
         from_json('{"n": 2, "edges": [], "labels": {"0": "a"}}')

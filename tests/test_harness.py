@@ -11,6 +11,7 @@ import pytest
 from antiforce import (
     FAMILIES,
     Budget,
+    BudgetExceededError,
     SweepSpec,
     af_subset_search,
     af_via_matchings,
@@ -238,10 +239,33 @@ def test_sweep_point_odd_order_bypasses_limit():
 def test_oracle_disagreement_raises(monkeypatch):
     monkeypatch.setattr(
         "antiforce.harness.af_subset_search",
-        lambda g, budget=None: SimpleNamespace(value=999),
+        lambda g, budget=None: SimpleNamespace(value=999, witness=frozenset()),
     )
     with pytest.raises(InternalInvariantError):
         _point("cycle", 6, 2)
+
+
+def test_witness_disagreement_raises(monkeypatch):
+    # Both routes return the lexicographically smallest witness, so one of
+    # the same size made of other edges is a disagreement too.
+    def other_witness(g, budget=None):
+        res = af_subset_search(g, budget)
+        assert res.value > 0
+        return SimpleNamespace(value=res.value, witness=frozenset(sorted(g.edges)[-res.value :]))
+
+    monkeypatch.setattr("antiforce.harness.af_subset_search", other_witness)
+    with pytest.raises(InternalInvariantError, match="with different witnesses"):
+        _point("cycle", 6, 2)
+
+
+def test_cross_check_out_of_budget_grades_the_row(monkeypatch):
+    graded = _point("cycle", 6, 2)
+
+    def starved(g, budget=None):
+        raise BudgetExceededError("cross-check out of budget")
+
+    monkeypatch.setattr("antiforce.harness.af_subset_search", starved)
+    assert _point("cycle", 6, 2) == graded and graded["status"] == "WITHIN_BOUNDS"
 
 
 def test_cross_check_reach(monkeypatch):
@@ -262,7 +286,7 @@ def test_unverifiable_witness_raises(monkeypatch):
     monkeypatch.setattr(
         "antiforce.harness.is_anti_forcing_set", lambda g, s, budget=None: False
     )
-    with pytest.raises(InternalInvariantError):
+    with pytest.raises(InternalInvariantError, match="^unverifiable witness from via_matchings$"):
         _point("path", 4, 2)
 
 

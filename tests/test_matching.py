@@ -156,6 +156,15 @@ def test_enumeration_cap():
         enumerate_perfect_matchings(complete(4), cap=0)
 
 
+@pytest.mark.parametrize("cap", [0, 2.5, True, "2"])
+def test_every_walk_rejects_a_cap_that_is_not_a_positive_integer(cap):
+    # path(3) has no perfect matching: the cap is checked all the same.
+    for walk in (count_pms_excluding, enumerate_perfect_matchings):
+        for g in (complete(6), path(3)):
+            with pytest.raises(ValueError, match="cap must be a positive integer or None"):
+                walk(g, cap=cap)
+
+
 def test_empty_graph_has_one_pm():
     assert enumerate_perfect_matchings(Graph(0)) == [0]
     assert count_pms_excluding(Graph(0), cap=2) == 1
