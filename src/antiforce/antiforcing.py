@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 from .budget import Budget, BudgetExceededError
-from .graph import Edge, Graph, edge
+from .graph import Edge, Graph
 from .matching import (
     Matching,
     alternating_cycles,
@@ -155,19 +155,21 @@ def _may_beat(removed: int, forbidden: int, left: int, best: int) -> bool:
     return bool(diff & -diff & least)
 
 
-def _swaps(g: Graph, m: Matching) -> int:
+def _swaps(g: Graph, m: Matching, near: list[int]) -> int:
     """How many perfect matchings differ from m in exactly two edges.
 
-    Each swaps matched edges ab, cd for ac, bd or for ad, bc.
+    Each swaps matched edges ab, cd for ac, bd or for ad, bc. ``near[v]``
+    is v's neighbours as a vertex mask, which ``_least_packing`` builds
+    once per pass, so each edge is one bit test.
     """
     edges = g.sorted_edges
     matched = [edges[i] for i in edge_indices(m)]
     count = 0
-    for j, (a, b) in enumerate(matched):
-        for c, d in matched[j + 1 :]:
-            count += (edge(a, c) in g.edges and edge(b, d) in g.edges) + (
-                edge(a, d) in g.edges and edge(b, c) in g.edges
-            )
+    while matched:
+        a, b = matched.pop()
+        na, nb = near[a], near[b]
+        for c, d in matched:
+            count += (na >> c & nb >> d & 1) + (na >> d & nb >> c & 1)
     return count
 
 
@@ -179,12 +181,17 @@ def _least_packing(g: Graph, pms: list[Matching], budget: Budget) -> int:
     proof is in ``af_subset_search``. One node is charged per M. The
     differences of two edges, M's swaps, are pairwise disjoint and come
     first, so M's packing is at least its swap count, and a matching with
-    as many swaps as the least so far is skipped without a scan.
+    as many swaps as the least so far is skipped without a scan. The
+    vertex masks ``_swaps`` reads are built once per pass.
     """
+    near = [0] * g.n  # each vertex's neighbours, as a vertex mask
+    for a, u in g.sorted_edges:
+        near[a] |= 1 << u
+        near[u] |= 1 << a
     least = len(pms)
     for m in pms:
         budget.tick()
-        if _swaps(g, m) >= least:
+        if _swaps(g, m, near) >= least:
             continue
         taken = count = 0
         for rest in sorted((b & ~m for b in pms if b != m), key=int.bit_count):

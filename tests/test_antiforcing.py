@@ -15,6 +15,7 @@ from antiforce import (
     af_via_matchings,
     complete,
     cycle,
+    edge,
     enumerate_perfect_matchings,
     friendship,
     is_anti_forcing_set,
@@ -36,9 +37,16 @@ from antiforce.antiforcing import (
     _lowest_outside,
     _min_cover_size,
     _pair_counts,
+    _swaps,
 )
-from antiforce.matching import alternating_cycles, count_pms_excluding
-from conftest import benchmark_random_graphs, graphs, mask_of, random_connected_graph
+from antiforce.matching import alternating_cycles, count_pms_excluding, edge_indices
+from conftest import (
+    benchmark_family_graphs,
+    benchmark_random_graphs,
+    graphs,
+    mask_of,
+    random_connected_graph,
+)
 
 
 def test_result_validation():
@@ -182,12 +190,33 @@ def plain_least(pms):
 
 
 def test_least_packing_bounds_the_value_on_atlas(atlas):
-    for g in atlas:
+    for g in (*atlas, *benchmark_random_graphs(0)):
         pms = enumerate_perfect_matchings(g)
         least = _least_packing(g, pms, Budget())
         # The swap shortcut skips no matching that would lower the least.
         assert least == plain_least(pms), sorted(g.edges)
-        assert least <= subset_scan(g).value, sorted(g.edges)
+        if g.n <= 7:  # the atlas: the random graphs are past the scan's reach
+            assert least <= subset_scan(g).value, sorted(g.edges)
+
+
+def lookup_swaps(g, m):
+    """The swap count by edge lookups: ab, cd swap when ac, bd or ad, bc are edges."""
+    matched = [g.sorted_edges[i] for i in edge_indices(m)]
+    count_ = 0
+    for j, (a, b) in enumerate(matched):
+        for c, d in matched[j + 1 :]:
+            count_ += (edge(a, c) in g.edges and edge(b, d) in g.edges) + (
+                edge(a, d) in g.edges and edge(b, c) in g.edges
+            )
+    return count_
+
+
+def test_swaps_equals_the_edge_lookup_count(atlas):
+    family = [g for g in benchmark_family_graphs() if count_pms_excluding(g, cap=2_001) <= 2_000]
+    for g in (*atlas, *benchmark_random_graphs(0), *family):
+        near = [sum(1 << u for u, _ in g.incident_edges[v]) for v in range(g.n)]
+        for m in enumerate_perfect_matchings(g):
+            assert _swaps(g, m, near) == lookup_swaps(g, m), (sorted(g.edges), m)
 
 
 @settings(max_examples=100, deadline=None)
