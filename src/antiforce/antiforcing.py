@@ -194,7 +194,8 @@ def _least_packing(g: Graph, pms: list[Matching], budget: Budget) -> int:
         if _swaps(g, m, near) >= least:
             continue
         taken = count = 0
-        for rest in sorted((b & ~m for b in pms if b != m), key=int.bit_count):
+        free = ~m
+        for rest in sorted([b & free for b in pms if b != m], key=int.bit_count):
             if not rest & taken:
                 count += 1
                 taken |= rest
@@ -292,6 +293,13 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
 # the branching pivot, and the greedy packing takes sets smallest first.
 # A matching's cycles have distinct free sides; ties in size keep the
 # walk's order.
+#
+# Most search nodes sit at the last two levels, so _exists_cover settles
+# them without a call or a filtered list. A k = 1 node's cover is the
+# lowest bit of the AND of its sets. A k = 2 node ANDs, per branch, the
+# sets the branch's element misses; when none is left, that element
+# alone covers, and no child node is charged. The tree, its covers and
+# its ticks are those of the plain recursion down to k = 0.
 
 
 def _packing_bound(masks: Sequence[int]) -> int:
@@ -309,20 +317,37 @@ def _exists_cover(masks: list[int], k: int, budget: Budget) -> int | None:
     """A hitting set of at most k elements as a bitmask, or None if none exists.
 
     No sets give the empty cover 0, so test the result with ``is None``.
+    The last two levels are settled in place, as the comment above says.
     """
     if not masks:
         return 0
     if k <= 0:
         return None
     budget.tick()
+    if k == 1:
+        common = -1
+        for s in masks:
+            common &= s
+        return common & -common or None
     if _packing_bound(masks) > k:
         return None
     t = masks[0]
     while t:
         low = t & -t
-        cover = _exists_cover([s for s in masks if not s & low], k - 1, budget)
-        if cover is not None:
-            return cover | low
+        if k > 2:
+            cover = _exists_cover([s for s in masks if not s & low], k - 1, budget)
+            if cover is not None:
+                return cover | low
+        else:  # the k = 1 child; common stays -1 while no set is left
+            common = -1
+            for s in masks:
+                if not s & low:
+                    common &= s
+            if common == -1:
+                return low
+            budget.tick()
+            if common:
+                return common & -common | low
         t ^= low
     return None
 

@@ -42,24 +42,31 @@ class Budget:
     max_seconds: float = math.inf
     nodes: int = field(default=0, init=False)
     _deadline: float = field(default=0.0, init=False, compare=False)
-    # max_nodes as an int: the count passes both on the same tick, and
-    # tick compares two ints faster than an int and math.inf.
+    # max_nodes as an int: the count passes both on the same tick.
     _node_cap: int = field(default=0, init=False, compare=False)
+    # The count at which tick next looks past its one comparison: the next
+    # multiple of 256, where the clock is read, or one past the node cap,
+    # whichever comes first. Every tick below it can raise nothing.
+    _check_at: int = field(default=0, init=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.max_nodes > 0 and self.max_seconds > 0):  # rejects NaN too
             raise ValueError("budget caps must be positive")
         self._deadline = time.monotonic() + self.max_seconds
         self._node_cap = sys.maxsize if self.max_nodes == math.inf else int(self.max_nodes)
+        self._check_at = min(256, self._node_cap + 1)
 
     def tick(self, nodes: int = 1) -> None:
         """Charge ``nodes`` nodes; raise once either cap is exhausted."""
         self.nodes += nodes
+        if self.nodes < self._check_at:
+            return
         if self.nodes > self._node_cap:
             raise BudgetExceededError(f"node budget exhausted ({self.max_nodes})")
         # Time checks are comparatively expensive; amortize them to one
-        # each time the count crosses a multiple of 256: the count has
-        # crossed one when its remainder is below the charge.
-        if self.nodes % 256 < nodes and time.monotonic() > self._deadline:
+        # each time the count crosses a multiple of 256. Below the cap,
+        # reaching _check_at means it crossed one.
+        self._check_at = min(self.nodes // 256 * 256 + 256, self._node_cap + 1)
+        if time.monotonic() > self._deadline:
             raise BudgetExceededError(f"time budget exhausted ({self.max_seconds}s)")
 

@@ -36,6 +36,7 @@ from antiforce.antiforcing import (
     _lex_min_lazily,
     _lowest_outside,
     _min_cover_size,
+    _packing_bound,
     _pair_counts,
     _swaps,
 )
@@ -549,7 +550,8 @@ def test_lex_refinement_searches_the_remaining_sets(monkeypatch):
     # Started from [0, 3, 5], the first pick, 0, is the cover's lowest
     # bit and is taken without a search. The second is searched: 1 has
     # no completion, and 2 is completed by 3. Each search gets the sets
-    # its candidate leaves as they stand: 2 leaves {3, 4} and {1, 3}.
+    # its candidate leaves as they stand: 2 leaves {3, 4} and {1, 3}. A
+    # search for one element settles in its own node, with no call.
     masks = encode([{0, 4}, {2, 5}, {3, 4}, {1, 3}])
     searched = []
 
@@ -562,7 +564,6 @@ def test_lex_refinement_searches_the_remaining_sets(monkeypatch):
     assert searched == [
         (sorted([bits([2, 5]), bits([3, 4])]), 1),  # candidate 1
         (sorted([bits([1, 3]), bits([3, 4])]), 1),  # candidate 2
-        ([], 0),  # the search's own branch on 3
     ]
 
 
@@ -653,6 +654,57 @@ def test_cover_engine_matches_brute_force(sets, below, data):
     assert _lex_min_cover(masks, size, start, Budget()) == ref
     beat = sorted(data.draw(st.sets(st.integers(0, ELEMENTS - 1), min_size=size, max_size=size)))
     assert _lex_min_cover(masks, size, start, Budget(), beat) == (None if ref > beat else ref)
+
+
+def recursive_exists_cover(masks, k, budget):
+    """``_exists_cover`` as plain recursion down to k = 0, for reference.
+
+    The search under test settles its last two levels without a call; it
+    must walk this tree, return its cover and charge its ticks.
+    """
+    if not masks:
+        return 0
+    if k <= 0:
+        return None
+    budget.tick()
+    if _packing_bound(masks) > k:
+        return None
+    t = masks[0]
+    while t:
+        low = t & -t
+        found = recursive_exists_cover([s for s in masks if not s & low], k - 1, budget)
+        if found is not None:
+            return found | low
+        t ^= low
+    return None
+
+
+def assert_walks_the_recursion(masks, k, where):
+    ref, new = Budget(), Budget()
+    assert _exists_cover(masks, k, new) == recursive_exists_cover(masks, k, ref), where
+    assert new.nodes == ref.nodes, where
+
+
+@settings(max_examples=300, deadline=None)
+@given(set_systems)
+def test_cover_search_walks_the_recursion_on_set_systems(sets):
+    masks = encode(sets)
+    for k in range(ELEMENTS + 2):
+        assert_walks_the_recursion(masks, k, (sets, k))
+
+
+def test_cover_search_walks_the_recursion_on_seed_families(atlas):
+    # Each PM's seed family at its minimum, where a cover is found, and
+    # one below it, where the whole tree is walked and none is.
+    settled = 0
+    for g in (*atlas, *benchmark_random_graphs(0)):
+        for m in enumerate_perfect_matchings(g):
+            family = sorted(alternating_cycles(g, m, longest=SEED_LENGTH), key=int.bit_count)
+            value = _min_cover_size(family, Budget())[0]
+            for k in (value, value - 1):
+                assert_walks_the_recursion(family, k, (sorted(g.edges), m, k))
+            settled += value >= 2
+    assert settled
 
 
 @settings(max_examples=40, deadline=None)

@@ -50,12 +50,37 @@ def test_bulk_charge_checks_the_clock_when_it_crosses_a_multiple_of_256():
 
 
 def test_bulk_charge_raises_past_the_node_cap():
-    # A charge that reaches the cap passes; node cap + 1 raises.
-    b = Budget(max_nodes=10, max_seconds=60.0)
-    b.tick(10)
-    with pytest.raises(BudgetExceededError, match="node"):
-        b.tick()
-    assert b.nodes == 11
+    # A charge that reaches the cap passes; one that goes past it raises
+    # on that tick, whether or not it also crosses a multiple of 256.
+    cases = ((10, [10, 1]), (100, [50, 60]), (700, [600, 200]), (1_000, [255, 300, 600]))
+    for cap, charges in cases:
+        b = Budget(max_nodes=cap, max_seconds=60.0)
+        for charge in charges[:-1]:
+            b.tick(charge)
+        with pytest.raises(BudgetExceededError, match="node"):
+            b.tick(charges[-1])
+        assert b.nodes == sum(charges)
+
+
+def test_clock_is_read_only_where_the_count_crosses_a_multiple_of_256(monkeypatch):
+    # One read per charge that crosses a multiple of 256, however many it
+    # crosses: the charges whose remainder after it is below the charge.
+    charges = [1] * 255 + [300] + [1] * 600 + [1_000]
+    b = Budget(max_nodes=10**9, max_seconds=60.0)
+    reads = []
+    monotonic = time.monotonic
+
+    def counted():
+        reads.append(b.nodes)
+        return monotonic()
+
+    monkeypatch.setattr(time, "monotonic", counted)
+    crossed = []
+    for charge in charges:
+        b.tick(charge)
+        if b.nodes % 256 < charge:
+            crossed.append(b.nodes)
+    assert reads == crossed == [555, 768, 1024, 2155]
 
 
 def test_invalid_caps():
