@@ -21,7 +21,8 @@ so their agreement is a meaningful cross-check.
 
 Route two runs in two phases. Phase 1 proves the value. Each perfect
 matching's count of alternating 4-cycles, a lower bound on its value,
-comes from two masks per edge. The matching with the fewest is solved
+is summed by the walk that lists the matchings, one term per matched
+edge (see ``matching``). The matching with the fewest is solved
 first, and its value bounds the rest: only the matchings with fewer
 4-cycles can do better. They are a union of automorphism orbits (see
 ``symmetry``), since af(G, M) and the count are the same across an
@@ -155,13 +156,13 @@ def _may_beat(removed: int, forbidden: int, left: int, best: int) -> bool:
     return bool(diff & -diff & least)
 
 
-def _swaps(g: Graph, m: Matching, near: list[int]) -> int:
+def _swaps(g: Graph, m: Matching) -> int:
     """How many perfect matchings differ from m in exactly two edges.
 
     Each swaps matched edges ab, cd for ac, bd or for ad, bc. ``near[v]``
-    is v's neighbours as a vertex mask, which ``_least_packing`` builds
-    once per pass, so each edge is one bit test.
+    is v's neighbours as a vertex mask, so each edge is one bit test.
     """
+    near = g.neighbour_masks
     edges = g.sorted_edges
     matched = [edges[i] for i in edge_indices(m)]
     count = 0
@@ -181,17 +182,12 @@ def _least_packing(g: Graph, pms: list[Matching], budget: Budget) -> int:
     proof is in ``af_subset_search``. One node is charged per M. The
     differences of two edges, M's swaps, are pairwise disjoint and come
     first, so M's packing is at least its swap count, and a matching with
-    as many swaps as the least so far is skipped without a scan. The
-    vertex masks ``_swaps`` reads are built once per pass.
+    as many swaps as the least so far is skipped without a scan.
     """
-    near = [0] * g.n  # each vertex's neighbours, as a vertex mask
-    for a, u in g.sorted_edges:
-        near[a] |= 1 << u
-        near[u] |= 1 << a
     least = len(pms)
     for m in pms:
         budget.tick()
-        if _swaps(g, m, near) >= least:
+        if _swaps(g, m) >= least:
             continue
         taken = count = 0
         free = ~m
@@ -546,49 +542,6 @@ def _four_cycle_pairs(g: Graph, m: Matching) -> tuple[list[int], list[int]]:
     return smaller, other
 
 
-def _pair_counts(g: Graph, pms: Sequence[Matching], budget: Budget) -> list[int]:
-    """p(M), ``_four_cycle_pairs``' pair count, of every matching in ``pms``.
-
-    For matched edges e = au and f = bw, the alternating 4-cycles through
-    both number q(e, f): one when uw and ab are edges, one when ub and aw
-    are. With q1[e] the edges f with q(e, f) >= 1 and q2[e] those with
-    q(e, f) = 2, 2·p(M) is the sum over e in M of |M ∩ q1[e]| + |M ∩ q2[e]|.
-    ``q[e]`` holds q1[e] in its low |E| bits and q2[e] above them, so one
-    AND with M | M << |E| counts both. One node is charged per matching.
-    """
-    pairs = g.incident_edges
-    edges = g.sorted_edges
-    near = [0] * g.n  # each vertex's neighbours, as a vertex mask
-    for a, u in edges:
-        near[a] |= 1 << u
-        near[u] |= 1 << a
-    width = len(edges)
-    q = []
-    for a, u in edges:
-        once = twice = 0
-        # Each f = bw with u ~ w and a ~ b, once per way to place it so.
-        for w, _ in pairs[u]:
-            if w != a:
-                for b, f in pairs[w]:
-                    if b != u and near[a] >> b & 1:
-                        bit = 1 << f
-                        twice |= once & bit
-                        once |= bit
-        q.append(once | twice << width)
-    out = []
-    for m in pms:
-        budget.tick()
-        both = m | m << width
-        double = 0  # 2·p(m), over m's edges read off low bit first
-        rest = m
-        while rest:
-            low = rest & -rest
-            double += (both & q[low.bit_length() - 1]).bit_count()
-            rest ^= low
-        out.append(double // 2)
-    return out
-
-
 def _four_cycle_bound(g: Graph, m: Matching, size: int) -> list[int]:
     """A lower bound on m's lexicographically smallest cover, of ``size`` = af(G, m).
 
@@ -633,8 +586,8 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
        sides {uw, ab} of these cycles are disjoint pairs, and every cover
        holds an edge of each. Alternating cycles that share no free edge
        need one cover edge each, so M's pair count p(M) is at most
-       af(G, M), and the same across an orbit. ``_pair_counts`` takes it
-       for every PM.
+       af(G, M), and the same across an orbit. The walk that lists the
+       PMs sums it for each one as it builds the list.
 
        The PM M0 least in (p(M), index) is solved first, without a
        bound, to the value B. Only the PMs with p(M) < B can have a
@@ -691,8 +644,8 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     it cannot pay back; each PM is then its own orbit.
 
     When the budget runs out, BudgetExceededError carries the best value
-    so far as ``upper``. While the PMs are listed or their pair counts
-    taken, both bounds stay None. While phase 1 solves a PM with pair
+    so far as ``upper``. While the PMs and their pair counts are listed,
+    both bounds stay None. While phase 1 solves a PM with pair
     count p, ``lower`` is min(best, p), or p for M0: every earlier
     representative has a value of at least best, and every PM not yet
     passed has af(G, M) >= p. While the orbits are closed or the
@@ -701,13 +654,13 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     too.
     """
     budget = budget or Budget()
-    pms = enumerate_perfect_matchings(g, budget=budget)
+    pairs: list[int] = []  # p(M) of each PM, in list order
+    pms = enumerate_perfect_matchings(g, budget=budget, four_cycles=pairs)
     if not pms:
         return AntiForcingResult(len(g.edges), frozenset(), "convention_no_pm")
     best: int | None = None
     p: int | None = None  # p(M) of the matching being solved
     try:
-        pairs = _pair_counts(g, pms, budget)
         p = min(pairs)
         first = pairs.index(p)
         solved = {first: _cover_lazily(g, pms[first], pms, budget)}  # optimal representatives

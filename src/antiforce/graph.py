@@ -81,6 +81,11 @@ class Graph:
             pairs[v].append((u, i))
         return tuple(map(tuple, pairs))
 
+    @cached_property
+    def neighbour_masks(self) -> tuple[int, ...]:
+        """For each vertex, its neighbours as a vertex mask: bit w for neighbour w."""
+        return tuple(sum([1 << w for w, _ in nbrs]) for nbrs in self.incident_edges)
+
 
 def _bfs_within(g: Graph, depth: int) -> Iterator[tuple[int, list[int], list[int]]]:
     """Each source with the vertices it reaches within ``depth`` steps, and their depths.

@@ -10,7 +10,12 @@ yields matchings in lexicographic order of their sorted edge lists, so
 uniqueness checks and witness selection are deterministic. A state of
 the walk is its set of used vertices. Many partial matchings leave the
 same set, and each set is expanded once: it keeps its completions, as a
-list of masks or, for a count, their number.
+list of masks or, for a count, their number. A state extends only when
+every piece of the graph it leaves has even order. The root checks every
+piece; a later state, by a flood fill over vertex masks, only the pieces
+that hold the free neighbours of the pair just matched, since the other
+pieces are its parent's. A listing can count each matching's
+alternating 4-cycles as it goes, one term per matched edge.
 """
 
 from __future__ import annotations
@@ -39,77 +44,134 @@ def edge_indices(mask: int) -> list[int]:
     return out
 
 
-def _components_all_even(n: int, pairs: Pairs, used: list[bool]) -> bool:
-    """Every residual component must have even order to extend to a PM."""
-    seen = [False] * n
-    for s in range(n):
-        if used[s] or seen[s]:
-            continue
-        size = 0
-        stack = [s]
-        seen[s] = True
-        while stack:
-            u = stack.pop()
-            size += 1
-            for w, _ in pairs[u]:
-                if not used[w] and not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        if size % 2:
+def _pieces_even(key: int, seeds: int, near: Sequence[int]) -> bool:
+    """Whether every piece of the residual graph holding a seed has even order.
+
+    The residual graph is the graph less the used vertices, the bits of
+    ``key``; ``near[v]`` is v's neighbours as a vertex mask. The pieces
+    holding the unused vertices ``seeds`` must have even order in total.
+    A flood fill grows one piece at a time from its lowest seed, and
+    stops once that piece holds every seed left: its order is then even,
+    as the total is.
+    """
+    while seeds:
+        front = seeds & -seeds
+        seen = key | front
+        while front and seeds & ~seen:
+            v = front & -front
+            front ^= v
+            new = near[v.bit_length() - 1] & ~seen
+            seen |= new
+            front |= new
+        if not seeds & ~seen:
+            return True
+        if (seen ^ key).bit_count() % 2:
             return False
+        seeds &= ~seen
+        key = seen
     return True
+
+
+def _pair_row(a: int, u: int, pairs: Pairs, near: Sequence[int], width: int) -> int:
+    """The edges above a that close alternating 4-cycles with au, both matched.
+
+    For matched edges e = au and f = bw, the alternating 4-cycles through
+    both number q(e, f): one when uw and ab are edges, one when ub and aw
+    are. The row holds q1, the edges f with q(e, f) >= 1, in its low
+    ``width`` bits and q2, those with q(e, f) = 2, above them, so one AND
+    with M | M << width counts both. Only edges with both ends above a
+    are read: the walk matches au where a is the lowest unused vertex.
+    """
+    once = twice = 0
+    na = near[a]
+    # Each f = bw with u ~ w and a ~ b, once per way to place it so.
+    for w, _ in pairs[u]:
+        if w > a:
+            for b, f in pairs[w]:
+                if b > a and b != u and na >> b & 1:
+                    bit = 1 << f
+                    twice |= once & bit
+                    once |= bit
+    return once | twice << width
+
+
+def _counts_with(sub: list[Matching], known: list[int], row: int, width: int) -> list[int]:
+    """The 4-cycle counts ``known`` of completions ``sub``, plus those through a new edge.
+
+    ``row`` is the new edge's ``_pair_row``, ``width`` the edge count.
+    """
+    if row >> width:  # an edge closes two 4-cycles with the new one
+        return [p + ((c | c << width) & row).bit_count() for c, p in zip(sub, known)]
+    if row:
+        return [p + (c & row).bit_count() for c, p in zip(sub, known)]
+    return known
 
 
 def _walk(
     key: int,
+    seeds: int,
     n: int,
     pairs: Pairs,
-    used: list[bool],
+    near: Sequence[int],
     memo: dict[int, list[Matching] | int],
     cap: float,
     listing: bool,
     tick: Callable[..., None],
+    rows: list[int | None],
+    fours: dict[int, list[int]] | None,
 ) -> list[Matching] | int:
     # The first cap completions of the residual state whose used
-    # vertices are the bits of key, mirrored in used: as edge masks, in
-    # lexicographic order, when listing, else their number. A state is
-    # expanded once: its result is kept in memo, which the caller looks
-    # up before it calls. This is a module-level function, not a
-    # closure: a closure that calls itself is a reference cycle, left
-    # behind for the cyclic collector.
-    u = ((key + 1) & ~key).bit_length() - 1  # the lowest unused vertex
-    if u == n:
+    # vertices are the bits of key: as edge masks, in lexicographic
+    # order, when listing, else their number. A state is expanded once:
+    # its result is kept in memo, which the caller looks up before it
+    # calls. seeds are the free neighbours of the pair just matched, or
+    # every vertex at the root. The parent's pieces all have even order,
+    # and each piece it loses or splits holds one of them, so the state
+    # extends only if the pieces holding seeds are even. When fours is
+    # given, it keeps each state's completions' alternating 4-cycle
+    # counts, in list order, and rows the lazily built ``_pair_row`` of
+    # each edge. This is a module-level function, not a closure: a
+    # closure that calls itself is a reference cycle, left behind for
+    # the cyclic collector.
+    a = ((key + 1) & ~key).bit_length() - 1  # the lowest unused vertex
+    if a == n:
         return [0] if listing else 1
     tick()
     out: list[Matching] | int = [] if listing else 0
-    if _components_all_even(n, pairs, used):
-        used[u] = True
-        for w, i in pairs[u]:
-            if used[w]:
+    counts: list[int] = []
+    if _pieces_even(key, seeds, near):
+        na = near[a]
+        for u, i in pairs[a]:
+            if key >> u & 1:
                 continue
-            child = key | 1 << u | 1 << w
+            child = key | 1 << a | 1 << u
             sub = memo.get(child)
             if sub is None:
-                used[w] = True
-                sub = _walk(child, n, pairs, used, memo, cap, listing, tick)
-                used[w] = False
+                seeds = (na | near[u]) & ~child
+                sub = _walk(child, seeds, n, pairs, near, memo, cap, listing, tick, rows, fours)
             if listing:
+                if fours is not None:
+                    row = rows[i]
+                    if row is None:
+                        row = rows[i] = _pair_row(a, u, pairs, near, len(rows))
+                    counts += _counts_with(sub, fours[child], row, len(rows))
                 bit = 1 << i
                 out += [bit | c for c in sub]
                 if len(out) >= cap:
-                    del out[cap:]
+                    del out[cap:], counts[cap:]
                     break
             else:
                 out += sub
                 if out >= cap:
                     out = cap
                     break
-        used[u] = False
         if listing:
             # Each matching a list gains is one node, so a pass over the
             # matchings pays one node per matching, as every pass does.
             tick(len(out))
     memo[key] = out
+    if fours is not None:
+        fours[key] = counts
     return out
 
 
@@ -118,17 +180,37 @@ def _check_cap(cap: int | None) -> None:
         raise ValueError("cap must be a positive integer or None")
 
 
-def _completions(n: int, pairs: Pairs, cap: int | None, listing: bool, budget: Budget):
+def _completions(
+    n: int,
+    pairs: Pairs,
+    near: Sequence[int],
+    cap: int | None,
+    listing: bool,
+    budget: Budget,
+    four_cycles: list[int] | None = None,
+):
     """The perfect matchings of the graph whose edges ``pairs`` lists, up to cap.
 
-    A list of edge masks when ``listing``, else their number. The memo
-    lives for one call, so it is dropped when the answer returns.
+    ``near`` holds each vertex's neighbours in ``pairs`` as a vertex
+    mask. A list of edge masks when ``listing``, else their number. A
+    listing given ``four_cycles`` appends each matching's alternating
+    4-cycle count to it, in list order. The memo lives for one call, so
+    it is dropped when the answer returns.
     """
     _check_cap(cap)
     if n % 2:
         return [] if listing else 0
     limit = math.inf if cap is None else cap
-    return _walk(0, n, pairs, [False] * n, {}, limit, listing, budget.tick)
+    everyone = (1 << n) - 1
+    rows: list[int | None] = []
+    fours: dict[int, list[int]] | None = None
+    if four_cycles is not None:
+        rows = [None] * (sum(map(len, pairs)) // 2)
+        fours = {everyone: [0]}
+    out = _walk(0, everyone, n, pairs, near, {}, limit, listing, budget.tick, rows, fours)
+    if fours is not None:
+        four_cycles += fours[0]
+    return out
 
 
 def has_perfect_matching(g: Graph, budget: Budget | None = None) -> bool:
@@ -138,26 +220,35 @@ def has_perfect_matching(g: Graph, budget: Budget | None = None) -> bool:
     one whose odd components appear only deep in the search (K_2k joined
     to a star K_1,3 by one edge, say) costs one node per reachable set
     rather than one per path to it; that is still exponential in the
-    worst case. Every expanded state is charged to ``budget``, so under a
-    capped one the question never runs unbounded. Here and in every
-    other solver entry point, no budget means a fresh uncapped ``Budget()``.
+    worst case. A set's parity check fills only the pieces next to the
+    pair just matched, and stops once one piece holds all its free
+    neighbours, so on a path or a dense graph it reads a few vertex
+    masks, not the whole graph. Every expanded state is charged to
+    ``budget``, so under a capped one the question never runs unbounded.
+    Here and in every other solver entry point, no budget means a fresh
+    uncapped ``Budget()``.
     """
-    return _completions(g.n, g.incident_edges, 1, False, budget or Budget()) > 0
+    return _completions(g.n, g.incident_edges, g.neighbour_masks, 1, False, budget or Budget()) > 0
 
 
 def enumerate_perfect_matchings(
-    g: Graph, cap: int | None = None, budget: Budget | None = None
+    g: Graph,
+    cap: int | None = None,
+    budget: Budget | None = None,
+    four_cycles: list[int] | None = None,
 ) -> list[Matching]:
     """All perfect matchings as edge masks, lexicographic by sorted edge list.
 
     ``cap`` stops the enumeration after that many matchings; None means
-    unbounded. The list is the first ``cap`` of the full one.
+    unbounded. The list is the first ``cap`` of the full one. Given a
+    list ``four_cycles``, the walk appends to it each listed matching's
+    number of alternating 4-cycles, in list order, so a cap cuts both.
     """
     _check_cap(cap)  # before the gate, which answers a graph without a PM itself
     budget = budget or Budget()
     if not has_perfect_matching(g, budget):
         return []
-    return _completions(g.n, g.incident_edges, cap, True, budget)
+    return _completions(g.n, g.incident_edges, g.neighbour_masks, cap, True, budget, four_cycles)
 
 
 def count_pms_excluding(
@@ -181,10 +272,14 @@ def count_pms_excluding(
     if extra:
         raise ValueError(f"edges not in graph: {sorted(extra)}")
     gone = {g.edge_index[e] for e in norm}
-    pairs = g.incident_edges
+    pairs, near = g.incident_edges, g.neighbour_masks
     if gone:
         pairs = [tuple(p for p in nbrs if p[1] not in gone) for nbrs in pairs]
-    return _completions(g.n, pairs, cap, False, budget or Budget())
+        near = list(near)
+        for u, w in norm:
+            near[u] &= ~(1 << w)
+            near[w] &= ~(1 << u)
+    return _completions(g.n, pairs, near, cap, False, budget or Budget())
 
 
 def _extend(

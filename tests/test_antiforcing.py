@@ -37,7 +37,6 @@ from antiforce.antiforcing import (
     _lowest_outside,
     _min_cover_size,
     _packing_bound,
-    _pair_counts,
     _swaps,
 )
 from antiforce.matching import alternating_cycles, count_pms_excluding, edge_indices
@@ -215,9 +214,8 @@ def lookup_swaps(g, m):
 def test_swaps_equals_the_edge_lookup_count(atlas):
     family = [g for g in benchmark_family_graphs() if count_pms_excluding(g, cap=2_001) <= 2_000]
     for g in (*atlas, *benchmark_random_graphs(0), *family):
-        near = [sum(1 << u for u, _ in g.incident_edges[v]) for v in range(g.n)]
         for m in enumerate_perfect_matchings(g):
-            assert _swaps(g, m, near) == lookup_swaps(g, m), (sorted(g.edges), m)
+            assert _swaps(g, m) == lookup_swaps(g, m), (sorted(g.edges), m)
 
 
 @settings(max_examples=100, deadline=None)
@@ -607,16 +605,20 @@ def test_four_cycle_scan_agrees_with_the_walk(atlas):
 
 
 def test_pair_table_counts_the_four_cycle_pairs(atlas):
-    # p(M) from the two per-edge masks is the scan's pair count on every
-    # matching, and the pass charges one node per matching.
+    # p(M), summed by the listing walk from each matched edge's pair row,
+    # is the scan's pair count and route one's swap count on every
+    # matching. Asking for it leaves the list and the nodes charged as
+    # they are without it.
     graphs = [g for g in (*atlas, *benchmark_random_graphs(0)) if g.n % 2 == 0]
     pairs = 0
     for g in graphs:
-        pms = enumerate_perfect_matchings(g)
-        budget = Budget()
-        counts = _pair_counts(g, pms, budget)
+        plain, counted = Budget(), Budget()
+        counts: list[int] = []
+        pms = enumerate_perfect_matchings(g, budget=counted, four_cycles=counts)
+        assert pms == enumerate_perfect_matchings(g, budget=plain)
+        assert counted.nodes == plain.nodes
         assert counts == [len(_four_cycle_pairs(g, m)[0]) for m in pms]
-        assert budget.nodes == len(pms)
+        assert counts == [_swaps(g, m) for m in pms]
         pairs += sum(counts)
     assert pairs == 728 + 20848  # the atlas, then the random graphs
 

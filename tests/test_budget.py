@@ -117,8 +117,6 @@ def test_exception_carries_bounds():
 def _pass_charged(info) -> str:
     """The pass over the PMs whose own tick went past the cap, or '' for any other tick."""
     entry = info.traceback[-2]  # the frame that called Budget.tick
-    if entry.name == "_pair_counts":
-        return "pair count"
     if entry.name == "af_via_matchings":
         return "order by p(M)"
     if entry.name == "pm_orbits" and "colours" not in entry.locals:
@@ -132,14 +130,20 @@ def test_each_pass_over_the_pms_stops_at_the_node_cap():
     # C_10^2 has 22 PMs. The one with the fewest alternating 4-cycle
     # pairs, M0, has 2 and value B = 5, and the 20 PMs with fewer than 5
     # pairs are more than n, so their orbits are closed and their
-    # representatives ordered. A cap that lands inside one of the four
-    # passes over the PMs stops it there. The pair count runs before any
-    # bound exists; the other passes run once M0 is solved, with
-    # af(G) >= p(M0) and af(G) <= B.
+    # representatives ordered. The listing takes each PM's pair count as
+    # it goes, before any bound exists: a cap that lands in it raises
+    # with neither bound. A cap that lands inside one of the three
+    # passes over the PMs stops it there; they run once M0 is solved,
+    # with af(G) >= p(M0) and af(G) <= B.
     g = power(cycle(10), 2)
     listing, whole = Budget(), Budget()
     enumerate_perfect_matchings(g, budget=listing)
     af_via_matchings(g, whole)
+    for cap in range(1, listing.nodes):
+        with pytest.raises(BudgetExceededError) as info:
+            af_via_matchings(g, Budget(max_nodes=cap))
+        assert info.traceback[-2].name == "_walk"
+        assert (info.value.lower, info.value.upper) == (None, None), cap
     stopped = set()
     for cap in range(listing.nodes, whole.nodes):
         capped = Budget(max_nodes=cap)
@@ -149,9 +153,8 @@ def test_each_pass_over_the_pms_stops_at_the_node_cap():
         if where:
             stopped.add(where)
             assert capped.nodes == cap + 1
-            bounds = (None, None) if where == "pair count" else (2, 5)
-            assert (info.value.lower, info.value.upper) == bounds, where
-    assert stopped == {"pair count", "colouring", "index", "order by p(M)"}
+            assert (info.value.lower, info.value.upper) == (2, 5), where
+    assert stopped == {"colouring", "index", "order by p(M)"}
 
 
 def test_budget_is_uncapped_by_default():

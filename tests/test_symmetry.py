@@ -31,7 +31,7 @@ from antiforce import (
     path,
     power,
 )
-from antiforce.antiforcing import _lex_min_cover, _min_cover_size, _pair_counts
+from antiforce.antiforcing import _lex_min_cover, _min_cover_size
 from antiforce.symmetry import _join, _root, automorphism_generators, pm_orbits
 from conftest import benchmark_random_graphs, connected_atlas, graph_to_nx, random_connected_graph
 from criterion1_witnesses import family_instances, instance_name, load_pin, pin_entry
@@ -353,8 +353,8 @@ def test_orbits_are_closed_only_below_the_first_value(monkeypatch):
     g = power(cycle(12), 4)
     calls = counting(monkeypatch, "pm_orbits")
     assert af_via_matchings(g).value == 16
-    pms = enumerate_perfect_matchings(g)
-    pairs = _pair_counts(g, pms, Budget())
+    pairs: list[int] = []
+    pms = enumerate_perfect_matchings(g, four_cycles=pairs)
     [(_, below, _)] = calls
     assert (len(below), len(pms)) == (1522, 1716)
     assert below == [m for m, p in zip(pms, pairs) if p < 17]
