@@ -294,26 +294,40 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
 # them without a call or a filtered list. A k = 1 node's cover is the
 # lowest bit of the AND of its sets. A k = 2 node ANDs, per branch, the
 # sets the branch's element misses; when none is left, that element
-# alone covers, and no child node is charged. The tree, its covers and
-# its ticks are those of the plain recursion down to k = 0.
+# alone covers, and no child node is charged.
+#
+# A node is tight when its greedy packing holds exactly k sets. The
+# packed sets are pairwise disjoint and each needs an element, so a
+# cover of at most k elements takes exactly one element from each and
+# none outside their union ``taken``. A set s whose ``s & taken`` is a
+# single bit therefore forces that bit into every such cover, and a
+# tight node with k > 2 branches on the first forced bit alone, in
+# place of the bits of masks[0]; a k = 2 node settles each branch in
+# one pass and is left as it is. The packing is maximal, so no
+# ``s & taken`` is empty. The forced branch loses no cover, so the
+# search finds one exactly when the plain recursion does, and the
+# lexicographic refinement makes the witness independent of the cover
+# found. The forced bit need not lie in masks[0], so one search can
+# take more nodes than the plain recursion, though far fewer in sum.
 
 
-def _packing_bound(masks: Sequence[int]) -> int:
-    """Size of a greedy packing of pairwise disjoint sets: a lower bound."""
+def _packing_bound(masks: Sequence[int]) -> tuple[int, int]:
+    """A greedy packing of pairwise disjoint sets: its size, a lower bound, and its union."""
     taken = 0
     count = 0
     for s in masks:
         if not s & taken:
             count += 1
             taken |= s
-    return count
+    return count, taken
 
 
 def _exists_cover(masks: list[int], k: int, budget: Budget) -> int | None:
     """A hitting set of at most k elements as a bitmask, or None if none exists.
 
     No sets give the empty cover 0, so test the result with ``is None``.
-    The last two levels are settled in place, as the comment above says.
+    The last two levels are settled in place, and a tight node branches
+    on a forced element, as the comment above says.
     """
     if not masks:
         return 0
@@ -325,9 +339,16 @@ def _exists_cover(masks: list[int], k: int, budget: Budget) -> int | None:
         for s in masks:
             common &= s
         return common & -common or None
-    if _packing_bound(masks) > k:
+    count, taken = _packing_bound(masks)
+    if count > k:
         return None
     t = masks[0]
+    if count == k > 2:
+        for s in masks:
+            s &= taken
+            if not s & (s - 1):
+                t = s
+                break
     while t:
         low = t & -t
         if k > 2:
@@ -356,7 +377,7 @@ def _min_cover_size(
     Deepens from the packing bound. Returns None as soon as the minimum
     is known to be at least ``below``.
     """
-    k = _packing_bound(masks)
+    k = _packing_bound(masks)[0]
     while below is None or k < below:
         cover = _exists_cover(masks, k, budget)
         if cover is not None:

@@ -661,15 +661,22 @@ def test_cover_engine_matches_brute_force(sets, below, data):
 def recursive_exists_cover(masks, k, budget):
     """``_exists_cover`` as plain recursion down to k = 0, for reference.
 
-    The search under test settles its last two levels without a call; it
-    must walk this tree, return its cover and charge its ticks.
+    It branches on every element of the first set at every node, with its
+    own greedy packing count as the only prune. The search under test
+    settles its last two levels without a call and branches on a forced
+    element at a tight node: it must find a cover exactly when this does.
     """
     if not masks:
         return 0
     if k <= 0:
         return None
     budget.tick()
-    if _packing_bound(masks) > k:
+    taken = count = 0
+    for s in masks:
+        if not s & taken:
+            count += 1
+            taken |= s
+    if count > k:
         return None
     t = masks[0]
     while t:
@@ -681,32 +688,56 @@ def recursive_exists_cover(masks, k, budget):
     return None
 
 
-def assert_walks_the_recursion(masks, k, where):
+def ticks_saved_on(masks, k, where):
+    """Checks the search against the reference; returns the ticks it saves.
+
+    The search returns None exactly when the reference does, and otherwise
+    a cover of at most k elements. A forced element need not lie in the
+    first set, so one search can charge more ticks than the reference.
+    """
     ref, new = Budget(), Budget()
-    assert _exists_cover(masks, k, new) == recursive_exists_cover(masks, k, ref), where
-    assert new.nodes == ref.nodes, where
+    want = recursive_exists_cover(masks, k, ref)
+    found = _exists_cover(masks, k, new)
+    assert (found is None) == (want is None), where
+    if found is not None:
+        assert found.bit_count() <= max(k, 0), where  # no sets give 0 at any k
+        assert all(s & found for s in masks), where
+    return ref.nodes - new.nodes
 
 
 @settings(max_examples=300, deadline=None)
 @given(set_systems)
-def test_cover_search_walks_the_recursion_on_set_systems(sets):
+def test_cover_search_agrees_with_the_recursion_on_set_systems(sets):
     masks = encode(sets)
     for k in range(ELEMENTS + 2):
-        assert_walks_the_recursion(masks, k, (sets, k))
+        ticks_saved_on(masks, k, (sets, k))
 
 
-def test_cover_search_walks_the_recursion_on_seed_families(atlas):
+def test_cover_search_branches_on_a_forced_element():
+    # The pairs {0, 1}, {2, 3}, {4, 5} pack three sets at k = 3, so every
+    # cover lies in their union and {1, 6} forces 1. The plain recursion
+    # tries 0 first and fails below it; the search takes 1 at once.
+    masks = [bits([0, 1]), bits([2, 3]), bits([4, 5]), bits([1, 6])]
+    assert _packing_bound(masks) == (3, bits(range(6)))
+    budget = Budget()
+    assert _exists_cover(masks, 3, budget) == bits([1, 2, 4])
+    assert budget.nodes == 3
+    assert ticks_saved_on(masks, 3, "forced") == 1
+
+
+def test_cover_search_agrees_with_the_recursion_on_seed_families(atlas):
     # Each PM's seed family at its minimum, where a cover is found, and
-    # one below it, where the whole tree is walked and none is.
-    settled = 0
+    # one below it, where the whole tree is walked and none is. Over the
+    # corpus, the forced branch charges fewer ticks than the reference.
+    settled = saved = 0
     for g in (*atlas, *benchmark_random_graphs(0)):
         for m in enumerate_perfect_matchings(g):
             family = sorted(alternating_cycles(g, m, longest=SEED_LENGTH), key=int.bit_count)
             value = _min_cover_size(family, Budget())[0]
             for k in (value, value - 1):
-                assert_walks_the_recursion(family, k, (sorted(g.edges), m, k))
+                saved += ticks_saved_on(family, k, (sorted(g.edges), m, k))
             settled += value >= 2
-    assert settled
+    assert settled and saved > 0
 
 
 @settings(max_examples=40, deadline=None)
