@@ -34,16 +34,21 @@ matchings whose count equals the value, in order of a cheap lower bound
 on each one's smallest cover, and stops once that bound passes the
 witness in hand. The witness starts as a cover phase 1 solved. A
 sharper bound, from the matching's alternating 4-cycles, skips a
-matching before it is solved. The orbits are only searched for when
-more matchings than vertices would be closed: the search costs about
-one refinement per vertex, which fewer matchings cannot pay back.
+matching before it is solved. In a tight graph, where the first
+matching's value equals its count, no orbit is closed, and each other
+matching's 4-cycles alone already need the value: its refinement starts
+from them, with no cycle walk and no solve. The orbits are only
+searched for when more matchings than vertices would be closed: the
+search costs about one refinement per vertex, which fewer matchings
+cannot pay back.
 
 Neither phase lists all of a matching's alternating cycles. Both start
-from the free sides of its short cycles, cover them, and check the
-cover against the enumerated perfect matchings. Each matching the cover
-misses adds its difference from M, and the cover is sought again, until
-M is the only matching left (constraint generation for implicit hitting
-sets; Moreno-Centeno and Karp, Oper. Res. 61(2), 2013).
+from the free sides of its short cycles (or of its 4-cycles alone, in a
+tight graph's phase 2), cover them, and check the cover against the
+enumerated perfect matchings. Each matching the cover misses adds its
+difference from M, and the cover is sought again, until M is the only
+matching left (constraint generation for implicit hitting sets;
+Moreno-Centeno and Karp, Oper. Res. 61(2), 2013).
 
 Convention: a graph with no perfect matching gets af = |E| with an empty
 witness, tagged method "convention_no_pm".
@@ -492,9 +497,11 @@ def _lex_min_lazily(
     """M's lexicographically smallest cover, as ``_lex_min_cover`` gives it.
 
     ``m`` is M, and ``pms`` every perfect matching. ``family`` has
-    minimum ``value`` = af(G, M), and ``cover`` is a cover of it of that
-    size. The family is grown until its smallest cover leaves M unique;
-    the proof is in ``af_via_matchings``.
+    minimum ``value`` <= af(G, M), and ``cover`` is a cover of it of that
+    size. The family is grown until its smallest cover leaves M unique.
+    Returns None, dropping M, once the grown family has no cover of size
+    ``value``: af(G, M) > value then. The proof is in
+    ``af_via_matchings``.
     """
     while True:
         picks = _lex_min_cover(family, value, cover, budget, beat)
@@ -505,7 +512,8 @@ def _lex_min_lazily(
             return picks
         family = _grown(family, missed)
         found = _exists_cover(family, value, budget)
-        assert found is not None, "a true cover of size af(G, M) covers every family"
+        if found is None:  # af(G, M) > value
+            return None
         cover = found
 
 
@@ -530,10 +538,15 @@ def af_of_matching(g: Graph, m: Matching, budget: Budget | None = None) -> Match
 
 def _lowest_outside(g: Graph, m: Matching, size: int) -> list[int]:
     """The ``size`` smallest edge indices of g outside m."""
-    return edge_indices(~m & ((1 << len(g.sorted_edges)) - 1))[:size]
+    free = rest = ~m & ((1 << len(g.sorted_edges)) - 1)
+    for _ in range(size):
+        rest &= rest - 1
+    return edge_indices(free ^ rest)
 
 
-def _four_cycle_pairs(g: Graph, m: Matching) -> tuple[list[int], list[int]]:
+def _four_cycle_pairs(
+    g: Graph, m: Matching, sides: list[int] | None = None
+) -> tuple[list[int], list[int]]:
     """The edges outside m, split by m-alternating 4-cycles.
 
     A free edge uw closes the m-alternating 4-cycle u-w-b-a-u, with a and
@@ -541,7 +554,8 @@ def _four_cycle_pairs(g: Graph, m: Matching) -> tuple[list[int], list[int]]:
     then one of a family of disjoint pairs, and every cover holds an edge
     of each. Returns the smaller edge index of each pair, and the indices
     of every other edge outside m, both ascending. The pair count is at
-    most af(G, m); the proof is in ``af_via_matchings``.
+    most af(G, m); the proof is in ``af_via_matchings``. Given ``sides``,
+    appends each pair's free side to it as an edge mask, in the same order.
     """
     edges = g.sorted_edges
     index = g.edge_index
@@ -558,19 +572,24 @@ def _four_cycle_pairs(g: Graph, m: Matching) -> tuple[list[int], list[int]]:
         j = index.get((a, b) if a < b else (b, a))
         if j is not None and j > i:
             smaller.append(i)
+            if sides is not None:
+                sides.append(1 << i | 1 << j)
         else:
             other.append(i)
     return smaller, other
 
 
-def _four_cycle_bound(g: Graph, m: Matching, size: int) -> list[int]:
+def _four_cycle_bound(
+    g: Graph, m: Matching, size: int, sides: list[int] | None = None
+) -> list[int]:
     """A lower bound on m's lexicographically smallest cover, of ``size`` = af(G, m).
 
     The smaller edge of each alternating 4-cycle pair, together with the
     ``size`` - #pairs smallest other edges outside m; the proof is in
-    ``af_via_matchings``.
+    ``af_via_matchings``. ``sides`` gets the pairs' free sides, as in
+    ``_four_cycle_pairs``.
     """
-    smaller, other = _four_cycle_pairs(g, m)
+    smaller, other = _four_cycle_pairs(g, m, sides)
     fill = size - len(smaller)
     assert fill >= 0, "more disjoint alternating 4-cycles than af(G, m)"
     return sorted(smaller + other[:fill])
@@ -631,6 +650,29 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
        its own short cycles when visited, so that its family's minimum
        is ``value`` when the refinement starts. A PM with p(M) = value
        is dropped when that proves af(G, M) > value.
+
+       A tight graph, one with p(M0) = B, closes no orbit, so every
+       candidate other than M0 has p(M) = value. There the refinement
+       starts from the pairs instead, with no walk and no solve. They
+       are p(M) disjoint 2-sets, so every cover of them holds at least
+       p(M) = value edges, and their smaller edges cover them with that
+       many: the family's minimum is the value. Those edges are L4(M)
+       below, which has no fill when p(M) = value. A cover of that size
+       holds one edge of each pair, at least the pair's smaller edge, so
+       L4(M) is its lexicographically smallest cover. The family then
+       grows as above. Every true cover meets every family, so once the
+       grown family has no cover of size value, af(G, M) > value and M
+       is dropped; a PM with af(G, M) = value never is for that reason,
+       since its true covers of that size cover every family. Each such
+       start is charged one budget node.
+
+       A non-tight graph keeps the walk. There most candidates with
+       p(M) = value are not optimal: 465 of C_20^4's 467 have
+       af(G, M) > value. The walk rejects each from its short cycles
+       with no scan of the PMs. The pairs start rejects it only after
+       scans that add about 3,200 missed sets from C_20^4's 154,592 PMs;
+       started so, C_20^4 took 10.01 s against the walk's 5.42 s on a
+       2-core Xeon.
 
        Let L(M) be the ``value`` smallest edge indices not in M. A cover
        of M is a ``value``-subset of the edges outside M, and the i-th
@@ -718,12 +760,20 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
                 continue
             if _lowest_outside(g, pms[i], best) > witness:
                 break
-            if _four_cycle_bound(g, pms[i], best) > witness:
+            sides: list[int] = []
+            bound = _four_cycle_bound(g, pms[i], best, sides)
+            if bound > witness:
                 continue
-            found = solved.get(i) or _cover_lazily(g, pms[i], pms, budget, best + 1)
-            if found is None:  # p(M) = best < af(G, M)
-                assert orbit[i] not in solved, "an orbit shares its representative's value"
-                continue
+            if i in solved:
+                found = solved[i]
+            elif not below:  # tight: p(M) = best, and L4(M) covers the pairs
+                budget.tick()
+                found = sides, best, sum(1 << e for e in bound)
+            else:
+                found = _cover_lazily(g, pms[i], pms, budget, best + 1)
+                if found is None:  # p(M) = best < af(G, M)
+                    assert orbit[i] not in solved, "an orbit shares its representative's value"
+                    continue
             picks = _lex_min_lazily(pms[i], pms, *found, budget, witness)
             if picks is not None:
                 witness = picks

@@ -453,9 +453,12 @@ def full_family(g, m):
 
 def test_lazy_loop_equals_the_full_cycle_family(atlas):
     # Per PM, the family grown from the short cycles gives the value and
-    # the lexicographically smallest cover that all cycles give.
+    # the lexicographically smallest cover that all cycles give. Started
+    # instead from M's p(M) alternating 4-cycle pairs, with the smaller
+    # edge of each pair as the cover, the loop gives that same cover when
+    # p(M) = af(G, M) and drops M (None) when p(M) < af(G, M).
     graphs = [g for g in (*atlas, *benchmark_random_graphs(0)) if g.n % 2 == 0]
-    grown = checked = 0
+    grown = checked = paired = dropped = 0
     for g in graphs:
         pms = enumerate_perfect_matchings(g)
         for m in pms:
@@ -470,7 +473,18 @@ def test_lazy_loop_equals_the_full_cycle_family(atlas):
             seed = alternating_cycles(g, m, longest=SEED_LENGTH)
             grown += len(family) > len(seed)
             checked += 1
+            sides: list[int] = []
+            smaller = _four_cycle_pairs(g, m, sides)[0]
+            p = len(sides)
+            picks = _lex_min_lazily(m, pms, sides, p, bits(smaller), Budget(), None)
+            if p == value:
+                assert picks == smallest, (sorted(g.edges), m)
+                paired += 1
+            else:
+                assert picks is None, (sorted(g.edges), m)
+                dropped += 1
     assert grown and checked > 5000
+    assert paired and dropped
 
 
 def test_lazy_family_keeps_the_walk_order(atlas):

@@ -302,31 +302,33 @@ def counting(monkeypatch, name):
 
 def test_orbits_save_cycle_passes(monkeypatch):
     # K_8's 105 matchings form one orbit: phase 1 makes one cycle pass.
-    # Phase 2 makes one more and refines that member, the last matching;
-    # the two other members it visits have a 4-cycle bound above that
-    # witness and are skipped before their cycle pass.
+    # K_8 is tight, so phase 2 refines that member, the last matching,
+    # from its 4-cycle pairs with no cycle pass; the two other members it
+    # visits have a 4-cycle bound above that witness and are skipped.
     cycles = counting(monkeypatch, "alternating_cycles")
     assert af_via_matchings(complete(8)).value == 12
-    assert len(cycles) == 2
+    assert len(cycles) == 1
 
 
 def test_four_cycle_bound_skips_refinements(monkeypatch):
     # On K_10, phase 2 visits 15 of the 945 members of the one orbit, and
-    # skips all but the first by their 4-cycle bound.
+    # skips all but the first by their 4-cycle bound. K_10 is tight, so
+    # that one is refined from its 4-cycle pairs, with no cycle pass.
     cycles = counting(monkeypatch, "alternating_cycles")
     refined = counting(monkeypatch, "_lex_min_cover")
     assert af_via_matchings(complete(10)).value == 20
-    assert (len(cycles), len(refined)) == (2, 1)
+    assert (len(cycles), len(refined)) == (1, 1)
 
 
 def test_phase_one_stops_at_pair_count(monkeypatch):
     # On P_10^4 the matching with the fewest alternating 4-cycle pairs
     # has 6 of them and the optimal value 6. No matching has fewer, so
     # no orbit is closed and phase 1 makes that one cycle pass, where in
-    # index order it made 57; phase 2 makes one more.
+    # index order it made 57; phase 2 refines from 4-cycle pairs and
+    # makes none.
     cycles = counting(monkeypatch, "alternating_cycles")
     assert af_via_matchings(power(path(10), 4)).value == 6
-    assert len(cycles) == 2
+    assert len(cycles) == 1
 
 
 @pytest.mark.parametrize(
