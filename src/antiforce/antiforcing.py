@@ -288,12 +288,12 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
 # refinement starts from it.
 #
 # Invariant: every mask list the engine handles is duplicate-free and
-# sorted by size (bit count). Filtering keeps a list sorted, so lists are
-# sorted only where masks are gathered: from the cycles of a matching and
-# when a family grows. masks[0] is then a smallest set, which makes it
-# the branching pivot, and the greedy packing takes sets smallest first.
-# A matching's cycles have distinct free sides; ties in size keep the
-# walk's order.
+# sorted by size (bit count). alternating_cycles hands a matching's
+# cycles over sorted, with ties in size in the walk's order, and
+# filtering keeps a list sorted, so lists are sorted only when a family
+# grows. masks[0] is then a smallest set, which makes it the branching
+# pivot, and the greedy packing takes sets smallest first. A matching's
+# cycles have distinct free sides.
 #
 # Most search nodes sit at the last two levels, so _exists_cover settles
 # them without a call or a filtered list. A k = 1 node's cover is the
@@ -474,7 +474,7 @@ def _cover_lazily(
     as af(G, M) is known to be at least ``below``; the proof is in
     ``af_via_matchings``.
     """
-    family = sorted(alternating_cycles(g, m, budget, SEED_LENGTH), key=int.bit_count)
+    family = alternating_cycles(g, m, budget, SEED_LENGTH)
     while True:
         found = _min_cover_size(family, budget, below)
         if found is None:
@@ -528,10 +528,12 @@ def af_of_matching(g: Graph, m: Matching, budget: Budget | None = None) -> Match
     cycles = alternating_cycles(g, m, budget)
     edges = g.sorted_edges
     # Each vertex of an m-alternating cycle meets the cycle's m-edge there.
+    # A cycle's two sides have the same size, so the matched sides come
+    # sorted as the cycles do.
     ends = [{v for i in edge_indices(c) for v in edges[i]} for c in cycles]
     matched = dict.fromkeys(sum(1 << i for i in edge_indices(m) if edges[i][0] in e) for e in ends)
-    af = _min_cover_size(sorted(cycles, key=int.bit_count), budget)
-    f = _min_cover_size(sorted(matched, key=int.bit_count), budget)
+    af = _min_cover_size(cycles, budget)
+    f = _min_cover_size(list(matched), budget)
     assert af is not None and f is not None
     return MatchingAnalysis(af[0], f[0])
 

@@ -56,6 +56,13 @@ class Budget:
         self._node_cap = sys.maxsize if self.max_nodes == math.inf else int(self.max_nodes)
         self._check_at = min(256, self._node_cap + 1)
 
+    def until_check(self) -> int:
+        """The charge that reaches the next check, at least 1.
+
+        A smaller one checks nothing; this one checks as ticks per node would.
+        """
+        return max(self._check_at - self.nodes, 1)
+
     def tick(self, nodes: int = 1) -> None:
         """Charge ``nodes`` nodes; raise once either cap is exhausted."""
         self.nodes += nodes

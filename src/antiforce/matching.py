@@ -15,7 +15,11 @@ every piece of the graph it leaves has even order. The root checks every
 piece; a later state, by a flood fill over vertex masks, only the pieces
 that hold the free neighbours of the pair just matched, since the other
 pieces are its parent's. A listing can count each matching's
-alternating 4-cycles as it goes, one term per matched edge.
+alternating 4-cycles as it goes, one term per matched edge. The
+alternating-cycle walk hands its cycles over shortest first, in walk
+order within a length. Its first levels charge their nodes in bulk,
+yet the budget gets the same nodes and checks its caps at the same
+ones as with a tick per node.
 """
 
 from __future__ import annotations
@@ -322,17 +326,22 @@ def _extend(
 def alternating_cycles(
     g: Graph, m: Matching, budget: Budget | None = None, longest: int | None = None
 ) -> list[int]:
-    """All simple m-alternating cycles, one copy each, as their free sides.
+    """All simple m-alternating cycles, one copy each, as their free sides, shortest first.
 
     ``m`` is a perfect matching of g as the walk lists it; any
     other mask raises ValueError. A cycle is the mask of its edges
     outside m, and no two cycles share one. Each cycle is found once:
     traversal starts at its minimum vertex and leaves along the matched
-    edge, which fixes both rotation and reflection. The walk reads each vertex's ``g.incident_edges``
-    through one array of mates. ``longest`` caps the cycle length, in
-    edges: the walk stops extending a path that could only close a
-    longer cycle, so the result is the uncapped list, in the same order,
-    without the cycles longer than ``longest``. None means no cap.
+    edge, which fixes both rotation and reflection. The walk reads each
+    vertex's ``g.incident_edges`` through one array of mates. Cycles of
+    the same length keep the walk's order, so the list is the walk's,
+    stably sorted by size. ``longest`` caps the cycle length, in edges:
+    the walk stops extending a path that could only close a longer
+    cycle, so the result is the uncapped list, in the same order,
+    without the cycles longer than ``longest``. None means no cap. The
+    first three levels below each start are one loop nest, which charges
+    the budget in bulk, as the module docstring says; ``_extend``
+    recurses below them.
     """
     edges = g.sorted_edges
     mate = [-1] * g.n
@@ -359,16 +368,76 @@ def alternating_cycles(
     # s has closed a cycle of length >= 4.
     closing = [0] * g.n
     pairs = g.incident_edges
-    tick = (budget or Budget()).tick
-    out: list[int] = []
+    budget = budget or Budget()
+    tick = budget.tick
+    # The cycles with two free edges, with three, and with more.
+    two: list[int] = []
+    three: list[int] = []
+    more: list[int] = []
+    # The nest counts its nodes down in ``left`` to the budget's next
+    # check, and charges the ``step`` nodes counted there, so the caps
+    # are checked at the node where a tick per node would check them.
+    step = left = budget.until_check()
     for s in range(g.n):
         t = mate[s]
-        if t > s:
-            blocked[s] = blocked[t] = True
-            for w, i in pairs[s]:
-                if w != t:
-                    closing[w] = 1 << i
-            _extend(t, 0, room, pairs, mate, closing, blocked, tick, out)
-            for w, _ in pairs[s]:
-                closing[w] = 0
-    return out
+        if t < s:
+            continue
+        blocked[s] = blocked[t] = True
+        for w, i in pairs[s]:
+            if w != t:
+                closing[w] = 1 << i
+        if room < 3:
+            _extend(t, 0, room, pairs, mate, closing, blocked, tick, more)
+        else:
+            left -= 1  # the start t
+            if not left:
+                tick(step)
+                step = left = budget.until_check()
+            for w1, i1 in pairs[t]:
+                if blocked[w1]:
+                    continue
+                m1 = mate[w1]
+                left -= 1
+                if not left:
+                    tick(step)
+                    step = left = budget.until_check()
+                f1 = 1 << i1
+                if closing[m1]:
+                    two.append(f1 | closing[m1])
+                blocked[w1] = blocked[m1] = True
+                for w2, i2 in pairs[m1]:
+                    if blocked[w2]:
+                        continue
+                    m2 = mate[w2]
+                    left -= 1
+                    if not left:
+                        tick(step)
+                        step = left = budget.until_check()
+                    f2 = f1 | 1 << i2
+                    if closing[m2]:
+                        three.append(f2 | closing[m2])
+                    blocked[w2] = blocked[m2] = True
+                    if room == 3:  # the last matched edge: a path can only close
+                        for w3, i3 in pairs[m2]:
+                            if not blocked[w3] and closing[mate[w3]]:
+                                more.append(f2 | 1 << i3 | closing[mate[w3]])
+                    else:
+                        tick(step - left)  # _extend ticks per node
+                        for w3, i3 in pairs[m2]:
+                            if blocked[w3]:
+                                continue
+                            m3 = mate[w3]
+                            blocked[w3] = blocked[m3] = True
+                            free = f2 | 1 << i3
+                            _extend(m3, free, room - 3, pairs, mate, closing, blocked, tick, more)
+                            blocked[w3] = blocked[m3] = False
+                        step = left = budget.until_check()
+                    blocked[w2] = blocked[m2] = False
+                blocked[w1] = blocked[m1] = False
+        for w, _ in pairs[s]:
+            closing[w] = 0
+    if left < step:
+        tick(step - left)
+    if room != 3:
+        more.sort(key=int.bit_count)
+    return two + three + more

@@ -83,6 +83,42 @@ def test_clock_is_read_only_where_the_count_crosses_a_multiple_of_256(monkeypatc
     assert reads == crossed == [555, 768, 1024, 2155]
 
 
+def test_until_check_is_the_charge_that_checks_as_a_tick_per_node(monkeypatch):
+    # From any state, the count until_check returns, less one, charges
+    # without a check; the last node then checks as a tick per node does:
+    # it raises at node cap + 1 when that is the checkpoint, and else
+    # reads the clock once. A spent budget raises on its next node.
+    reads = []
+    monotonic = time.monotonic
+
+    def counted():
+        reads.append(1)
+        return monotonic()
+
+    monkeypatch.setattr(time, "monotonic", counted)
+    for cap in (1, 5, 255, 256, 300, 1_000, math.inf):
+        for charged in (0, 1, 200, 255, 256, 300, 700, 1_000, 1_001):
+            b = Budget(max_nodes=cap, max_seconds=60.0)
+            try:
+                b.tick(charged)
+            except BudgetExceededError:
+                pass
+            spent = b.nodes > cap
+            reads.clear()
+            left = b.until_check()
+            assert left >= 1 and (left == 1 or not spent)
+            if left > 1:
+                b.tick(left - 1)
+            assert not reads, (cap, charged)
+            if b.nodes == cap or spent:
+                with pytest.raises(BudgetExceededError, match="node"):
+                    b.tick()
+                assert spent or b.nodes == cap + 1
+            else:
+                b.tick()
+                assert len(reads) == 1 and b.nodes % 256 == 0, (cap, charged)
+
+
 def test_invalid_caps():
     with pytest.raises(ValueError):
         Budget(max_nodes=0)

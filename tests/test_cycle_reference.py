@@ -4,17 +4,22 @@ The reference below is the walk as it stood when each call first built
 ``steps``, a table of (neighbour, neighbour's mate, edge index) for
 every free edge at every vertex, and validated the mask on its own. The
 walk in the package reads ``g.incident_edges`` through its mate array
-instead. Its cycles must be the reference's, in the same order, and
-both must charge the budget the same nodes: the search trees are one.
+instead, and hands its cycles over shortest first. Its cycles must be
+the reference's, stably sorted by size, and both must charge the budget
+the same nodes, checking the caps at the same ones: the search trees
+are one.
 """
 
 import pytest
 
+import antiforce.budget
 from antiforce import (
     Budget,
     BudgetExceededError,
     alternating_cycles,
+    cycle,
     enumerate_perfect_matchings,
+    power,
 )
 from antiforce.matching import edge_indices
 from conftest import benchmark_random_graphs, is_perfect_matching
@@ -69,7 +74,7 @@ def ref_alternating_cycles(g, m, budget, longest=None):
 
 def test_walk_is_the_step_table_walk(atlas):
     # Every PM of every even atlas graph and random benchmark graph (seed
-    # 0): the same cycles in the same order and the same nodes; then,
+    # 0): the reference's cycles stably sorted by size, and the same nodes; then,
     # under a node cap halfway through, both walks raise on the same tick.
     graphs = [g for g in (*atlas, *benchmark_random_graphs(0)) if g.n % 2 == 0]
     checked = 0
@@ -77,7 +82,7 @@ def test_walk_is_the_step_table_walk(atlas):
         for m in enumerate_perfect_matchings(g):
             for longest in LONGEST:
                 ref, new = Budget(), Budget()
-                want = ref_alternating_cycles(g, m, ref, longest)
+                want = sorted(ref_alternating_cycles(g, m, ref, longest), key=int.bit_count)
                 got = alternating_cycles(g, m, new, longest)
                 assert got == want, (sorted(g.edges), m, longest)
                 assert new.nodes == ref.nodes, (sorted(g.edges), m, longest)
@@ -92,3 +97,43 @@ def test_walk_is_the_step_table_walk(atlas):
                 assert new.nodes == ref.nodes == cap + 1, (sorted(g.edges), m, longest)
                 checked += 1
     assert checked > 10000
+
+
+def test_walk_hands_its_cycles_over_shortest_first(atlas):
+    # The engine takes a matching's cycles as they come: sorted by size,
+    # with ties in the walk's order, so a stable sort leaves them be.
+    for g in atlas:
+        if g.n % 2:
+            continue
+        for m in enumerate_perfect_matchings(g):
+            for longest in LONGEST:
+                got = alternating_cycles(g, m, longest=longest)
+                assert got == sorted(got, key=int.bit_count), (sorted(g.edges), m, longest)
+
+
+def test_walk_reads_the_clock_where_the_reference_does(monkeypatch):
+    # The walk charges its first levels in bulk, but it reads the clock
+    # at the node counts where a tick per node reads it. One budget runs
+    # the walks of every PM of C_12^4, uncapped and at length 8, so the
+    # multiples of 256 fall at every level of the walk.
+    g = power(cycle(12), 4)
+    pms = enumerate_perfect_matchings(g)
+    reads = {}
+    monotonic = antiforce.budget.time.monotonic
+
+    def counted():
+        if budget is not None:
+            reads[walk].append(budget.nodes)
+        return monotonic()
+
+    monkeypatch.setattr(antiforce.budget.time, "monotonic", counted)
+    for longest in (None, 8):
+        for walk in (ref_alternating_cycles, alternating_cycles):
+            budget = None
+            reads[walk] = []
+            budget = Budget()
+            for m in pms:
+                walk(g, m, budget, longest)
+        want = reads[ref_alternating_cycles]
+        assert reads[alternating_cycles] == want, longest
+        assert len(want) == budget.nodes // 256 > 100, longest
