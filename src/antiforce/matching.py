@@ -17,9 +17,9 @@ that hold the free neighbours of the pair just matched, since the other
 pieces are its parent's. A listing can count each matching's
 alternating 4-cycles as it goes, one term per matched edge. The
 alternating-cycle walk hands its cycles over shortest first, in walk
-order within a length. Its first levels charge their nodes in bulk,
-yet the budget gets the same nodes and checks its caps at the same
-ones as with a tick per node.
+order within a length. A walk of cycles of at most 8 edges charges
+its nodes in bulk, yet the budget gets the same nodes and checks its
+caps at the same ones as with a tick per node.
 """
 
 from __future__ import annotations
@@ -338,10 +338,10 @@ def alternating_cycles(
     stably sorted by size. ``longest`` caps the cycle length, in edges:
     the walk stops extending a path that could only close a longer
     cycle, so the result is the uncapped list, in the same order,
-    without the cycles longer than ``longest``. None means no cap. The
-    first three levels below each start are one loop nest, which charges
-    the budget in bulk, as the module docstring says; ``_extend``
-    recurses below them.
+    without the cycles longer than ``longest``. None means no cap. A
+    walk of cycles of at most 8 edges (a seed walk) is one loop nest,
+    which charges the budget in bulk, as the module docstring says; any
+    other walk recurses through ``_extend``.
     """
     edges = g.sorted_edges
     mate = [-1] * g.n
@@ -386,7 +386,7 @@ def alternating_cycles(
         for w, i in pairs[s]:
             if w != t:
                 closing[w] = 1 << i
-        if room < 3:
+        if room != 3:
             _extend(t, 0, room, pairs, mate, closing, blocked, tick, more)
         else:
             left -= 1  # the start t
@@ -417,21 +417,10 @@ def alternating_cycles(
                     if closing[m2]:
                         three.append(f2 | closing[m2])
                     blocked[w2] = blocked[m2] = True
-                    if room == 3:  # the last matched edge: a path can only close
-                        for w3, i3 in pairs[m2]:
-                            if not blocked[w3] and closing[mate[w3]]:
-                                more.append(f2 | 1 << i3 | closing[mate[w3]])
-                    else:
-                        tick(step - left)  # _extend ticks per node
-                        for w3, i3 in pairs[m2]:
-                            if blocked[w3]:
-                                continue
-                            m3 = mate[w3]
-                            blocked[w3] = blocked[m3] = True
-                            free = f2 | 1 << i3
-                            _extend(m3, free, room - 3, pairs, mate, closing, blocked, tick, more)
-                            blocked[w3] = blocked[m3] = False
-                        step = left = budget.until_check()
+                    # The last matched edge: a path can only close.
+                    for w3, i3 in pairs[m2]:
+                        if not blocked[w3] and closing[mate[w3]]:
+                            more.append(f2 | 1 << i3 | closing[mate[w3]])
                     blocked[w2] = blocked[m2] = False
                 blocked[w1] = blocked[m1] = False
         for w, _ in pairs[s]:

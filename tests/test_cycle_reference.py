@@ -85,6 +85,9 @@ def test_walk_is_the_step_table_walk(atlas):
                 want = sorted(ref_alternating_cycles(g, m, ref, longest), key=int.bit_count)
                 got = alternating_cycles(g, m, new, longest)
                 assert got == want, (sorted(g.edges), m, longest)
+                # So the walk hands its cycles over shortest first, with
+                # ties in walk order: a stable sort by size leaves them be.
+                assert got == sorted(got, key=int.bit_count), (sorted(g.edges), m, longest)
                 assert new.nodes == ref.nodes, (sorted(g.edges), m, longest)
                 cap = ref.nodes // 2
                 if not cap:
@@ -99,23 +102,11 @@ def test_walk_is_the_step_table_walk(atlas):
     assert checked > 10000
 
 
-def test_walk_hands_its_cycles_over_shortest_first(atlas):
-    # The engine takes a matching's cycles as they come: sorted by size,
-    # with ties in the walk's order, so a stable sort leaves them be.
-    for g in atlas:
-        if g.n % 2:
-            continue
-        for m in enumerate_perfect_matchings(g):
-            for longest in LONGEST:
-                got = alternating_cycles(g, m, longest=longest)
-                assert got == sorted(got, key=int.bit_count), (sorted(g.edges), m, longest)
-
-
 def test_walk_reads_the_clock_where_the_reference_does(monkeypatch):
-    # The walk charges its first levels in bulk, but it reads the clock
-    # at the node counts where a tick per node reads it. One budget runs
-    # the walks of every PM of C_12^4, uncapped and at length 8, so the
-    # multiples of 256 fall at every level of the walk.
+    # A seed walk charges its nodes in bulk, but it reads the clock at
+    # the node counts where a tick per node reads it. One budget runs the
+    # walks of every PM of C_12^4, uncapped and at length 8, so the
+    # multiples of 256 fall at every level of the loop nest.
     g = power(cycle(12), 4)
     pms = enumerate_perfect_matchings(g)
     reads = {}
