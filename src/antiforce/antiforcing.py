@@ -50,6 +50,12 @@ difference from M, and the cover is sought again, until M is the only
 matching left (constraint generation for implicit hitting sets;
 Moreno-Centeno and Karp, Oper. Res. 61(2), 2013).
 
+The short cycles, a matching's seed family, come from a walk from the
+matching's mates (see ``matching``) or, where the list of perfect
+matchings is shorter than the walk, from that list: each short cycle
+is the matching's difference from a listed one. The first matching
+solved is walked, and its walk's node count prices a walk on the graph.
+
 Convention: a graph with no perfect matching gets af = |E| with an empty
 witness, tagged method "convention_no_pm".
 """
@@ -289,10 +295,11 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
 #
 # Invariant: every mask list the engine handles is duplicate-free and
 # sorted by size (bit count). alternating_cycles hands a matching's
-# cycles over sorted, with ties in size in the walk's order, and
-# filtering keeps a list sorted, so lists are sorted only when a family
-# grows. masks[0] is then a smallest set, which makes it the branching
-# pivot, and the greedy packing takes sets smallest first. A matching's
+# cycles over sorted, with ties in size in the walk's order, as
+# _listed_cycles does in list order, and filtering keeps a list sorted,
+# so lists are sorted only when a family grows. masks[0] is then a
+# smallest set, which makes it the branching pivot, and the greedy
+# packing takes sets smallest first. A matching's
 # cycles have distinct free sides.
 #
 # Most search nodes sit at the last two levels, so _exists_cover settles
@@ -448,6 +455,14 @@ def _lex_min_cover(
 # at most this many edges. Most representatives are rejected on it alone.
 SEED_LENGTH = 8
 
+# Route two reads a seed family off the PM list, in place of the walk,
+# when the graph has fewer PMs than this many times the nodes of its
+# first matching's walk (see ``af_via_matchings``). Timed over the 99
+# criterion-1 instances on a 2-core Xeon, a read took at most 1.02 times
+# as long as the walk below 4 PMs per walk node, 2.3 times on C_12^4
+# (14 PMs per node) and 5.5 times on K_12 (53).
+SCAN_PER_NODE = 4
+
 
 def _missed(m: Matching, pms: Sequence[Matching], cover: int) -> list[int]:
     """The free sides of M Δ M' over the other matchings M' that avoid ``cover``.
@@ -464,17 +479,53 @@ def _grown(family: list[int], missed: list[int]) -> list[int]:
     return sorted(family + missed, key=int.bit_count)
 
 
-def _cover_lazily(
-    g: Graph, m: Matching, pms: Sequence[Matching], budget: Budget, below: int | None = None
-) -> tuple[list[int], int, int] | None:
-    """af(G, M), proven from M's short cycles and the matchings they miss.
+def _listed_cycles(m: Matching, pms: Sequence[Matching], budget: Budget) -> list[int]:
+    """M's seed family read off ``pms``: the walk's sets, by size, in list order.
 
-    ``m`` is M, and ``pms`` every perfect matching. Returns the family
-    the proof grew, its minimum and a cover of that size, or None as soon
-    as af(G, M) is known to be at least ``below``; the proof is in
-    ``af_via_matchings``.
+    ``pms`` holds every perfect matching, ``m`` is M. Each M-alternating
+    cycle C of at most ``SEED_LENGTH`` edges is M Δ M' for the listed PM
+    M' = M Δ C, so its free side is M' - M, of 2, 3 or 4 edges.
+    Conversely, M Δ M' is a union of disjoint alternating cycles of at
+    least 4 edges each, so a side of 2 or 3 edges is one cycle, and one
+    of 4 edges is an 8-cycle or two 4-cycles. The 2-edge sides are M's
+    4-cycle pairs. No 8-cycle's side holds a pair, since a pair's edges
+    and their mates close a 4-cycle, so a 4-edge side is two 4-cycles
+    exactly when the pair of its lowest edge lies in it, and is dropped
+    then. One node is charged per PM read, in bulk, at the counts where
+    a tick per PM checks the caps.
     """
-    family = alternating_cycles(g, m, budget, SEED_LENGTH)
+    free = ~m
+    sides: list[list[int]] = [[], [], [], [], []]
+    start = 0
+    while start < len(pms):
+        stop = start + budget.until_check()
+        budget.tick(min(stop, len(pms)) - start)
+        for b in pms[start:stop]:
+            side = b & free
+            size = side.bit_count()
+            if size <= 4:
+                sides[size].append(side)
+        start = stop
+    two, three, four = sides[2:]
+    # Each pair, keyed by its lowest edge; -1 keeps a side with no such pair.
+    pairs = {s & -s: s for s in two}
+    return two + three + [s for s in four if pairs.get(s & -s, -1) & ~s]
+
+
+def _cover_lazily(
+    m: Matching,
+    pms: Sequence[Matching],
+    family: list[int],
+    budget: Budget,
+    below: int | None = None,
+) -> tuple[list[int], int, int] | None:
+    """af(G, M), proven from M's seed family and the matchings it misses.
+
+    ``m`` is M, ``pms`` every perfect matching, and ``family`` M's seed
+    family, sorted by size. Returns the family the proof grew, its
+    minimum and a cover of that size, or None as soon as af(G, M) is
+    known to be at least ``below``; the proof is in ``af_via_matchings``.
+    """
     while True:
         found = _min_cover_size(family, budget, below)
         if found is None:
@@ -490,31 +541,30 @@ def _lex_min_lazily(
     pms: Sequence[Matching],
     family: list[int],
     value: int,
-    cover: int,
+    picks: list[int] | None,
     budget: Budget,
     beat: Sequence[int] | None,
 ) -> list[int] | None:
     """M's lexicographically smallest cover, as ``_lex_min_cover`` gives it.
 
     ``m`` is M, and ``pms`` every perfect matching. ``family`` has
-    minimum ``value`` <= af(G, M), and ``cover`` is a cover of it of that
-    size. The family is grown until its smallest cover leaves M unique.
-    Returns None, dropping M, once the grown family has no cover of size
-    ``value``: af(G, M) > value then. The proof is in
+    minimum ``value`` <= af(G, M), and ``picks`` is its lexicographically
+    smallest cover, or None when ``_lex_min_cover`` gave up against
+    ``beat``. The family is grown until its smallest cover
+    leaves M unique. Returns None, dropping M, once the grown family has
+    no cover of size ``value``: af(G, M) > value then. The proof is in
     ``af_via_matchings``.
     """
-    while True:
-        picks = _lex_min_cover(family, value, cover, budget, beat)
-        if picks is None:
-            return None
+    while picks is not None:
         missed = _missed(m, pms, sum(1 << i for i in picks))
         if not missed:
             return picks
         family = _grown(family, missed)
-        found = _exists_cover(family, value, budget)
-        if found is None:  # af(G, M) > value
+        cover = _exists_cover(family, value, budget)
+        if cover is None:  # af(G, M) > value
             return None
-        cover = found
+        picks = _lex_min_cover(family, value, cover, budget, beat)
+    return None
 
 
 def af_of_matching(g: Graph, m: Matching, budget: Budget | None = None) -> MatchingAnalysis:
@@ -606,7 +656,16 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     grown only as far as the proof needs:
 
     - The family starts as the free sides of M's alternating cycles of
-      at most ``SEED_LENGTH`` edges.
+      at most ``SEED_LENGTH`` edges, M's seed family. The walk
+      (``alternating_cycles``) finds them from M's mates, and the list
+      read (``_listed_cycles``) takes them from the PMs M' = M Δ C, one
+      per such cycle C; both give the same sets, by size. A read charges
+      one node per PM, a walk one per node of its tree, so M0 below is
+      always walked, and its node count prices a walk on G: when G has
+      fewer PMs than ``SCAN_PER_NODE`` times that count, every later
+      seed family is read off the list. The two sources order a size's
+      sets differently, so a cover search may find another cover, but
+      neither the value nor the witness depends on the cover found.
     - A cover S of the family holds no edge of M, so M is the only PM of
       G - S exactly when every other PM meets S. The PMs are held as
       edge masks, so this is one scan. Each PM M' that misses S adds
@@ -661,20 +720,21 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
        many: the family's minimum is the value. Those edges are L4(M)
        below, which has no fill when p(M) = value. A cover of that size
        holds one edge of each pair, at least the pair's smaller edge, so
-       L4(M) is its lexicographically smallest cover. The family then
+       L4(M) is its lexicographically smallest cover, so the refinement
+       takes it as its first picks, with no search. The family then
        grows as above. Every true cover meets every family, so once the
        grown family has no cover of size value, af(G, M) > value and M
        is dropped; a PM with af(G, M) = value never is for that reason,
        since its true covers of that size cover every family. Each such
        start is charged one budget node.
 
-       A non-tight graph keeps the walk. There most candidates with
-       p(M) = value are not optimal: 465 of C_20^4's 467 have
-       af(G, M) > value. The walk rejects each from its short cycles
-       with no scan of the PMs. The pairs start rejects it only after
-       scans that add about 3,200 missed sets from C_20^4's 154,592 PMs;
-       started so, C_20^4 took 10.01 s against the walk's 5.42 s on a
-       2-core Xeon.
+       A non-tight graph keeps the seed family. There most candidates
+       with p(M) = value are not optimal: 465 of C_20^4's 467 have
+       af(G, M) > value. The seed family rejects each from its short
+       cycles with no scan of the PMs. The pairs start rejects it only
+       after scans that add about 3,200 missed sets from C_20^4's
+       154,592 PMs; started so, C_20^4 took 10.01 s against the walk's
+       5.42 s on a 2-core Xeon.
 
        Let L(M) be the ``value`` smallest edge indices not in M. A cover
        of M is a ``value``-subset of the edges outside M, and the i-th
@@ -728,7 +788,16 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     try:
         p = min(pairs)
         first = pairs.index(p)
-        solved = {first: _cover_lazily(g, pms[first], pms, budget)}  # optimal representatives
+        start = budget.nodes
+        family = alternating_cycles(g, pms[first], budget, SEED_LENGTH)
+        listed = len(pms) < SCAN_PER_NODE * (budget.nodes - start)
+
+        def seeds(m: Matching) -> list[int]:
+            if listed:
+                return _listed_cycles(m, pms, budget)
+            return alternating_cycles(g, m, budget, SEED_LENGTH)
+
+        solved = {first: _cover_lazily(pms[first], pms, family, budget)}  # optimal representatives
         best = solved[first][1]
         below = [i for i, c in enumerate(pairs) if c < best]
         orbit = list(range(len(pms)))
@@ -744,7 +813,7 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
         for p, i in order:
             if p >= best:
                 break
-            found = _cover_lazily(g, pms[i], pms, budget, best + 1)
+            found = _cover_lazily(pms[i], pms, seeds(pms[i]), budget, best + 1)
             if found is None:
                 continue
             if found[1] != best:
@@ -766,17 +835,19 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
             bound = _four_cycle_bound(g, pms[i], best, sides)
             if bound > witness:
                 continue
-            if i in solved:
-                found = solved[i]
-            elif not below:  # tight: p(M) = best, and L4(M) covers the pairs
+            if not below and i not in solved:  # tight: L4(M) is the pairs' smallest cover
                 budget.tick()
-                found = sides, best, sum(1 << e for e in bound)
+                family, picks = sides, bound
             else:
-                found = _cover_lazily(g, pms[i], pms, budget, best + 1)
+                found = solved.get(i) or _cover_lazily(
+                    pms[i], pms, seeds(pms[i]), budget, best + 1
+                )
                 if found is None:  # p(M) = best < af(G, M)
                     assert orbit[i] not in solved, "an orbit shares its representative's value"
                     continue
-            picks = _lex_min_lazily(pms[i], pms, *found, budget, witness)
+                family, _, cover = found
+                picks = _lex_min_cover(family, best, cover, budget, witness)
+            picks = _lex_min_lazily(pms[i], pms, family, best, picks, budget, witness)
             if picks is not None:
                 witness = picks
     except BudgetExceededError as exc:

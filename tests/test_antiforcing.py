@@ -24,6 +24,7 @@ from antiforce import (
     power,
 )
 import antiforce.antiforcing
+import antiforce.budget
 from antiforce.antiforcing import (
     SEED_LENGTH,
     _anti_forcing_sets,
@@ -34,6 +35,7 @@ from antiforce.antiforcing import (
     _least_packing,
     _lex_min_cover,
     _lex_min_lazily,
+    _listed_cycles,
     _lowest_outside,
     _min_cover_size,
     _packing_bound,
@@ -455,8 +457,8 @@ def test_lazy_loop_equals_the_full_cycle_family(atlas):
     # Per PM, the family grown from the short cycles gives the value and
     # the lexicographically smallest cover that all cycles give. Started
     # instead from M's p(M) alternating 4-cycle pairs, with the smaller
-    # edge of each pair as the cover, the loop gives that same cover when
-    # p(M) = af(G, M) and drops M (None) when p(M) < af(G, M).
+    # edge of each pair as the first picks, the loop gives that same
+    # cover when p(M) = af(G, M) and drops M (None) when p(M) < af(G, M).
     graphs = [g for g in (*atlas, *benchmark_random_graphs(0)) if g.n % 2 == 0]
     grown = checked = paired = dropped = 0
     for g in graphs:
@@ -465,18 +467,19 @@ def test_lazy_loop_equals_the_full_cycle_family(atlas):
             masks = full_family(g, m)
             value, found = _min_cover_size(masks, Budget())
             smallest = _lex_min_cover(masks, value, found, Budget())
-            family, size, cover = _cover_lazily(g, m, pms, Budget())
-            assert size == value, (sorted(g.edges), m)
-            assert _cover_lazily(g, m, pms, Budget(), below=value) is None
-            picks = _lex_min_lazily(m, pms, family, size, cover, Budget(), None)
-            assert picks == smallest, (sorted(g.edges), m)
             seed = alternating_cycles(g, m, longest=SEED_LENGTH)
+            family, size, cover = _cover_lazily(m, pms, seed, Budget())
+            assert size == value, (sorted(g.edges), m)
+            assert _cover_lazily(m, pms, seed, Budget(), below=value) is None
+            first = _lex_min_cover(family, size, cover, Budget())
+            picks = _lex_min_lazily(m, pms, family, size, first, Budget(), None)
+            assert picks == smallest, (sorted(g.edges), m)
             grown += len(family) > len(seed)
             checked += 1
             sides: list[int] = []
             smaller = _four_cycle_pairs(g, m, sides)[0]
             p = len(sides)
-            picks = _lex_min_lazily(m, pms, sides, p, bits(smaller), Budget(), None)
+            picks = _lex_min_lazily(m, pms, sides, p, smaller, Budget(), None)
             if p == value:
                 assert picks == smallest, (sorted(g.edges), m)
                 paired += 1
@@ -488,18 +491,99 @@ def test_lazy_loop_equals_the_full_cycle_family(atlas):
 
 
 def test_lazy_family_keeps_the_walk_order(atlas):
-    # A family that did not grow is the seed cycles' free sides, sorted by
-    # size: ties keep the order the walk yields them in.
+    # A family that did not grow is the seed family as handed over, the
+    # walk's cycles by size: ties keep the order the walk yields them in.
     kept = 0
     for g in atlas:
         pms = enumerate_perfect_matchings(g)
         for m in pms:
-            seed = sorted(alternating_cycles(g, m, longest=SEED_LENGTH), key=int.bit_count)
-            family = _cover_lazily(g, m, pms, Budget())[0]
+            seed = alternating_cycles(g, m, longest=SEED_LENGTH)
+            family = _cover_lazily(m, pms, seed, Budget())[0]
             if len(family) == len(seed):
                 assert family == seed, (sorted(g.edges), m)
                 kept += 1
     assert kept
+
+
+def test_list_read_is_the_walks_seed_family(atlas):
+    # Per PM, the seed family read off the PM list holds the walk's
+    # cycles, size by size, with no 4-edge side that is two 4-cycle
+    # pairs, and it charges one node per PM read.
+    dropped = 0
+    for g in (*atlas, *benchmark_random_graphs(1)):
+        pms = enumerate_perfect_matchings(g)
+        for m in pms:
+            budget = Budget()
+            read = _listed_cycles(m, pms, budget)
+            assert budget.nodes == len(pms)
+            walk = alternating_cycles(g, m, longest=SEED_LENGTH)
+            assert [s.bit_count() for s in read] == [s.bit_count() for s in walk]
+            assert set(read) == set(walk), (sorted(g.edges), m)
+            pairs: list[int] = []
+            _four_cycle_pairs(g, m, pairs)
+            fours = [s for s in read if s.bit_count() == 4]
+            assert not [s for s in fours for p in pairs if p & s == p], (sorted(g.edges), m)
+            dropped += sum((b & ~m).bit_count() == 4 for b in pms) - len(fours)
+    assert dropped
+
+
+@pytest.mark.parametrize("scan", [0, 10**9])
+def test_each_seed_source_gives_the_default_result(monkeypatch, atlas, scan):
+    # SCAN_PER_NODE 0 walks every seed family; 10**9 reads every one but
+    # M0's off the PM list. Either way, af_via_matchings gives the
+    # default run's value and witness on the atlas and on criterion 1.
+    graphs = [*atlas, *benchmark_family_graphs()]
+    want = [af_via_matchings(g) for g in graphs]
+    calls = []
+
+    def read(*args):
+        calls.append(args)
+        return _listed_cycles(*args)
+
+    monkeypatch.setattr(antiforce.antiforcing, "_listed_cycles", read)
+    monkeypatch.setattr(antiforce.antiforcing, "SCAN_PER_NODE", scan)
+    assert [af_via_matchings(g) for g in graphs] == want
+    assert bool(calls) == bool(scan)
+
+
+def test_list_read_charges_as_a_tick_per_pm(monkeypatch):
+    # The read charges its PMs in bulk, but a node cap inside it raises
+    # at cap + 1, and it reads the clock at the node counts where a tick
+    # per PM reads it. C_12^4 has 1,716 PMs, so one read crosses several
+    # multiples of 256, from every offset the charges before it leave.
+    g = power(cycle(12), 4)
+    pms = enumerate_perfect_matchings(g)
+    reads = []
+    monotonic = antiforce.budget.time.monotonic
+    budget = None
+
+    def counted():
+        if budget is not None:
+            reads.append(budget.nodes)
+        return monotonic()
+
+    def per_pm(m, pms, budget):
+        for _ in pms:
+            budget.tick()
+
+    monkeypatch.setattr(antiforce.budget.time, "monotonic", counted)
+    for charged in (0, 1, 100, 255, 256, 700):
+        for cap in (charged + 1, charged + 300, charged + len(pms) - 1, None):
+            got = []
+            for read in (per_pm, _listed_cycles):
+                budget = None
+                budget = Budget() if cap is None else Budget(max_nodes=cap)
+                budget.tick(charged)
+                reads.clear()
+                try:
+                    read(pms[0], pms, budget)
+                except BudgetExceededError:
+                    assert budget.nodes == cap + 1
+                else:
+                    assert cap is None and budget.nodes == charged + len(pms)
+                got.append((list(reads), budget.nodes))
+            assert got[0] == got[1], (charged, cap)
+            assert len(got[1][0]) >= 5 or cap is not None
 
 
 ELEMENTS = 10

@@ -315,7 +315,7 @@ def test_four_cycle_bound_skips_refinements(monkeypatch):
     # skips all but the first by their 4-cycle bound. K_10 is tight, so
     # that one is refined from its 4-cycle pairs, with no cycle pass.
     cycles = counting(monkeypatch, "alternating_cycles")
-    refined = counting(monkeypatch, "_lex_min_cover")
+    refined = counting(monkeypatch, "_lex_min_lazily")
     assert af_via_matchings(complete(10)).value == 20
     assert (len(cycles), len(refined)) == (1, 1)
 
