@@ -16,8 +16,8 @@ meet. Route two (af_via_matchings) minimizes, over perfect
 matchings M, the smallest set of non-M edges meeting every M-alternating
 cycle; af_of_matching also gives the forcing number of M, from the
 matched sides of the same cycles, which it alone derives.
-The two routes share nothing past the enumeration of perfect matchings,
-so their agreement is a meaningful cross-check.
+The two routes share nothing past the enumeration of perfect matchings
+and its per-edge bitsets, so their agreement is a meaningful cross-check.
 
 Route two runs in two phases. Phase 1 proves the value. Each perfect
 matching's count of alternating 4-cycles, a lower bound on its value,
@@ -48,7 +48,11 @@ tight graph's phase 2), cover them, and check the cover against the
 enumerated perfect matchings. Each matching the cover misses adds its
 difference from M, and the cover is sought again, until M is the only
 matching left (constraint generation for implicit hitting sets;
-Moreno-Centeno and Karp, Oper. Res. 61(2), 2013).
+Moreno-Centeno and Karp, Oper. Res. 61(2), 2013). A check first scans
+the list. On a graph with many matchings, once a solve has made n
+scans, it builds per-edge bitsets of the matchings once and probes
+them from then on: the matchings a cover misses are those outside
+every bitset of its edges, and only they are decoded (see ``_Probes``).
 
 The short cycles, a matching's seed family, come from a walk from the
 matching's mates (see ``matching``) or, where the list of perfect
@@ -73,6 +77,7 @@ from .matching import (
     count_pms_excluding,
     edge_indices,
     enumerate_perfect_matchings,
+    holding_masks,
 )
 from .symmetry import pm_orbits
 
@@ -263,10 +268,7 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     if not pms:
         return AntiForcingResult(len(g.edges), frozenset(), "convention_no_pm")
     edges = g.sorted_edges
-    holding = [0] * len(edges)
-    for j, m in enumerate(pms):
-        for i in edge_indices(m):
-            holding[i] |= 1 << j
+    holding = holding_masks(pms, len(edges))
     alive = (1 << len(pms)) - 1
     found: list[int] = []
     try:
@@ -334,12 +336,15 @@ def _packing_bound(masks: Sequence[int]) -> tuple[int, int]:
     return count, taken
 
 
-def _exists_cover(masks: list[int], k: int, budget: Budget) -> int | None:
+def _exists_cover(
+    masks: list[int], k: int, budget: Budget, packing: tuple[int, int] | None = None
+) -> int | None:
     """A hitting set of at most k elements as a bitmask, or None if none exists.
 
     No sets give the empty cover 0, so test the result with ``is None``.
     The last two levels are settled in place, and a tight node branches
-    on a forced element, as the comment above says.
+    on a forced element, as the comment above says. ``packing`` is the
+    root's ``_packing_bound(masks)``, when the caller has it already.
     """
     if not masks:
         return 0
@@ -351,7 +356,7 @@ def _exists_cover(masks: list[int], k: int, budget: Budget) -> int | None:
         for s in masks:
             common &= s
         return common & -common or None
-    count, taken = _packing_bound(masks)
+    count, taken = packing or _packing_bound(masks)
     if count > k:
         return None
     t = masks[0]
@@ -389,9 +394,10 @@ def _min_cover_size(
     Deepens from the packing bound. Returns None as soon as the minimum
     is known to be at least ``below``.
     """
-    k = _packing_bound(masks)[0]
+    packing = _packing_bound(masks)
+    k = packing[0]
     while below is None or k < below:
-        cover = _exists_cover(masks, k, budget)
+        cover = _exists_cover(masks, k, budget, packing)
         if cover is not None:
             return k, cover
         k += 1
@@ -464,13 +470,71 @@ SEED_LENGTH = 8
 SCAN_PER_NODE = 4
 
 
-def _missed(m: Matching, pms: Sequence[Matching], cover: int) -> list[int]:
-    """The free sides of M Δ M' over the other matchings M' that avoid ``cover``.
+# Route two probes ``holding`` in place of scanning the PM list only on a
+# graph with at least this many PMs (see ``_Probes``). Timed on the covers
+# that the criterion-1 and seed-0 ``random`` solves check, on a 2-core
+# Xeon, a probe took 1.1 to 2.1 times as long as a scan below 100 PMs,
+# 0.6 times at 100 to 200 and 0.03 times above 2,000.
+PROBE_PMS = 128
 
-    ``pms`` holds every perfect matching, ``m`` is M. Empty exactly when
-    M is the only perfect matching of G minus ``cover``.
+
+class _Scans:
+    """The matchings a cover misses, found by a scan of every one.
+
+    ``missed(m, cover)`` gives the free sides of M Δ M' over the other
+    matchings M' that avoid ``cover``, in list order. ``pms`` holds every
+    perfect matching, ``m`` is M, and the list is empty exactly when M is
+    the only perfect matching of G minus ``cover``.
     """
-    return [b & ~m for b in pms if not b & cover and b != m]
+
+    def __init__(self, pms: Sequence[Matching]) -> None:
+        self.pms = pms
+
+    def missed(self, m: Matching, cover: int) -> list[int]:
+        return [b & ~m for b in self.pms if not b & cover and b != m]
+
+
+class _Probes(_Scans):
+    """``_Scans.missed`` by ``left`` scans, then by probes of ``holding``.
+
+    ``holding[i]`` has bit j set when ``pms[j]`` holds edge i, so the
+    matchings that avoid S are the bits of ``full`` outside every
+    ``holding[i]`` with i in S: |S| big-int ORs, and only they are
+    decoded. The call after the first ``left`` builds ``holding``,
+    charging one node per matching to ``budget``. A solve picks this
+    class or ``_Scans`` once, by its PM count.
+    """
+
+    def __init__(
+        self, pms: Sequence[Matching], width: int, budget: Budget, left: int
+    ) -> None:
+        super().__init__(pms)
+        self.width = width  # the edge count of G
+        self.budget = budget
+        self.left = left
+        self.holding: list[int] | None = None
+        self.full = (1 << len(pms)) - 1
+
+    def missed(self, m: Matching, cover: int) -> list[int]:
+        if self.holding is None:
+            if self.left:
+                self.left -= 1
+                return super().missed(m, cover)
+            self.holding = holding_masks(self.pms, self.width, self.budget)
+        hit = 0
+        for i in edge_indices(cover):
+            hit |= self.holding[i]
+        # The survivors' bits as text, bit j at position j: one find per survivor.
+        bits = bin(self.full ^ hit)[:1:-1]
+        pms = self.pms
+        free = ~m
+        out = []
+        j = bits.find("1")
+        while j >= 0:
+            if pms[j] != m:
+                out.append(pms[j] & free)
+            j = bits.find("1", j + 1)
+        return out
 
 
 def _grown(family: list[int], missed: list[int]) -> list[int]:
@@ -514,23 +578,24 @@ def _listed_cycles(m: Matching, pms: Sequence[Matching], budget: Budget) -> list
 
 def _cover_lazily(
     m: Matching,
-    pms: Sequence[Matching],
+    scans: _Scans,
     family: list[int],
     budget: Budget,
     below: int | None = None,
 ) -> tuple[list[int], int, int] | None:
     """af(G, M), proven from M's seed family and the matchings it misses.
 
-    ``m`` is M, ``pms`` every perfect matching, and ``family`` M's seed
-    family, sorted by size. Returns the family the proof grew, its
-    minimum and a cover of that size, or None as soon as af(G, M) is
-    known to be at least ``below``; the proof is in ``af_via_matchings``.
+    ``m`` is M, ``scans`` the solve's checks against every perfect
+    matching, and ``family`` M's seed family, sorted by size. Returns the
+    family the proof grew, its minimum and a cover of that size, or None
+    as soon as af(G, M) is known to be at least ``below``; the proof is
+    in ``af_via_matchings``.
     """
     while True:
         found = _min_cover_size(family, budget, below)
         if found is None:
             return None
-        missed = _missed(m, pms, found[1])
+        missed = scans.missed(m, found[1])
         if not missed:
             return family, *found
         family = _grown(family, missed)
@@ -538,7 +603,7 @@ def _cover_lazily(
 
 def _lex_min_lazily(
     m: Matching,
-    pms: Sequence[Matching],
+    scans: _Scans,
     family: list[int],
     value: int,
     picks: list[int] | None,
@@ -547,7 +612,7 @@ def _lex_min_lazily(
 ) -> list[int] | None:
     """M's lexicographically smallest cover, as ``_lex_min_cover`` gives it.
 
-    ``m`` is M, and ``pms`` every perfect matching. ``family`` has
+    ``m`` is M, and ``scans`` the solve's checks. ``family`` has
     minimum ``value`` <= af(G, M), and ``picks`` is its lexicographically
     smallest cover, or None when ``_lex_min_cover`` gave up against
     ``beat``. The family is grown until its smallest cover
@@ -556,7 +621,7 @@ def _lex_min_lazily(
     ``af_via_matchings``.
     """
     while picks is not None:
-        missed = _missed(m, pms, sum(1 << i for i in picks))
+        missed = scans.missed(m, sum(1 << i for i in picks))
         if not missed:
             return picks
         family = _grown(family, missed)
@@ -797,7 +862,17 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
                 return _listed_cycles(m, pms, budget)
             return alternating_cycles(g, m, budget, SEED_LENGTH)
 
-        solved = {first: _cover_lazily(pms[first], pms, family, budget)}  # optimal representatives
+        # A build costs about n/2 scans (4 to 12 at order 10 to 20), and a
+        # probe saves 0.4 of a scan at 100 to 200 PMs and nearly a whole
+        # one above 2,000. So the build waits for n scans: a solve that
+        # scans less could not win it back. Building after n/2 put 4% on
+        # para-chain(3)^3's solve (191 PMs, 10 scans).
+        scans = (
+            _Probes(pms, len(g.sorted_edges), budget, g.n)
+            if len(pms) >= PROBE_PMS
+            else _Scans(pms)
+        )
+        solved = {first: _cover_lazily(pms[first], scans, family, budget)}  # optimal representatives
         best = solved[first][1]
         below = [i for i, c in enumerate(pairs) if c < best]
         orbit = list(range(len(pms)))
@@ -813,7 +888,7 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
         for p, i in order:
             if p >= best:
                 break
-            found = _cover_lazily(pms[i], pms, seeds(pms[i]), budget, best + 1)
+            found = _cover_lazily(pms[i], scans, seeds(pms[i]), budget, best + 1)
             if found is None:
                 continue
             if found[1] != best:
@@ -840,14 +915,14 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
                 family, picks = sides, bound
             else:
                 found = solved.get(i) or _cover_lazily(
-                    pms[i], pms, seeds(pms[i]), budget, best + 1
+                    pms[i], scans, seeds(pms[i]), budget, best + 1
                 )
                 if found is None:  # p(M) = best < af(G, M)
                     assert orbit[i] not in solved, "an orbit shares its representative's value"
                     continue
                 family, _, cover = found
                 picks = _lex_min_cover(family, best, cover, budget, witness)
-            picks = _lex_min_lazily(pms[i], pms, family, best, picks, budget, witness)
+            picks = _lex_min_lazily(pms[i], scans, family, best, picks, budget, witness)
             if picks is not None:
                 witness = picks
     except BudgetExceededError as exc:

@@ -8,6 +8,14 @@ vertices in earlier cells. A singleton cell then keeps its colour under
 every later refinement, so two leaves of the search that give a vertex
 the same colour map each individualised vertex to its counterpart.
 
+The search starts from each vertex's common-neighbour profile: the
+sorted list of |N(v) ∩ N(w)| over every vertex w. An automorphism maps
+N(v) ∩ N(w) onto N(π(v)) ∩ N(π(w)), and w over every vertex onto π(w)
+over every vertex, so it keeps each profile: the colouring loses no
+automorphism. On regular graphs, where refinement from one colour stays
+uniform, the profiles split the vertices with n² popcounts and no pass
+over the matchings.
+
 Every permutation is checked against the edges before it is kept, so a
 missed generator only splits an orbit: the orbits are never too coarse.
 The perfect-matching orbits are closed from the generators by a search
@@ -16,7 +24,6 @@ over the matchings, which stops once every matching is placed.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Callable, Sequence
 
 from .budget import Budget
@@ -135,34 +142,34 @@ def _join(parent: list[int], i: int, j: int) -> None:
     parent[max(a, b)] = min(a, b)
 
 
+def _common_neighbour_profiles(g: Graph) -> list[list[int]]:
+    """Each vertex's sorted counts of neighbours shared with every vertex, itself included."""
+    near = g.neighbour_masks
+    return [sorted((a & b).bit_count() for b in near) for a in near]
+
+
 def pm_orbits(g: Graph, pms: Sequence[Matching], budget: Budget | None = None) -> list[int]:
     """For each perfect matching, the index of the first one in its orbit.
 
     The matchings are edge masks, as the enumerator yields them, and
     every automorphism must map the list onto itself: all of a graph's
     perfect matchings, or a union of their orbits. The search starts
-    from the colouring that gives each vertex the sorted counts of
-    matchings through its edges: automorphisms permute the matchings,
-    so they all keep it. The colouring pays for its pass over
-    the matchings on regular graphs, where refinement from one colour
-    stays uniform and the search would have to individualise vertex
-    after vertex. The orbits are then closed one at a time: from each
+    from the common-neighbour profiles, which every automorphism keeps
+    (see the module docstring); they cost no pass over the matchings,
+    and on regular graphs they spare the search most of the vertex
+    after vertex individualising that one colour would need. The
+    orbits are then closed one at a time: from each
     matching not yet placed, in index order, a stack search maps the
     matchings it reaches through every generator, edge by edge, and
     labels them with its index, which is the least of its orbit. It
     stops once every matching is placed. The budget is charged one node
-    per matching in each pass: the colouring, the index of the matchings,
-    and each matching the search expands.
+    per matching in the index of the matchings, one per matching the
+    search expands, and the generator search's nodes.
     """
     edges = g.sorted_edges
     index = g.edge_index
     budget = budget or Budget()
-    through: Counter[int] = Counter()
-    for m in pms:
-        budget.tick()
-        through.update(edge_indices(m))
-    colours = [sorted(through[i] for _, i in pairs) for pairs in g.incident_edges]
-    gens = automorphism_generators(g, colours, budget)
+    gens = automorphism_generators(g, _common_neighbour_profiles(g), budget)
     if not gens:
         return list(range(len(pms)))
     moves = [[1 << index[edge(perm[u], perm[v])] for u, v in edges] for perm in gens]

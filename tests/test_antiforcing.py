@@ -13,6 +13,7 @@ from antiforce import (
     af_of_matching,
     af_subset_search,
     af_via_matchings,
+    build,
     complete,
     cycle,
     edge,
@@ -39,9 +40,16 @@ from antiforce.antiforcing import (
     _lowest_outside,
     _min_cover_size,
     _packing_bound,
+    _Probes,
+    _Scans,
     _swaps,
 )
-from antiforce.matching import alternating_cycles, count_pms_excluding, edge_indices
+from antiforce.matching import (
+    alternating_cycles,
+    count_pms_excluding,
+    edge_indices,
+    holding_masks,
+)
 from conftest import (
     benchmark_family_graphs,
     benchmark_random_graphs,
@@ -49,6 +57,7 @@ from conftest import (
     mask_of,
     random_connected_graph,
 )
+from criterion1_witnesses import family_instances
 
 
 def test_result_validation():
@@ -281,6 +290,54 @@ def holding_of(pms):
     return [sum(1 << j for j, p in enumerate(pms) if p >> i & 1) for i in range(width)]
 
 
+def test_holding_build_is_the_bit_by_bit_build(atlas):
+    # The transpose gives, bit for bit, what route one built inline, one
+    # ``|= 1 << j`` per matching and edge, and charges one node per matching.
+    checked = 0
+    for g in (*atlas, *(g for *_, g in family_instances())):
+        pms = enumerate_perfect_matchings(g)
+        width = len(g.sorted_edges)
+        want = [0] * width
+        for j, m in enumerate(pms):
+            for i in edge_indices(m):
+                want[i] |= 1 << j
+        budget = Budget()
+        assert holding_masks(pms, width, budget) == want, sorted(g.edges)
+        assert budget.nodes == len(pms)
+        checked += 1
+    assert checked == len(atlas) + 99
+
+
+def test_probe_returns_the_scans_list(atlas, monkeypatch):
+    # With holding built at the first call of every solve, whatever its
+    # PM count, each probe returns the list a scan of every PM returns,
+    # in the same order, and every solve its value and witness.
+    graphs = [
+        *atlas,
+        *(g for *_, g in family_instances()),
+        *benchmark_random_graphs(1),
+        power(build("ortho-chain", 3), 3),
+    ]
+    want = [af_via_matchings(g) for g in graphs]
+    probes = 0
+
+    class Checked(_Probes):
+        def __init__(self, pms, width, budget, left):
+            super().__init__(pms, width, budget, 0)
+
+        def missed(self, m, cover):
+            nonlocal probes
+            probes += 1
+            got = super().missed(m, cover)
+            assert got == _Scans(self.pms).missed(m, cover)
+            return got
+
+    monkeypatch.setattr(antiforce.antiforcing, "PROBE_PMS", 0)
+    monkeypatch.setattr(antiforce.antiforcing, "_Probes", Checked)
+    assert [af_via_matchings(g) for g in graphs] == want
+    assert probes > len(graphs)
+
+
 def list_anti_forcing_sets(pms, removed, forbidden, left, tick, found):
     """The subset search over a list of surviving matchings, for reference.
 
@@ -463,23 +520,24 @@ def test_lazy_loop_equals_the_full_cycle_family(atlas):
     grown = checked = paired = dropped = 0
     for g in graphs:
         pms = enumerate_perfect_matchings(g)
+        scans = _Probes(pms, len(g.sorted_edges), Budget(), g.n // 2)  # scans, then probes
         for m in pms:
             masks = full_family(g, m)
             value, found = _min_cover_size(masks, Budget())
             smallest = _lex_min_cover(masks, value, found, Budget())
             seed = alternating_cycles(g, m, longest=SEED_LENGTH)
-            family, size, cover = _cover_lazily(m, pms, seed, Budget())
+            family, size, cover = _cover_lazily(m, scans, seed, Budget())
             assert size == value, (sorted(g.edges), m)
-            assert _cover_lazily(m, pms, seed, Budget(), below=value) is None
+            assert _cover_lazily(m, scans, seed, Budget(), below=value) is None
             first = _lex_min_cover(family, size, cover, Budget())
-            picks = _lex_min_lazily(m, pms, family, size, first, Budget(), None)
+            picks = _lex_min_lazily(m, scans, family, size, first, Budget(), None)
             assert picks == smallest, (sorted(g.edges), m)
             grown += len(family) > len(seed)
             checked += 1
             sides: list[int] = []
             smaller = _four_cycle_pairs(g, m, sides)[0]
             p = len(sides)
-            picks = _lex_min_lazily(m, pms, sides, p, smaller, Budget(), None)
+            picks = _lex_min_lazily(m, scans, sides, p, smaller, Budget(), None)
             if p == value:
                 assert picks == smallest, (sorted(g.edges), m)
                 paired += 1
@@ -496,9 +554,10 @@ def test_lazy_family_keeps_the_walk_order(atlas):
     kept = 0
     for g in atlas:
         pms = enumerate_perfect_matchings(g)
+        scans = _Probes(pms, len(g.sorted_edges), Budget(), g.n // 2)
         for m in pms:
             seed = alternating_cycles(g, m, longest=SEED_LENGTH)
-            family = _cover_lazily(m, pms, seed, Budget())[0]
+            family = _cover_lazily(m, scans, seed, Budget())[0]
             if len(family) == len(seed):
                 assert family == seed, (sorted(g.edges), m)
                 kept += 1

@@ -11,12 +11,14 @@ from antiforce import (
     af_subset_search,
     af_via_matchings,
     alternating_cycles,
+    build,
     count_pms_excluding,
     cycle,
     enumerate_perfect_matchings,
     has_perfect_matching,
     power,
 )
+import antiforce.antiforcing
 from antiforce.cli import parse_budget
 from antiforce.symmetry import automorphism_generators, pm_orbits
 
@@ -155,8 +157,6 @@ def _pass_charged(info) -> str:
     entry = info.traceback[-2]  # the frame that called Budget.tick
     if entry.name == "af_via_matchings":
         return "order by p(M)"
-    if entry.name == "pm_orbits" and "colours" not in entry.locals:
-        return "colouring"
     if entry.name == "pm_orbits" and "first" not in entry.locals:
         return "index"
     return ""
@@ -168,9 +168,10 @@ def test_each_pass_over_the_pms_stops_at_the_node_cap():
     # pairs are more than n, so their orbits are closed and their
     # representatives ordered. The listing takes each PM's pair count as
     # it goes, before any bound exists: a cap that lands in it raises
-    # with neither bound. A cap that lands inside one of the three
-    # passes over the PMs stops it there; they run once M0 is solved,
-    # with af(G) >= p(M0) and af(G) <= B.
+    # with neither bound. A cap that lands inside one of the two passes
+    # over the PMs, the orbit search's index and the order by p(M),
+    # stops it there; they run once M0 is solved, with af(G) >= p(M0)
+    # and af(G) <= B. The orbit search's colouring reads no PM.
     g = power(cycle(10), 2)
     listing, whole = Budget(), Budget()
     enumerate_perfect_matchings(g, budget=listing)
@@ -190,7 +191,34 @@ def test_each_pass_over_the_pms_stops_at_the_node_cap():
             stopped.add(where)
             assert capped.nodes == cap + 1
             assert (info.value.lower, info.value.upper) == (2, 5), where
-    assert stopped == {"colouring", "index", "order by p(M)"}
+    assert stopped == {"index", "order by p(M)"}
+
+
+def test_a_cap_in_the_holding_build_stops_it_there(monkeypatch):
+    # ortho-chain(3)^3 has 345 PMs and scans them more than n = 10 times,
+    # so its solve builds the per-edge PM bitsets once, in phase 2, and
+    # charges one node per PM. A cap that lands in the build raises there
+    # at cap + 1, with the value phase 2 carries as both bounds.
+    g = power(build("ortho-chain", 3), 3)
+    starts = []
+    inner = antiforce.antiforcing.holding_masks
+
+    def recorded(pms, width, budget):
+        starts.append(budget.nodes)
+        return inner(pms, width, budget)
+
+    monkeypatch.setattr(antiforce.antiforcing, "holding_masks", recorded)
+    assert af_via_matchings(g).value == 13
+    monkeypatch.undo()
+    [start] = starts
+    pms = len(enumerate_perfect_matchings(g))
+    for cap in [*range(start, start + pms, 16), start + pms - 1]:
+        capped = Budget(max_nodes=cap)
+        with pytest.raises(BudgetExceededError) as info:
+            af_via_matchings(g, capped)
+        assert info.traceback[-2].name == "holding_masks"
+        assert capped.nodes == cap + 1
+        assert (info.value.lower, info.value.upper) == (13, 13)
 
 
 def test_budget_is_uncapped_by_default():
