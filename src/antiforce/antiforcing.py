@@ -52,7 +52,7 @@ Moreno-Centeno and Karp, Oper. Res. 61(2), 2013). A check first scans
 the list. On a graph with many matchings, once a solve has made n
 scans, it builds per-edge bitsets of the matchings once and probes
 them from then on: the matchings a cover misses are those outside
-every bitset of its edges, and only they are decoded (see ``_Probes``).
+every bitset of its edges, and only they are decoded (see ``_Matchings``).
 
 The short cycles, a matching's seed family, come from a walk from the
 matching's mates (see ``matching``) or, where the list of perfect
@@ -256,7 +256,8 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
 
     Raises BudgetExceededError carrying the verified lower bound (0 if
     the budget runs out while the matchings are listed or the bound is
-    computed) when the search cannot finish.
+    computed, the bound once it is) when the search cannot finish. The
+    per-edge bitsets are charged one node per matching.
     """
     budget = budget or Budget()
     try:
@@ -268,10 +269,11 @@ def af_subset_search(g: Graph, budget: Budget | None = None) -> AntiForcingResul
     if not pms:
         return AntiForcingResult(len(g.edges), frozenset(), "convention_no_pm")
     edges = g.sorted_edges
-    holding = holding_masks(pms, len(edges))
     alive = (1 << len(pms)) - 1
     found: list[int] = []
+    size = least
     try:
+        holding = holding_masks(pms, len(edges), budget)
         for size in range(least, len(edges) + 1):
             _anti_forcing_sets(pms, holding, alive, 0, 0, size, budget.tick, found)
             if found:
@@ -471,62 +473,69 @@ SCAN_PER_NODE = 4
 
 
 # Route two probes ``holding`` in place of scanning the PM list only on a
-# graph with at least this many PMs (see ``_Probes``). Timed on the covers
-# that the criterion-1 and seed-0 ``random`` solves check, on a 2-core
-# Xeon, a probe took 1.1 to 2.1 times as long as a scan below 100 PMs,
-# 0.6 times at 100 to 200 and 0.03 times above 2,000.
+# graph with at least this many PMs (see ``_Matchings``). Timed on the
+# covers that the criterion-1 and seed-0 ``random`` solves check, on a
+# 2-core Xeon, a probe took 1.1 to 2.1 times as long as a scan below 100
+# PMs, 0.6 times at 100 to 200 and 0.03 times above 2,000.
 PROBE_PMS = 128
 
 
-class _Scans:
-    """The matchings a cover misses, found by a scan of every one.
+class _Matchings:
+    """One solve's questions of the list ``pms`` of every perfect matching of ``g``.
+
+    ``seeds(m)`` is M's seed family. The first call walks it, and the
+    walk's node count prices a walk on G: when G has fewer PMs than
+    ``SCAN_PER_NODE`` times that count, every later family is read off
+    the list (``_listed_cycles``), and else walked.
 
     ``missed(m, cover)`` gives the free sides of M Δ M' over the other
-    matchings M' that avoid ``cover``, in list order. ``pms`` holds every
-    perfect matching, ``m`` is M, and the list is empty exactly when M is
-    the only perfect matching of G minus ``cover``.
-    """
-
-    def __init__(self, pms: Sequence[Matching]) -> None:
-        self.pms = pms
-
-    def missed(self, m: Matching, cover: int) -> list[int]:
-        return [b & ~m for b in self.pms if not b & cover and b != m]
-
-
-class _Probes(_Scans):
-    """``_Scans.missed`` by ``left`` scans, then by probes of ``holding``.
-
+    matchings M' that avoid ``cover``, in list order; it is empty exactly
+    when M is the only perfect matching of G minus ``cover``. The first
+    ``scans`` calls scan the list. The next builds ``holding``, charging
+    one node per matching, and every call from then on probes it:
     ``holding[i]`` has bit j set when ``pms[j]`` holds edge i, so the
     matchings that avoid S are the bits of ``full`` outside every
-    ``holding[i]`` with i in S: |S| big-int ORs, and only they are
-    decoded. The call after the first ``left`` builds ``holding``,
-    charging one node per matching to ``budget``. A solve picks this
-    class or ``_Scans`` once, by its PM count.
+    ``holding[i]`` with i in S, |S| big-int ORs, and only they are
+    decoded. Walks, reads and the build are charged to ``budget``.
     """
 
-    def __init__(
-        self, pms: Sequence[Matching], width: int, budget: Budget, left: int
-    ) -> None:
-        super().__init__(pms)
-        self.width = width  # the edge count of G
+    def __init__(self, g: Graph, pms: Sequence[Matching], budget: Budget) -> None:
+        self.g = g
+        self.pms = pms
         self.budget = budget
-        self.left = left
+        self.read: bool | None = None  # None until the first walk prices one
+        # A build costs about n/2 scans (4 to 12 at order 10 to 20), and a
+        # probe saves 0.4 of a scan at 100 to 200 PMs and nearly a whole
+        # one above 2,000. So the build waits for n scans: a solve that
+        # scans less could not win it back. Building after n/2 put 4% on
+        # para-chain(3)^3's solve (191 PMs, 10 scans). A count below 0
+        # never reaches 0: a graph with fewer PMs only scans.
+        self.scans = g.n if len(pms) >= PROBE_PMS else -1
         self.holding: list[int] | None = None
-        self.full = (1 << len(pms)) - 1
+        self.full = 0
+
+    def seeds(self, m: Matching) -> list[int]:
+        if self.read:
+            return _listed_cycles(m, self.pms, self.budget)
+        start = self.budget.nodes
+        family = alternating_cycles(self.g, m, self.budget, SEED_LENGTH)
+        if self.read is None:
+            self.read = len(self.pms) < SCAN_PER_NODE * (self.budget.nodes - start)
+        return family
 
     def missed(self, m: Matching, cover: int) -> list[int]:
+        if self.scans:
+            self.scans -= 1
+            return [b & ~m for b in self.pms if not b & cover and b != m]
+        pms = self.pms
         if self.holding is None:
-            if self.left:
-                self.left -= 1
-                return super().missed(m, cover)
-            self.holding = holding_masks(self.pms, self.width, self.budget)
+            self.holding = holding_masks(pms, len(self.g.sorted_edges), self.budget)
+            self.full = (1 << len(pms)) - 1
         hit = 0
         for i in edge_indices(cover):
             hit |= self.holding[i]
         # The survivors' bits as text, bit j at position j: one find per survivor.
         bits = bin(self.full ^ hit)[:1:-1]
-        pms = self.pms
         free = ~m
         out = []
         j = bits.find("1")
@@ -578,24 +587,23 @@ def _listed_cycles(m: Matching, pms: Sequence[Matching], budget: Budget) -> list
 
 def _cover_lazily(
     m: Matching,
-    scans: _Scans,
+    matchings: _Matchings,
     family: list[int],
-    budget: Budget,
     below: int | None = None,
 ) -> tuple[list[int], int, int] | None:
     """af(G, M), proven from M's seed family and the matchings it misses.
 
-    ``m`` is M, ``scans`` the solve's checks against every perfect
-    matching, and ``family`` M's seed family, sorted by size. Returns the
-    family the proof grew, its minimum and a cover of that size, or None
-    as soon as af(G, M) is known to be at least ``below``; the proof is
-    in ``af_via_matchings``.
+    ``m`` is M, ``matchings`` the solve's checks against every perfect
+    matching, charged to its budget, and ``family`` M's seed family,
+    sorted by size. Returns the family the proof grew, its minimum and a
+    cover of that size, or None as soon as af(G, M) is known to be at
+    least ``below``; the proof is in ``af_via_matchings``.
     """
     while True:
-        found = _min_cover_size(family, budget, below)
+        found = _min_cover_size(family, matchings.budget, below)
         if found is None:
             return None
-        missed = scans.missed(m, found[1])
+        missed = matchings.missed(m, found[1])
         if not missed:
             return family, *found
         family = _grown(family, missed)
@@ -603,25 +611,25 @@ def _cover_lazily(
 
 def _lex_min_lazily(
     m: Matching,
-    scans: _Scans,
+    matchings: _Matchings,
     family: list[int],
     value: int,
     picks: list[int] | None,
-    budget: Budget,
     beat: Sequence[int] | None,
 ) -> list[int] | None:
     """M's lexicographically smallest cover, as ``_lex_min_cover`` gives it.
 
-    ``m`` is M, and ``scans`` the solve's checks. ``family`` has
-    minimum ``value`` <= af(G, M), and ``picks`` is its lexicographically
-    smallest cover, or None when ``_lex_min_cover`` gave up against
-    ``beat``. The family is grown until its smallest cover
-    leaves M unique. Returns None, dropping M, once the grown family has
-    no cover of size ``value``: af(G, M) > value then. The proof is in
-    ``af_via_matchings``.
+    ``m`` is M, and ``matchings`` the solve's checks, charged to its budget.
+    ``family`` has minimum ``value`` <= af(G, M), and ``picks`` is its
+    lexicographically smallest cover, or None when ``_lex_min_cover``
+    gave up against ``beat``. The family is grown until its smallest
+    cover leaves M unique. Returns None, dropping M, once the grown
+    family has no cover of size ``value``: af(G, M) > value then. The
+    proof is in ``af_via_matchings``.
     """
+    budget = matchings.budget
     while picks is not None:
-        missed = scans.missed(m, sum(1 << i for i in picks))
+        missed = matchings.missed(m, sum(1 << i for i in picks))
         if not missed:
             return picks
         family = _grown(family, missed)
@@ -850,29 +858,12 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
         return AntiForcingResult(len(g.edges), frozenset(), "convention_no_pm")
     best: int | None = None
     p: int | None = None  # p(M) of the matching being solved
+    matchings = _Matchings(g, pms, budget)
     try:
         p = min(pairs)
         first = pairs.index(p)
-        start = budget.nodes
-        family = alternating_cycles(g, pms[first], budget, SEED_LENGTH)
-        listed = len(pms) < SCAN_PER_NODE * (budget.nodes - start)
-
-        def seeds(m: Matching) -> list[int]:
-            if listed:
-                return _listed_cycles(m, pms, budget)
-            return alternating_cycles(g, m, budget, SEED_LENGTH)
-
-        # A build costs about n/2 scans (4 to 12 at order 10 to 20), and a
-        # probe saves 0.4 of a scan at 100 to 200 PMs and nearly a whole
-        # one above 2,000. So the build waits for n scans: a solve that
-        # scans less could not win it back. Building after n/2 put 4% on
-        # para-chain(3)^3's solve (191 PMs, 10 scans).
-        scans = (
-            _Probes(pms, len(g.sorted_edges), budget, g.n)
-            if len(pms) >= PROBE_PMS
-            else _Scans(pms)
-        )
-        solved = {first: _cover_lazily(pms[first], scans, family, budget)}  # optimal representatives
+        family = matchings.seeds(pms[first])
+        solved = {first: _cover_lazily(pms[first], matchings, family)}  # optimal representatives
         best = solved[first][1]
         below = [i for i, c in enumerate(pairs) if c < best]
         orbit = list(range(len(pms)))
@@ -888,7 +879,7 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
         for p, i in order:
             if p >= best:
                 break
-            found = _cover_lazily(pms[i], scans, seeds(pms[i]), budget, best + 1)
+            found = _cover_lazily(pms[i], matchings, matchings.seeds(pms[i]), best + 1)
             if found is None:
                 continue
             if found[1] != best:
@@ -915,14 +906,14 @@ def af_via_matchings(g: Graph, budget: Budget | None = None) -> AntiForcingResul
                 family, picks = sides, bound
             else:
                 found = solved.get(i) or _cover_lazily(
-                    pms[i], scans, seeds(pms[i]), budget, best + 1
+                    pms[i], matchings, matchings.seeds(pms[i]), best + 1
                 )
                 if found is None:  # p(M) = best < af(G, M)
                     assert orbit[i] not in solved, "an orbit shares its representative's value"
                     continue
                 family, _, cover = found
                 picks = _lex_min_cover(family, best, cover, budget, witness)
-            picks = _lex_min_lazily(pms[i], scans, family, best, picks, budget, witness)
+            picks = _lex_min_lazily(pms[i], matchings, family, best, picks, witness)
             if picks is not None:
                 witness = picks
     except BudgetExceededError as exc:

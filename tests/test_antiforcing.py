@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations, count, takewhile
 
@@ -38,10 +39,9 @@ from antiforce.antiforcing import (
     _lex_min_lazily,
     _listed_cycles,
     _lowest_outside,
+    _Matchings,
     _min_cover_size,
     _packing_bound,
-    _Probes,
-    _Scans,
     _swaps,
 )
 from antiforce.matching import (
@@ -258,12 +258,13 @@ def test_subset_search_out_of_budget_in_the_packing_pass():
 
 def test_subset_search_deepens_from_the_least_packing():
     # K_10 has 945 perfect matchings and af = 20: one node past the
-    # listing and the pass, the search is already at size 20.
+    # listing, the pass and the bitset build, the search is already at
+    # size 20.
     g = complete(10)
     listing = Budget()
     pms = enumerate_perfect_matchings(g, budget=listing)
     with pytest.raises(BudgetExceededError) as exc:
-        af_subset_search(g, Budget(max_nodes=listing.nodes + len(pms) + 1, max_seconds=60.0))
+        af_subset_search(g, Budget(max_nodes=listing.nodes + 2 * len(pms) + 1, max_seconds=60.0))
     assert exc.value.lower == 20
 
 
@@ -321,19 +322,19 @@ def test_probe_returns_the_scans_list(atlas, monkeypatch):
     want = [af_via_matchings(g) for g in graphs]
     probes = 0
 
-    class Checked(_Probes):
-        def __init__(self, pms, width, budget, left):
-            super().__init__(pms, width, budget, 0)
+    class Checked(_Matchings):
+        def __init__(self, g, pms, budget):
+            super().__init__(g, pms, budget)
+            self.scans = 0
 
         def missed(self, m, cover):
             nonlocal probes
             probes += 1
             got = super().missed(m, cover)
-            assert got == _Scans(self.pms).missed(m, cover)
+            assert got == [b & ~m for b in self.pms if not b & cover and b != m]
             return got
 
-    monkeypatch.setattr(antiforce.antiforcing, "PROBE_PMS", 0)
-    monkeypatch.setattr(antiforce.antiforcing, "_Probes", Checked)
+    monkeypatch.setattr(antiforce.antiforcing, "_Matchings", Checked)
     assert [af_via_matchings(g) for g in graphs] == want
     assert probes > len(graphs)
 
@@ -520,24 +521,25 @@ def test_lazy_loop_equals_the_full_cycle_family(atlas):
     grown = checked = paired = dropped = 0
     for g in graphs:
         pms = enumerate_perfect_matchings(g)
-        scans = _Probes(pms, len(g.sorted_edges), Budget(), g.n // 2)  # scans, then probes
+        matchings = _Matchings(g, pms, Budget())
+        matchings.scans = g.n // 2  # scans, then probes
         for m in pms:
             masks = full_family(g, m)
             value, found = _min_cover_size(masks, Budget())
             smallest = _lex_min_cover(masks, value, found, Budget())
             seed = alternating_cycles(g, m, longest=SEED_LENGTH)
-            family, size, cover = _cover_lazily(m, scans, seed, Budget())
+            family, size, cover = _cover_lazily(m, matchings, seed)
             assert size == value, (sorted(g.edges), m)
-            assert _cover_lazily(m, scans, seed, Budget(), below=value) is None
+            assert _cover_lazily(m, matchings, seed, below=value) is None
             first = _lex_min_cover(family, size, cover, Budget())
-            picks = _lex_min_lazily(m, scans, family, size, first, Budget(), None)
+            picks = _lex_min_lazily(m, matchings, family, size, first, None)
             assert picks == smallest, (sorted(g.edges), m)
             grown += len(family) > len(seed)
             checked += 1
             sides: list[int] = []
             smaller = _four_cycle_pairs(g, m, sides)[0]
             p = len(sides)
-            picks = _lex_min_lazily(m, scans, sides, p, smaller, Budget(), None)
+            picks = _lex_min_lazily(m, matchings, sides, p, smaller, None)
             if p == value:
                 assert picks == smallest, (sorted(g.edges), m)
                 paired += 1
@@ -548,16 +550,33 @@ def test_lazy_loop_equals_the_full_cycle_family(atlas):
     assert paired and dropped
 
 
+@pytest.mark.parametrize(
+    "g",
+    [power(cycle(12), 3), power(path(12), 3), power(build("ortho-chain", 3), 3)],
+    ids=["C12^3", "P12^3", "ortho-chain3^3"],
+)
+def test_via_matchings_leaves_no_cyclic_garbage(g):
+    # C_12^3 walks every seed family and only scans its 336 PMs, P_12^3
+    # reads its later seed families off the PM list, and ortho-chain(3)^3
+    # builds the per-edge PM bitsets. A solve's one _Matchings object
+    # holds no bound method or closure, so none of them is left for the
+    # cyclic collector.
+    gc.collect()
+    af_via_matchings(g)
+    assert gc.collect() == 0
+
+
 def test_lazy_family_keeps_the_walk_order(atlas):
     # A family that did not grow is the seed family as handed over, the
     # walk's cycles by size: ties keep the order the walk yields them in.
     kept = 0
     for g in atlas:
         pms = enumerate_perfect_matchings(g)
-        scans = _Probes(pms, len(g.sorted_edges), Budget(), g.n // 2)
+        matchings = _Matchings(g, pms, Budget())
+        matchings.scans = g.n // 2
         for m in pms:
             seed = alternating_cycles(g, m, longest=SEED_LENGTH)
-            family = _cover_lazily(m, scans, seed, Budget())[0]
+            family = _cover_lazily(m, matchings, seed)[0]
             if len(family) == len(seed):
                 assert family == seed, (sorted(g.edges), m)
                 kept += 1

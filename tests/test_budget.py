@@ -221,6 +221,33 @@ def test_a_cap_in_the_holding_build_stops_it_there(monkeypatch):
         assert (info.value.lower, info.value.upper) == (13, 13)
 
 
+def test_a_cap_in_the_subset_searchs_holding_build_stops_it_there(monkeypatch):
+    # Route one builds the per-edge PM bitsets once the listing and the
+    # packing bound are done, and charges one node per PM. A cap that
+    # lands in the build raises there at cap + 1, with the packing bound
+    # as the lower bound. C_10^3 has 144 PMs, a bound of 8 and af = 9.
+    g = power(cycle(10), 3)
+    starts = []
+    inner = antiforce.antiforcing.holding_masks
+
+    def recorded(pms, width, budget):
+        starts.append(budget.nodes)
+        return inner(pms, width, budget)
+
+    monkeypatch.setattr(antiforce.antiforcing, "holding_masks", recorded)
+    assert af_subset_search(g).value == 9
+    monkeypatch.undo()
+    [start] = starts
+    pms = len(enumerate_perfect_matchings(g))
+    for cap in [*range(start, start + pms, 16), start + pms - 1]:
+        capped = Budget(max_nodes=cap)
+        with pytest.raises(BudgetExceededError) as info:
+            af_subset_search(g, capped)
+        assert info.traceback[-2].name == "holding_masks"
+        assert capped.nodes == cap + 1
+        assert (info.value.lower, info.value.upper) == (8, None)
+
+
 def test_budget_is_uncapped_by_default():
     b = Budget()
     assert b.max_nodes == math.inf and b.max_seconds == math.inf
