@@ -32,15 +32,15 @@ from antiforce.antiforcing import (
     _anti_forcing_sets,
     _cover_lazily,
     _exists_cover,
-    _four_cycle_bound,
-    _four_cycle_pairs,
+    _four_cycle_start,
+    _grown,
     _least_packing,
     _lex_min_cover,
     _lex_min_lazily,
     _listed_cycles,
-    _lowest_outside,
     _Matchings,
     _min_cover_size,
+    _outside_exceeds,
     _packing_bound,
     _swaps,
 )
@@ -278,7 +278,7 @@ def test_subset_search_calls_nothing_of_route_two(atlas, monkeypatch):
         "alternating_cycles",
         "_exists_cover",
         "_packing_bound",
-        "_four_cycle_pairs",
+        "_four_cycle_start",
         "pm_orbits",
     ):
         monkeypatch.setattr(antiforce.antiforcing, name, boom)
@@ -536,8 +536,7 @@ def test_lazy_loop_equals_the_full_cycle_family(atlas):
             assert picks == smallest, (sorted(g.edges), m)
             grown += len(family) > len(seed)
             checked += 1
-            sides: list[int] = []
-            smaller = _four_cycle_pairs(g, m, sides)[0]
+            smaller, sides = _four_cycle_start(g, m, 0, 0)
             p = len(sides)
             picks = _lex_min_lazily(m, matchings, sides, p, smaller, None)
             if p == value:
@@ -597,8 +596,7 @@ def test_list_read_is_the_walks_seed_family(atlas):
             walk = alternating_cycles(g, m, longest=SEED_LENGTH)
             assert [s.bit_count() for s in read] == [s.bit_count() for s in walk]
             assert set(read) == set(walk), (sorted(g.edges), m)
-            pairs: list[int] = []
-            _four_cycle_pairs(g, m, pairs)
+            pairs = _four_cycle_start(g, m, 0, 0)[1]
             fours = [s for s in read if s.bit_count() == 4]
             assert not [s for s in fours for p in pairs if p & s == p], (sorted(g.edges), m)
             dropped += sum((b & ~m).bit_count() == 4 for b in pms) - len(fours)
@@ -741,18 +739,58 @@ def test_lex_refinement_searches_the_remaining_sets(monkeypatch):
     ]
 
 
+def lowest_outside(g, m, size):
+    """L(M), the ``size`` smallest edge indices of g outside m, as a list, for reference."""
+    free = rest = ~m & ((1 << len(g.sorted_edges)) - 1)
+    for _ in range(size):
+        rest &= rest - 1
+    return edge_indices(free ^ rest)
+
+
+def four_cycle_bound(g, m, size, sides=None):
+    """L4(M) at af(G, m) = ``size``, built as two lists and sorted, for reference.
+
+    The smaller edge of each alternating 4-cycle pair {uw, ab} (a and b
+    the mates of u and w), with the ``size`` - #pairs smallest other
+    edges outside m. ``sides`` gets each pair's free side, in order of
+    its smaller edge.
+    """
+    edges = g.sorted_edges
+    mate = [0] * g.n
+    for i in edge_indices(m):
+        u, v = edges[i]
+        mate[u], mate[v] = v, u
+    smaller, other = [], []
+    for i, (u, w) in enumerate(edges):
+        a, b = mate[u], mate[w]
+        if a == w:  # uw is in m
+            continue
+        j = g.edge_index.get((a, b) if a < b else (b, a))
+        if j is not None and j > i:
+            smaller.append(i)
+            if sides is not None:
+                sides.append(1 << i | 1 << j)
+        else:
+            other.append(i)
+    fill = size - len(smaller)
+    assert fill >= 0, "more disjoint alternating 4-cycles than af(G, m)"
+    return sorted(smaller + other[:fill])
+
+
 def test_four_cycle_bound_lies_between_the_cheap_bound_and_the_cover(atlas):
     # L(M) <= L4(M) <= M's lexicographically smallest cover, elementwise,
     # and the pair count p(M) that orders phase 1 is at most af(G, M).
+    # An empty witness never stops the scan, so it hands over all of L4(M).
     raised = 0
     for g in atlas:
         for m in enumerate_perfect_matchings(g):
             value = af_of_matching(g, m).af_of_m
-            assert len(_four_cycle_pairs(g, m)[0]) <= value
+            p = len(_four_cycle_start(g, m, 0, 0)[1])
+            assert p <= value
             masks = full_family(g, m)
             smallest = _lex_min_cover(masks, value, _min_cover_size(masks, Budget())[1], Budget())
-            cheap = _lowest_outside(g, m, value)
-            bound = _four_cycle_bound(g, m, value)
+            cheap = lowest_outside(g, m, value)
+            bound = _four_cycle_start(g, m, value - p, 0)[0]
             assert len(cheap) == len(bound) == len(smallest) == value
             assert all(a <= b <= c for a, b, c in zip(cheap, bound, smallest)), (
                 sorted(g.edges),
@@ -763,21 +801,159 @@ def test_four_cycle_bound_lies_between_the_cheap_bound_and_the_cover(atlas):
 
 
 def test_four_cycle_scan_agrees_with_the_walk(atlas):
-    # _four_cycle_pairs reads M's alternating 4-cycles off the mates, with
-    # no walk: one pair per cycle the walk finds, its smaller edge the
-    # lowest bit of that cycle's free side, and every other edge outside
-    # M in the second list.
+    # _four_cycle_start reads M's alternating 4-cycles off the mates, with
+    # no walk: one pair side per cycle the walk finds, in order of its
+    # lowest edge, and with room for every other edge, L4(M) is every
+    # edge outside M.
     graphs = [g for g in (*atlas, *benchmark_random_graphs(0)) if g.n % 2 == 0]
     pairs = 0
     for g in graphs:
         for m in enumerate_perfect_matchings(g):
-            smaller, other = _four_cycle_pairs(g, m)
+            bound, sides = _four_cycle_start(g, m, len(g.edges), 0)
             squares = alternating_cycles(g, m, longest=4)
-            assert len(smaller) == len(squares)
-            assert smaller == sorted((c & -c).bit_length() - 1 for c in squares)
-            assert sorted(smaller + other) == _lowest_outside(g, m, len(g.edges))
-            pairs += len(smaller)
+            assert sides == sorted(squares, key=lambda c: c & -c)
+            assert bound == lowest_outside(g, m, len(g.edges))
+            pairs += len(sides)
     assert pairs == 728 + 20848  # the atlas, then the random graphs
+
+
+def witnesses_to_test(g, m, prev, size):
+    """Sorted edge lists of ``size`` to test M's bounds against.
+
+    L(M) and L4(M) themselves, the lowest and the highest edges of g,
+    which hold edges of M unless M has none there, and L(M') of the
+    matching M' listed before M, when there is one.
+    """
+    out = [
+        lowest_outside(g, m, size),
+        four_cycle_bound(g, m, size),
+        list(range(size)),
+        list(range(len(g.edges) - size, len(g.edges))),
+    ]
+    return out + ([lowest_outside(g, prev, size)] if prev is not None else [])
+
+
+def assert_bounds_decide_as_the_lists_do(g, m, size, witness):
+    """Checks the mask stop and the one-scan start against the lists; returns (stop, skip)."""
+    mask = sum(1 << e for e in witness)
+    stop = lowest_outside(g, m, size) > witness
+    assert _outside_exceeds(m, mask) == stop, (sorted(g.edges), m, witness)
+    sides: list[int] = []
+    bound = four_cycle_bound(g, m, size, sides)
+    p = len(sides)
+    skip = bound > witness
+    start = _four_cycle_start(g, m, size - p, mask)
+    assert start == (None if skip else (bound, sides)), (sorted(g.edges), m, witness)
+    return stop, skip
+
+
+def test_mask_stop_and_one_scan_skip_decide_as_the_lists_do(atlas):
+    # Phase 2 stops at a matching M when L(M) exceeds the witness, and
+    # skips it when L4(M) does. The mask test and the one-scan start
+    # decide exactly as the sorted lists compare, and a start that is not
+    # skipped hands over the L4(M) and pair sides the lists give. Sizes
+    # run from p(M), an empty witness when that is 0, to two above it.
+    seen = set()
+    empty = 0
+    for g in (*atlas, *benchmark_random_graphs(0)):
+        free = len(g.edges) - g.n // 2
+        counts: list[int] = []
+        pms = enumerate_perfect_matchings(g, four_cycles=counts)
+        for prev, m, p in zip([None, *pms], pms, counts):
+            for size in range(p, min(p + 2, free) + 1):
+                for witness in witnesses_to_test(g, m, prev, size):
+                    stop, skip = assert_bounds_decide_as_the_lists_do(g, m, size, witness)
+                    seen.add((stop, skip, bool(sum(1 << e for e in witness) & m)))
+                    empty += not witness
+    # Stopped, skipped or neither, with witnesses that hold edges of M and
+    # ones that do not; a witness of free edges alone never stops.
+    kept = {(False, skip, held) for skip in (False, True) for held in (False, True)}
+    assert seen == {(True, True, True)} | kept
+    assert empty
+
+
+def cover_first(family, value, budget, beat):
+    """The refinement from a cover in hand, found by an unbounded cover search first."""
+    cover = _exists_cover(family, value, budget)
+    return None if cover is None else _lex_min_cover(family, value, cover, budget, beat)
+
+
+def test_phase_two_decides_as_the_old_path_on_criterion_1(monkeypatch):
+    # The same, at every mask stop, one-scan start and refinement with no
+    # cover in hand that phase 2 makes on the 99 criterion-1 instances,
+    # against the witness in hand: the stop and the skip decide as the
+    # lists do, and the refinement returns what the cover-first one does.
+    seen = []
+    graph = {}
+    stop_of, start_of, refine_of = _outside_exceeds, _four_cycle_start, _lex_min_cover
+
+    def stop(m, witness):
+        g = graph["g"]
+        seen.append(("stop", lowest_outside(g, m, witness.bit_count()) > edge_indices(witness)))
+        assert stop_of(m, witness) == seen[-1][1], (sorted(g.edges), m)
+        return seen[-1][1]
+
+    def start(g, m, fill, witness):
+        size = witness.bit_count()
+        decided = assert_bounds_decide_as_the_lists_do(g, m, size, edge_indices(witness))
+        seen.append(("skip", decided[1]))
+        return start_of(g, m, fill, witness)
+
+    def refine(masks, value, cover, budget, beat=None):
+        got = refine_of(masks, value, cover, budget, beat)
+        if cover is None:
+            assert got == cover_first(masks, value, Budget(), beat), sorted(graph["g"].edges)
+            seen.append(("dropped", got is None))
+        return got
+
+    monkeypatch.setattr(antiforce.antiforcing, "_outside_exceeds", stop)
+    monkeypatch.setattr(antiforce.antiforcing, "_four_cycle_start", start)
+    monkeypatch.setattr(antiforce.antiforcing, "_lex_min_cover", refine)
+    for g in benchmark_family_graphs():
+        graph["g"] = g
+        af_via_matchings(g, Budget(max_seconds=60.0))
+    assert set(seen) == {(kind, b) for kind in ("stop", "skip", "dropped") for b in (False, True)}
+
+
+def test_bounded_refinement_returns_what_the_cover_first_one_does(atlas):
+    # After each probe, _lex_min_lazily refines the grown family with no
+    # cover in hand and the witness as ``beat``. The family's minimum is
+    # at least the size, so that returns the picks, or None, that an
+    # unbounded cover search and the refinement from its cover give.
+    # Each matching is refined from its seed family at af(G, M) and from
+    # its 4-cycle pairs at p(M), against no witness, L(M), L4(M) and the
+    # highest edges. On C_6, p(M) = 0 and no cover has that size.
+    c6 = cycle(6)
+    outcomes = set()
+    no_room = []
+    for g in (c6, *atlas, *benchmark_random_graphs(0)):
+        if g.n % 2:
+            continue
+        pms = enumerate_perfect_matchings(g)
+        matchings = _Matchings(g, pms, Budget())
+        for m in pms:
+            family, value, cover = _cover_lazily(m, matchings, matchings.seeds(m))
+            smaller, sides = _four_cycle_start(g, m, 0, 0)
+            first = _lex_min_cover(family, value, cover, Budget())
+            starts = [(family, value, first), (sides, len(sides), smaller)]
+            for family, size, picks in starts:
+                cheap, bound, _, high = witnesses_to_test(g, m, None, size)
+                beats = [None, cheap, bound, high]
+                while picks is not None:
+                    missed = matchings.missed(m, sum(1 << e for e in picks))
+                    if not missed:
+                        break
+                    family = _grown(family, missed)
+                    for beat in beats:
+                        got = _lex_min_cover(family, size, None, Budget(), beat)
+                        want = cover_first(family, size, Budget(), beat)
+                        assert got == want, (sorted(g.edges), m)
+                        outcomes.add((beat is None, got is None))
+                    if size == 0:
+                        no_room.append(g)
+                    picks = cover_first(family, size, Budget(), None)
+    assert outcomes == {(b, n) for b in (False, True) for n in (False, True)}
+    assert c6 in no_room
 
 
 def test_pair_table_counts_the_four_cycle_pairs(atlas):
@@ -793,7 +969,7 @@ def test_pair_table_counts_the_four_cycle_pairs(atlas):
         pms = enumerate_perfect_matchings(g, budget=counted, four_cycles=counts)
         assert pms == enumerate_perfect_matchings(g, budget=plain)
         assert counted.nodes == plain.nodes
-        assert counts == [len(_four_cycle_pairs(g, m)[0]) for m in pms]
+        assert counts == [len(_four_cycle_start(g, m, 0, 0)[1]) for m in pms]
         assert counts == [_swaps(g, m) for m in pms]
         pairs += sum(counts)
     assert pairs == 728 + 20848  # the atlas, then the random graphs
