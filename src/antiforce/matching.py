@@ -17,9 +17,7 @@ that hold the free neighbours of the pair just matched, since the other
 pieces are its parent's. A listing can count each matching's
 alternating 4-cycles as it goes, one term per matched edge. The
 alternating-cycle walk hands its cycles over shortest first, in walk
-order within a length. A walk of cycles of at most 8 edges charges
-its nodes in bulk, yet the budget gets the same nodes and checks its
-caps at the same ones as with a tick per node.
+order within a length, and charges one node per step of its recursion.
 """
 
 from __future__ import annotations
@@ -48,9 +46,7 @@ def edge_indices(mask: int) -> list[int]:
     return out
 
 
-def holding_masks(
-    pms: Sequence[Matching], width: int, budget: Budget | None = None
-) -> list[int]:
+def holding_masks(pms: Sequence[Matching], width: int, budget: Budget) -> list[int]:
     """For each of ``width`` edges, the matchings that hold it: bit j for ``pms[j]``.
 
     A transpose in linear time: the matchings are laid end to end as
@@ -62,7 +58,6 @@ def holding_masks(
     slower (K_14 to P_12^3). One node is charged per matching, in bulk, at the counts
     where a tick per matching checks the caps.
     """
-    budget = budget or Budget()
     size = (width + 7) // 8
     chunks: list[bytes] = []
     start = 0
@@ -367,10 +362,7 @@ def alternating_cycles(
     stably sorted by size. ``longest`` caps the cycle length, in edges:
     the walk stops extending a path that could only close a longer
     cycle, so the result is the uncapped list, in the same order,
-    without the cycles longer than ``longest``. None means no cap. A
-    walk of cycles of at most 8 edges (a seed walk) is one loop nest,
-    which charges the budget in bulk, as the module docstring says; any
-    other walk recurses through ``_extend``.
+    without the cycles longer than ``longest``. None means no cap.
     """
     edges = g.sorted_edges
     mate = [-1] * g.n
@@ -397,16 +389,8 @@ def alternating_cycles(
     # s has closed a cycle of length >= 4.
     closing = [0] * g.n
     pairs = g.incident_edges
-    budget = budget or Budget()
-    tick = budget.tick
-    # The cycles with two free edges, with three, and with more.
-    two: list[int] = []
-    three: list[int] = []
-    more: list[int] = []
-    # The nest counts its nodes down in ``left`` to the budget's next
-    # check, and charges the ``step`` nodes counted there, so the caps
-    # are checked at the node where a tick per node would check them.
-    step = left = budget.until_check()
+    tick = (budget or Budget()).tick
+    out: list[int] = []
     for s in range(g.n):
         t = mate[s]
         if t < s:
@@ -415,47 +399,8 @@ def alternating_cycles(
         for w, i in pairs[s]:
             if w != t:
                 closing[w] = 1 << i
-        if room != 3:
-            _extend(t, 0, room, pairs, mate, closing, blocked, tick, more)
-        else:
-            left -= 1  # the start t
-            if not left:
-                tick(step)
-                step = left = budget.until_check()
-            for w1, i1 in pairs[t]:
-                if blocked[w1]:
-                    continue
-                m1 = mate[w1]
-                left -= 1
-                if not left:
-                    tick(step)
-                    step = left = budget.until_check()
-                f1 = 1 << i1
-                if closing[m1]:
-                    two.append(f1 | closing[m1])
-                blocked[w1] = blocked[m1] = True
-                for w2, i2 in pairs[m1]:
-                    if blocked[w2]:
-                        continue
-                    m2 = mate[w2]
-                    left -= 1
-                    if not left:
-                        tick(step)
-                        step = left = budget.until_check()
-                    f2 = f1 | 1 << i2
-                    if closing[m2]:
-                        three.append(f2 | closing[m2])
-                    blocked[w2] = blocked[m2] = True
-                    # The last matched edge: a path can only close.
-                    for w3, i3 in pairs[m2]:
-                        if not blocked[w3] and closing[mate[w3]]:
-                            more.append(f2 | 1 << i3 | closing[mate[w3]])
-                    blocked[w2] = blocked[m2] = False
-                blocked[w1] = blocked[m1] = False
+        _extend(t, 0, room, pairs, mate, closing, blocked, tick, out)
         for w, _ in pairs[s]:
             closing[w] = 0
-    if left < step:
-        tick(step - left)
-    if room != 3:
-        more.sort(key=int.bit_count)
-    return two + three + more
+    out.sort(key=int.bit_count)
+    return out

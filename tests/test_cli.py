@@ -10,9 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import antiforce.harness as harness
-from antiforce import AntiForcingResult, Budget, af_subset_search, af_via_matchings, to_json
+from antiforce import (
+    AntiForcingResult,
+    Budget,
+    af_subset_search,
+    af_via_matchings,
+    power,
+    to_json,
+)
 from antiforce.cli import main
-from antiforce.families import complete, cycle, path
+from antiforce.families import complete, cycle, ortho_square_chain, path
 from antiforce.graph import MAX_ORDER
 from antiforce.harness import COLUMNS, InternalInvariantError
 from conftest import complete_joined_to_star
@@ -210,6 +217,62 @@ def test_af_budget_exhaustion_reports_upper_bound(monkeypatch, capsys):
     )
     assert rc == 2
     assert f"value <= {value}" in err
+
+
+C16_4 = (
+    '{"value": 20, "witness": [[0, 1], [0, 2], [0, 3], [0, 4], [0, 12], [0, 13], [0, 14], '
+    "[1, 2], [1, 3], [1, 4], [1, 5], [1, 13], [2, 3], [2, 4], [2, 5], [3, 4], [3, 5], [4, 5], "
+    '[10, 11], [10, 12]], "method": "via_matchings"}'
+)
+ORTHO3_3 = (
+    '{"value": 13, "witness": [[0, 1], [0, 3], [0, 4], [0, 5], [0, 6], [0, 7], [0, 8], '
+    '[3, 5], [3, 6], [3, 7], [3, 9], [4, 5], [4, 7]], "method": "via_matchings"}'
+)
+
+
+@pytest.mark.parametrize(
+    "g, budget, rc_want, line",
+    [
+        # A cap in phase 1, with both bounds.
+        pytest.param(
+            power(cycle(12), 4),
+            "8000",
+            2,
+            "antiforce: budget exhausted (value >= 12, value <= 17)",
+            id="C12^4-8000",
+        ),
+        # The PM listing charges 5,180 nodes and the first matching's seed
+        # walk nodes 5,181 to 5,299, so node 5,241 falls inside that walk.
+        pytest.param(
+            power(cycle(12), 4),
+            "5240",
+            2,
+            "antiforce: budget exhausted (value >= 12)",
+            id="C12^4-5240",
+        ),
+        # The listing charges 280 nodes, the first seed walk nodes 281 to
+        # 343 and the first read off the PM list nodes 493 to 581, so node
+        # 541 falls inside that read.
+        pytest.param(
+            power(path(12), 3),
+            "540",
+            2,
+            "antiforce: budget exhausted (value >= 5, value <= 7)",
+            id="P12^3-540",
+        ),
+        # The solve charges 2,571 nodes.
+        pytest.param(power(ortho_square_chain(3), 3), "2800", 0, ORTHO3_3, id="ortho-chain3^3-2800"),
+        # Met only with the cover search's forced-element branch.
+        pytest.param(power(cycle(16), 4), "240000:600", 0, C16_4, id="C16^4-240000"),
+    ],
+)
+def test_af_node_caps_land_where_they_did(g, budget, rc_want, line, monkeypatch, capsys):
+    # The node-cap steps of the CI workflow, in process: a change to how a
+    # search charges its nodes must leave each cap where it lands. A solve
+    # prints its one line on stdout, a cap on stderr.
+    rc, out, err = run_cli(["af", "--budget", budget], to_json(g), monkeypatch, capsys)
+    assert rc == rc_want
+    assert (out, err) == ((line + "\n", "") if rc == 0 else ("", line + "\n"))
 
 
 @pytest.mark.parametrize(

@@ -103,10 +103,10 @@ def test_walk_is_the_step_table_walk(atlas):
 
 
 def test_walk_reads_the_clock_where_the_reference_does(monkeypatch):
-    # A seed walk charges its nodes in bulk, but it reads the clock at
-    # the node counts where a tick per node reads it. One budget runs the
-    # walks of every PM of C_12^4, uncapped and at length 8, so the
-    # multiples of 256 fall at every level of the loop nest.
+    # The walk reads the clock at the node counts where the reference
+    # reads it. One budget runs the walks of every PM of C_12^4, uncapped
+    # and at length 8, so the multiples of 256 fall at every depth of
+    # the walk's recursion.
     g = power(cycle(12), 4)
     pms = enumerate_perfect_matchings(g)
     reads = {}
