@@ -15,7 +15,10 @@ every piece of the graph it leaves has even order. The root checks every
 piece; a later state, by a flood fill over vertex masks, only the pieces
 that hold the free neighbours of the pair just matched, since the other
 pieces are its parent's. A listing can count each matching's
-alternating 4-cycles as it goes, one term per matched edge. The
+alternating 4-cycles as it goes, one term per matched edge, read from
+that edge's pair row. The count rides in the same list as the mask, as
+mask + (count << W) with W the edge count: above every edge bit, so a
+row's AND never sees it and a state keeps one list, not two. The
 alternating-cycle walk hands its cycles over shortest first, in walk
 order within a length, and charges one node per step of its recursion.
 """
@@ -34,6 +37,10 @@ Matching = int
 
 # Each vertex's (neighbour, edge index) pairs, as ``Graph.incident_edges``.
 Pairs = Sequence[Sequence[tuple[int, int]]]
+
+# Each vertex's edges to higher and to lower vertices, as two edge masks,
+# or None until a pair row first reads the vertex.
+Ends = list[tuple[int, int] | None]
 
 
 def edge_indices(mask: int) -> list[int]:
@@ -100,39 +107,50 @@ def _pieces_even(key: int, seeds: int, near: Sequence[int]) -> bool:
     return True
 
 
-def _pair_row(a: int, u: int, pairs: Pairs, near: Sequence[int], width: int) -> int:
+def _pair_row(a: int, u: int, pairs: Pairs, ends: Ends) -> tuple[int, int]:
     """The edges above a that close alternating 4-cycles with au, both matched.
 
     For matched edges e = au and f = bw, the alternating 4-cycles through
     both number q(e, f): one when uw and ab are edges, one when ub and aw
-    are. The row holds q1, the edges f with q(e, f) >= 1, in its low
-    ``width`` bits and q2, those with q(e, f) = 2, above them, so one AND
-    with M | M << width counts both. Only edges with both ends above a
-    are read: the walk matches au where a is the lowest unused vertex.
+    are. The row is the pair (once, twice): the edges f with q(e, f) >= 1
+    and those with q(e, f) = 2, so the cycles a matching M gains with au
+    number ``(M & once).bit_count() + (M & twice).bit_count()``. Only
+    edges with both ends above a are read: the walk matches au where a
+    is the lowest unused vertex. With X the neighbours of u above a, and
+    Y those of a less u, q(e, f) counts the ways to put one end of f in X
+    and the other in Y. ``ends[v]`` holds v's edges as two masks, lo(v)
+    with v their lower end and hi(v) with v their upper end, built when a
+    row first reads v. The edges with lower end in X and upper end in Y
+    are then first = LO(X) & HI(Y), LO and HI the ORs over a set, and
+    the other way round second = LO(Y) & HI(X): deg(u) + deg(a) ORs, not
+    a pair test per path u-w-b.
     """
-    once = twice = 0
-    na = near[a]
-    # Each f = bw with u ~ w and a ~ b, once per way to place it so.
+    low_x = high_x = low_y = high_y = 0
     for w, _ in pairs[u]:
         if w > a:
-            for b, f in pairs[w]:
-                if b > a and b != u and na >> b & 1:
-                    bit = 1 << f
-                    twice |= once & bit
-                    once |= bit
-    return once | twice << width
+            low, high = ends[w] or _ends(w, pairs, ends)
+            low_x |= low
+            high_x |= high
+    for b, _ in pairs[a]:
+        if b > a and b != u:
+            low, high = ends[b] or _ends(b, pairs, ends)
+            low_y |= low
+            high_y |= high
+    first = low_x & high_y
+    second = low_y & high_x
+    return first | second, first & second
 
 
-def _counts_with(sub: list[Matching], known: list[int], row: int, width: int) -> list[int]:
-    """The 4-cycle counts ``known`` of completions ``sub``, plus those through a new edge.
-
-    ``row`` is the new edge's ``_pair_row``, ``width`` the edge count.
-    """
-    if row >> width:  # an edge closes two 4-cycles with the new one
-        return [p + ((c | c << width) & row).bit_count() for c, p in zip(sub, known)]
-    if row:
-        return [p + (c & row).bit_count() for c, p in zip(sub, known)]
-    return known
+def _ends(v: int, pairs: Pairs, ends: Ends) -> tuple[int, int]:
+    """lo(v) and hi(v): v's edges to higher vertices and to lower ones, kept in ``ends``."""
+    low = high = 0
+    for w, i in pairs[v]:
+        if w > v:
+            low |= 1 << i
+        else:
+            high |= 1 << i
+    ends[v] = low, high
+    return low, high
 
 
 def _walk(
@@ -145,8 +163,8 @@ def _walk(
     cap: float,
     listing: bool,
     tick: Callable[..., None],
-    rows: list[int | None],
-    fours: dict[int, list[int]] | None,
+    rows: list[tuple[int, int] | None] | None,
+    ends: Ends,
 ) -> list[Matching] | int:
     # The first cap completions of the residual state whose used
     # vertices are the bits of key: as edge masks, in lexicographic
@@ -155,18 +173,20 @@ def _walk(
     # calls. seeds are the free neighbours of the pair just matched, or
     # every vertex at the root. The parent's pieces all have even order,
     # and each piece it loses or splits holds one of them, so the state
-    # extends only if the pieces holding seeds are even. When fours is
-    # given, it keeps each state's completions' alternating 4-cycle
-    # counts, in list order, and rows the lazily built ``_pair_row`` of
-    # each edge. This is a module-level function, not a closure: a
-    # closure that calls itself is a reference cycle, left behind for
-    # the cyclic collector.
+    # extends only if the pieces holding seeds are even. When rows is
+    # given, each listed element also carries its completion's
+    # alternating 4-cycle count p above the W edge bits, W = len(rows):
+    # mask + (p << W). Every mask is below 1 << W, so the mask bits and
+    # the count never meet, a row's AND reads the mask alone, and one
+    # list per state holds both. rows[i] is the lazily built
+    # ``_pair_row`` of edge i, ends its vertices' edge masks. This is a
+    # module-level function, not a closure: a closure that calls itself
+    # is a reference cycle, left behind for the cyclic collector.
     a = ((key + 1) & ~key).bit_length() - 1  # the lowest unused vertex
     if a == n:
         return [0] if listing else 1
     tick()
     out: list[Matching] | int = [] if listing else 0
-    counts: list[int] = []
     if _pieces_even(key, seeds, near):
         na = near[a]
         for u, i in pairs[a]:
@@ -176,17 +196,27 @@ def _walk(
             sub = memo.get(child)
             if sub is None:
                 seeds = (na | near[u]) & ~child
-                sub = _walk(child, seeds, n, pairs, near, memo, cap, listing, tick, rows, fours)
+                sub = _walk(child, seeds, n, pairs, near, memo, cap, listing, tick, rows, ends)
             if listing:
-                if fours is not None:
+                bit = 1 << i
+                once = twice = 0
+                if rows is not None:
                     row = rows[i]
                     if row is None:
-                        row = rows[i] = _pair_row(a, u, pairs, near, len(rows))
-                    counts += _counts_with(sub, fours[child], row, len(rows))
-                bit = 1 << i
-                out += [bit | c for c in sub]
+                        row = rows[i] = _pair_row(a, u, pairs, ends)
+                    once, twice = row
+                    width = len(rows)
+                if twice:  # an edge closes two 4-cycles with the new one
+                    out += [
+                        c + bit + ((c & once).bit_count() + (c & twice).bit_count() << width)
+                        for c in sub
+                    ]
+                elif once:
+                    out += [c + bit + ((c & once).bit_count() << width) for c in sub]
+                else:
+                    out += [bit | c for c in sub]
                 if len(out) >= cap:
-                    del out[cap:], counts[cap:]
+                    del out[cap:]
                     break
             else:
                 out += sub
@@ -198,8 +228,6 @@ def _walk(
             # matchings pays one node per matching, as every pass does.
             tick(len(out))
     memo[key] = out
-    if fours is not None:
-        fours[key] = counts
     return out
 
 
@@ -222,23 +250,24 @@ def _completions(
     ``near`` holds each vertex's neighbours in ``pairs`` as a vertex
     mask. A list of edge masks when ``listing``, else their number. A
     listing given ``four_cycles`` appends each matching's alternating
-    4-cycle count to it, in list order. The memo lives for one call, so
-    it is dropped when the answer returns.
+    4-cycle count to it, in list order: the walk's root list, whose
+    elements carry the count above the W edge bits, is split once into
+    counts and masks. The memo lives for one call, so it is dropped when
+    the answer returns.
     """
     _check_cap(cap)
     if n % 2:
         return [] if listing else 0
     limit = math.inf if cap is None else cap
     everyone = (1 << n) - 1
-    rows: list[int | None] = []
-    fours: dict[int, list[int]] | None = None
-    if four_cycles is not None:
-        rows = [None] * (sum(map(len, pairs)) // 2)
-        fours = {everyone: [0]}
-    out = _walk(0, everyone, n, pairs, near, {}, limit, listing, budget.tick, rows, fours)
-    if fours is not None:
-        four_cycles += fours[0]
-    return out
+    if four_cycles is None:
+        return _walk(0, everyone, n, pairs, near, {}, limit, listing, budget.tick, None, [])
+    rows: list[tuple[int, int] | None] = [None] * (sum(map(len, pairs)) // 2)
+    out = _walk(0, everyone, n, pairs, near, {}, limit, listing, budget.tick, rows, [None] * n)
+    width = len(rows)
+    four_cycles += [c >> width for c in out]
+    full = (1 << width) - 1
+    return [c & full for c in out]
 
 
 def has_perfect_matching(g: Graph, budget: Budget | None = None) -> bool:
@@ -271,6 +300,9 @@ def enumerate_perfect_matchings(
     unbounded. The list is the first ``cap`` of the full one. Given a
     list ``four_cycles``, the walk appends to it each listed matching's
     number of alternating 4-cycles, in list order, so a cap cuts both.
+    The walk keeps each count above the matching's edge bits in one int,
+    so counting adds no list per state, and the masks handed back are
+    clean. Asking for the counts charges no extra node.
     """
     _check_cap(cap)  # before the gate, which answers a graph without a PM itself
     budget = budget or Budget()

@@ -7,9 +7,11 @@ witness re-checked by ``solve_verified`` under the same budget, in a
 child process of its own, so that one instance's memory cannot weigh on
 the next. An instance that finishes is solved twice more, and its time
 is the best of the three runs, so that a slow spell of the host does not
-read as a change. The script prints each instance's value, or the bounds it
-carries when the budget runs out, and its seconds, then writes them to
-BENCH_frontier_<label>.json at the repository root:
+read as a change. Its peak RSS, the child's ``ru_maxrss`` (kilobytes on
+Linux), is the least of the runs too. The script prints each instance's
+value, or the bounds it carries when the budget runs out, its seconds and
+its peak RSS, then writes them to BENCH_frontier_<label>.json at the
+repository root:
 
     python tests/frontier.py --label baseline
 
@@ -17,7 +19,7 @@ With ``--against DIR``, DIR being another checkout of the repository,
 each instance is also solved with the ``antiforce`` of DIR/src, the
 two trees taking turns run by run, so that a drift of the host's speed
 falls on both alike. Each tree's value or bounds and best of three are
-printed and written side by side:
+printed and written side by side, with its peak RSS:
 
     python tests/frontier.py --label change --against ../parent
 
@@ -33,6 +35,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -55,7 +58,11 @@ def frontier_instances() -> list[tuple[str, int, int]]:
 
 
 def solve(fam: str, k: int, m: int) -> dict[str, object]:
-    """The value, or the bounds when the budget runs out, and the seconds spent solving."""
+    """The value, or the bounds when the budget runs out, the seconds spent solving and peak RSS.
+
+    The peak is this process's: run in a fresh interpreter, as
+    ``solve_in_child`` does, it is the solve's, plus the imports.
+    """
     g = power(build(fam, k), m)
     start = time.perf_counter()
     try:
@@ -63,7 +70,14 @@ def solve(fam: str, k: int, m: int) -> dict[str, object]:
     except BudgetExceededError as exc:
         bounds = {"lower": exc.lower, "upper": exc.upper}
     seconds = time.perf_counter() - start
-    return {"name": instance_name(fam, k, m), "n": g.n, **bounds, "seconds": round(seconds, 3)}
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return {
+        "name": instance_name(fam, k, m),
+        "n": g.n,
+        **bounds,
+        "seconds": round(seconds, 3),
+        "peak_rss_mb": round(peak, 1),
+    }
 
 
 def solve_in_child(fam: str, k: int, m: int, tree: Path = ROOT) -> dict[str, object]:
@@ -84,7 +98,8 @@ def solve_in_child(fam: str, k: int, m: int, tree: Path = ROOT) -> dict[str, obj
 def solve_on(fam: str, k: int, m: int, trees: list[Path]) -> tuple[list[dict[str, object]], bool]:
     """One row per tree, and whether any tree's runs disagree.
 
-    A tree that finishes is run RUNS times in all, its time the best.
+    A tree that finishes is run RUNS times in all, its time and its
+    peak RSS the least of its runs.
     Round by round the trees take turns, in reversed order every other
     round.
     """
@@ -94,15 +109,15 @@ def solve_on(fam: str, k: int, m: int, trees: list[Path]) -> tuple[list[dict[str
         for t in range(len(trees))[:: -1 if turn % 2 else 1]:
             if "value" in rows[t]:
                 again = solve_in_child(fam, k, m, trees[t])
-                rows[t]["seconds"] = min(rows[t]["seconds"], again["seconds"])
+                for key in ("seconds", "peak_rss_mb"):
+                    rows[t][key] = min(rows[t][key], again[key])
                 differs = differs or again.get("value") != rows[t]["value"]
     return rows, differs
 
 
 def shown(row: dict[str, object]) -> str:
-    if "value" in row:
-        return f"{row['value']} in {row['seconds']:.2f} s"
-    return f"{row['lower']}..{row['upper']} in {row['seconds']:.2f} s"
+    got = row["value"] if "value" in row else f"{row['lower']}..{row['upper']}"
+    return f"{got} in {row['seconds']:.2f} s, {row['peak_rss_mb']:.0f} MB"
 
 
 def main(argv: list[str] | None = None) -> int:

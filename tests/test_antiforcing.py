@@ -960,8 +960,10 @@ def test_pair_table_counts_the_four_cycle_pairs(atlas):
     # p(M), summed by the listing walk from each matched edge's pair row,
     # is the scan's pair count and route one's swap count on every
     # matching. Asking for it leaves the list and the nodes charged as
-    # they are without it.
-    graphs = [g for g in (*atlas, *benchmark_random_graphs(0)) if g.n % 2 == 0]
+    # they are without it. The criterion-1 graphs bring rows up to K_12's
+    # 66 edges, with edges that close two 4-cycles with the matched one.
+    corpus = (*atlas, *benchmark_random_graphs(0), *benchmark_family_graphs())
+    graphs = [g for g in corpus if g.n % 2 == 0]
     pairs = 0
     for g in graphs:
         plain, counted = Budget(), Budget()
@@ -972,7 +974,7 @@ def test_pair_table_counts_the_four_cycle_pairs(atlas):
         assert counts == [len(_four_cycle_start(g, m, 0, 0)[1]) for m in pms]
         assert counts == [_swaps(g, m) for m in pms]
         pairs += sum(counts)
-    assert pairs == 728 + 20848  # the atlas, then the random graphs
+    assert pairs == 728 + 20848 + 406142  # the atlas, the random graphs, criterion 1
 
 
 set_systems = st.lists(

@@ -23,7 +23,10 @@ from antiforce import (
     path,
     power,
 )
+from antiforce.matching import _pair_row
 from conftest import (
+    benchmark_family_graphs,
+    benchmark_random_graphs,
     complete_joined_to_star,
     edges_of,
     graph_to_nx,
@@ -168,6 +171,64 @@ def test_every_walk_rejects_a_cap_that_is_not_a_positive_integer(cap):
 def test_empty_graph_has_one_pm():
     assert enumerate_perfect_matchings(Graph(0)) == [0]
     assert count_pms_excluding(Graph(0), cap=2) == 1
+
+
+LADDER = Graph(6, frozenset({(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)}))
+
+
+@pytest.mark.parametrize(
+    "g, cap, pms, counts",
+    [
+        (Graph(0), None, [0], [0]),  # no edges, so the counts sit at bit 0
+        (Graph(2), None, [], []),
+        (path(5), None, [], []),
+        (complete(4), None, [0b100001, 0b010010, 0b001100], [2, 2, 2]),
+        # The 2 x 3 grid: a square at either end, or both.
+        (LADDER, None, [0b0110001, 0b1000110, 0b0011010], [1, 1, 2]),
+        (LADDER, 2, [0b0110001, 0b1000110], [1, 1]),
+        (LADDER, 1, [0b0110001], [1]),
+    ],
+)
+def test_count_list_edge_cases(g, cap, pms, counts):
+    # The listing hands back clean masks, and appends each one's 4-cycle
+    # count, cut by the cap as the masks are; asking for the counts
+    # charges the nodes the plain listing does.
+    plain, counted = Budget(), Budget()
+    got: list[int] = []
+    assert enumerate_perfect_matchings(g, cap, counted, got) == pms
+    assert got == counts
+    assert enumerate_perfect_matchings(g, cap, plain) == pms
+    assert counted.nodes == plain.nodes
+
+
+def nested_pair_row(a, u, pairs, near):
+    """``_pair_row`` by a pair test per path u-w-b, for reference: (once, twice)."""
+    once = twice = 0
+    na = near[a]
+    # Each f = bw with u ~ w and a ~ b, once per way to place it so.
+    for w, _ in pairs[u]:
+        if w > a:
+            for b, f in pairs[w]:
+                if b > a and b != u and na >> b & 1:
+                    bit = 1 << f
+                    twice |= once & bit
+                    once |= bit
+    return once, twice
+
+
+def test_pair_row_is_the_nested_loop_row(atlas):
+    # The row from per-vertex end masks holds the edges the pair tests
+    # find, once and twice, for every edge au with a < u; one cache of
+    # end masks per graph serves every row, as in a listing.
+    kinds = set()
+    for g in (*atlas, *benchmark_family_graphs(), *benchmark_random_graphs(0)):
+        pairs, near = g.incident_edges, g.neighbour_masks
+        ends = [None] * g.n
+        for a, u in g.sorted_edges:
+            row = _pair_row(a, u, pairs, ends)
+            assert row == nested_pair_row(a, u, pairs, near), (sorted(g.edges), a, u)
+            kinds.add(tuple(map(bool, row)))
+    assert kinds == {(False, False), (True, False), (True, True)}
 
 
 def test_unique_pm():

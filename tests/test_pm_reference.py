@@ -257,13 +257,19 @@ def test_listing_a_path_reads_a_few_masks_per_vertex():
     # of the two vertices it matches. So each walk, the gate's and the
     # listing's, reads 2n masks, where a full search at every state
     # would read n^2 / 4.
+    # Counting the 4-cycles reads pair rows, not vertex masks.
     g = path(4096)
     near = g.__dict__["neighbour_masks"] = CountingList(g.neighbour_masks)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 4 * g.n))
+    counts: list[int] = []
     try:
         pms = enumerate_perfect_matchings(g)
+        assert g.n <= near.reads <= 4 * g.n
+        near.reads = 0
+        assert enumerate_perfect_matchings(g, four_cycles=counts) == pms
     finally:
         sys.setrecursionlimit(limit)
     assert pms == [sum(1 << i for i in range(0, len(g.edges), 2))]
+    assert counts == [0]
     assert g.n <= near.reads <= 4 * g.n
